@@ -5,6 +5,15 @@ gradient-based optimization, and a plain numpy one used by MCMC and the
 diagnostics where no gradients are needed. The two are pinned together by
 equality tests.
 
+The density estimators also expose ``iid_log_lik(targets, contexts)``: the
+sum of the numpy log-density over all target rows, one value per context
+row. This is the NLE likelihood of i.i.d. trials that MCMC evaluates many
+times per query, so the MDN and the mixed estimator run their networks once
+per context (the mixed estimator's reaction-time head once per context and
+choice) and broadcast only the mixture density over the targets. The flow's
+conditioner mixes target and context, so it evaluates every (context,
+target) pair. Tests pin each to that pairwise reference.
+
 Inputs and targets are z-scored with training-set statistics stored inside
 the model; densities are reported in original coordinates through the
 standardization Jacobian.
@@ -177,11 +186,21 @@ class _ContextNet:
 def mixture_log_prob_np(log_w, mu, log_std, y):
     """log of sum_k w_k N(y; mu_k, sigma_k) for batched diagonal components.
 
-    Shapes: log_w (n, K), mu/log_std (n, K, D), y (n, D) -> (n,)
+    Shapes: log_w (..., K), mu/log_std (..., K, D), y (..., D) -> (...);
+    the leading axes broadcast, so one set of parameters per context can
+    score many targets.
     """
-    z = (y[:, None, :] - mu) * np.exp(-log_std)
-    comp = np.sum(-0.5 * z * z - 0.5 * LOG_2PI - log_std, axis=2)
-    return logsumexp(comp + log_w, axis=1)[:, 0]
+    z = (y[..., None, :] - mu) * np.exp(-log_std)
+    comp = np.sum(-0.5 * z * z - 0.5 * LOG_2PI - log_std, axis=-1)
+    return logsumexp(comp + log_w, axis=-1)[..., 0]
+
+
+def pairwise_iid_sum(row_fn, targets, contexts) -> np.ndarray:
+    """Sum of ``row_fn(target, context)`` over the target rows, per context
+    row, by evaluating every (context, target) pair as one batch row."""
+    t, c = targets.shape[0], contexts.shape[0]
+    out = row_fn(np.tile(targets, (c, 1)), np.repeat(contexts, t, axis=0))
+    return out.reshape(c, t).sum(axis=1)
 
 
 class _MixtureHead:
@@ -284,6 +303,15 @@ class ConditionalMDN:
         return (mixture_log_prob_np(log_w, mu, log_std, y_z)
                 + self.target_standardizer.log_det)
 
+    def iid_log_lik(self, targets, contexts) -> np.ndarray:
+        """Summed log-density of all target rows, per context row; the
+        mixture parameters are computed once per context."""
+        log_w, mu, log_std = self.component_params(contexts)
+        y_z = self.target_standardizer.transform(targets)
+        lp = (mixture_log_prob_np(log_w[:, None], mu[:, None], log_std[:, None], y_z)
+              + self.target_standardizer.log_det)
+        return lp.sum(axis=1)
+
     def log_prob_tape(self, tape, target: Tensor, context: Tensor | None) -> Tensor:
         feats = self.context_net.forward(tape, context) if context is not None else None
         if feats is None:
@@ -381,6 +409,11 @@ class AffineCouplingFlow:
         base = np.sum(-0.5 * u * u - 0.5 * LOG_2PI, axis=1)
         return base + logdet + self.target_standardizer.log_det
 
+    def iid_log_lik(self, targets, contexts) -> np.ndarray:
+        """Summed log-density of all target rows, per context row. The
+        conditioner sees target and context together, so every pair runs."""
+        return pairwise_iid_sum(self.log_prob, targets, contexts)
+
     def log_prob_tape(self, tape, target: Tensor, context: Tensor | None) -> Tensor:
         n = target.shape[0]
         feats = self.context_net.forward(tape, context) if context is not None else None
@@ -472,6 +505,32 @@ class MixedEstimator:
                        + self.logrt_standardizer.log_det - np.log(rt[ok, 0]))
             out[ok] = logp_choice[ok] + logp_rt
         return out
+
+    def iid_log_lik(self, targets, contexts) -> np.ndarray:
+        """Summed log-density of all (choice, rt) trials, per context row.
+
+        The choice net runs once per context and the RT head once per
+        (context, distinct choice); only the mixture density, the choice
+        term and the -log(rt) Jacobian are broadcast over the trials. A
+        trial with rt <= 0 makes every sum -inf.
+        """
+        choice, rt = targets[:, 0], targets[:, 1]
+        if not np.all(rt > 0):
+            return np.full(contexts.shape[0], -np.inf)
+        ctx_z = self.context_standardizer.transform(contexts)
+        logp_choice = self._choice_logp_np(self.choice_net.forward_np(ctx_z), choice[None, :])
+        levels, which = np.unique(choice, return_inverse=True)
+        c, u = ctx_z.shape[0], levels.size
+        feats = np.concatenate([np.repeat(ctx_z, u, axis=0), np.tile(levels, c)[:, None]], axis=1)
+        log_w, mu, log_std = self.rt_head.params_np(feats)
+        k = log_w.shape[1]
+        log_w = log_w.reshape(c, u, k)[:, which]
+        mu = mu.reshape(c, u, k, 1)[:, which]
+        log_std = log_std.reshape(c, u, k, 1)[:, which]
+        y_z = self.logrt_standardizer.transform(np.log(rt)[:, None])
+        logp_rt = (mixture_log_prob_np(log_w, mu, log_std, y_z)
+                   + self.logrt_standardizer.log_det - np.log(rt))
+        return (logp_choice + logp_rt).sum(axis=1)
 
     def log_prob_tape(self, tape, target: Tensor, context: Tensor) -> Tensor:
         data = target.data

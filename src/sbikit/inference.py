@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Distribution, prior_from_config
-from .estimators import ClassifierNet, EstimatorConfig, build_estimator
+from .estimators import ClassifierNet, EstimatorConfig, build_estimator, pairwise_iid_sum
 from .ndiff import Tape, Tensor
 from .samplers import SamplerConfig, slice_sample
 from .simulators import Dataset, Simulator, simulate_rows
@@ -142,11 +142,7 @@ class LikelihoodModel:
         """Sum of log q(x_t | theta) over the observation rows, per theta row."""
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
         thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-        t, c = observations.shape[0], thetas.shape[0]
-        targets = np.tile(observations, (c, 1))
-        contexts = np.repeat(thetas, t, axis=0)
-        lp = self.estimator.log_prob(targets, contexts)
-        return lp.reshape(c, t).sum(axis=1)
+        return self.estimator.iid_log_lik(observations, thetas)
 
 
 class RatioModel:
@@ -158,11 +154,8 @@ class RatioModel:
     def log_ratio(self, observations, thetas) -> np.ndarray:
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
         thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-        t, c = observations.shape[0], thetas.shape[0]
-        x_rows = np.tile(observations, (c, 1))
-        t_rows = np.repeat(thetas, t, axis=0)
-        logit = self.classifier.logit(t_rows, x_rows)
-        return logit.reshape(c, t).sum(axis=1)
+        return pairwise_iid_sum(lambda x, theta: self.classifier.logit(theta, x),
+                                observations, thetas)
 
 
 class McmcPosterior:
@@ -297,7 +290,13 @@ def _support_masked(prior: Distribution, term) -> callable:
 def nle_posterior(model: LikelihoodModel, prior: Distribution, observations,
                   sampler_config: SamplerConfig | None = None) -> McmcPosterior:
     """MCMC posterior over the summed single-trial log-likelihoods, valid for
-    any number of i.i.d. observations."""
+    any number of i.i.d. observations.
+
+    Each target call evaluates the estimator's ``iid_log_lik``: for the MDN
+    and the mixed estimator the network cost scales with the number of theta
+    rows in the call, not theta rows times trials; only the mixture density
+    is evaluated per trial.
+    """
     observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
     if observations.shape[0] < 1:
         raise InferenceError("need at least one observation")
@@ -371,7 +370,7 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
     Draws new parameters from the prior restricted to the current
     posterior's highest-density region, simulates them, and retrains on all
     accumulated data with the unmodified loss.
-    Returns (posterior, accumulated dataset, TsnpeRoundInfo).
+    Returns (posterior, accumulated dataset, TsnpeRoundInfo, TrainReport).
     """
     if posterior.kind != "direct":
         raise InferenceError("truncated sequential refinement needs a direct posterior")

@@ -57,12 +57,16 @@ class ChainDiagnostics:
     ess: np.ndarray                      # per dimension
     acceptance: np.ndarray               # per chain, shrinkage acceptance rate
     n_target_evals: int = 0
+    n_stepout_capped: int = 0            # (chain, coordinate) updates stopped at max_stepouts
+    n_shrink_capped: int = 0             # updates that hit _MAX_SHRINK and kept the current point
 
     def save(self, path):
         dim = self.r_hat.size
         rows = np.column_stack([np.arange(dim, dtype=np.float64), self.r_hat, self.ess])
         meta = {
             "n_target_evals": int(self.n_target_evals),
+            "n_stepout_capped": int(self.n_stepout_capped),
+            "n_shrink_capped": int(self.n_shrink_capped),
             "mean_acceptance": float(self.acceptance.mean()),
             "n_chains": int(self.acceptance.size),
         }
@@ -123,6 +127,8 @@ class _SliceState:
         self.proposed = 0
         self.chain_accepted = np.zeros(self.x.shape[0], dtype=np.int64)
         self.chain_proposed = np.zeros(self.x.shape[0], dtype=np.int64)
+        self.stepout_capped = 0
+        self.shrink_capped = 0
 
     def _eval_coord(self, idx, coord, values):
         probe = self.x[idx].copy()
@@ -141,6 +147,7 @@ class _SliceState:
             right = left + w
 
             # step out the interval until both ends fall below the level
+            capped = np.zeros(n, dtype=bool)
             grow = np.arange(n)
             for _ in range(self.max_stepouts):
                 if grow.size == 0:
@@ -149,6 +156,7 @@ class _SliceState:
                 still = lf > level[grow]
                 left[grow[still]] -= w
                 grow = grow[still]
+            capped[grow] = True
             grow = np.arange(n)
             for _ in range(self.max_stepouts):
                 if grow.size == 0:
@@ -157,6 +165,8 @@ class _SliceState:
                 still = lf > level[grow]
                 right[grow[still]] += w
                 grow = grow[still]
+            capped[grow] = True
+            self.stepout_capped += int(capped.sum())
 
             # shrink toward the current point until a proposal is accepted
             active = np.arange(n)
@@ -181,6 +191,7 @@ class _SliceState:
                 right[rej[~lower]] = pr[~lower]
                 active = rej
             # pathological shrinkage: keep the current (always valid) point
+            self.shrink_capped += active.size
 
 
 def _split_r_hat(draws: np.ndarray) -> np.ndarray:
@@ -258,6 +269,8 @@ def slice_sample(log_target, prior: Distribution, config: SamplerConfig,
         ess=_ess(retained),
         acceptance=acceptance,
         n_target_evals=state.n_evals,
+        n_stepout_capped=state.stepout_capped,
+        n_shrink_capped=state.shrink_capped,
     )
     return samples, diag
 

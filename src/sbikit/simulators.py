@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -56,6 +57,8 @@ class Simulator:
     def __init__(self, summary=None):
         self.summary = summary
         self.n_calls = 0
+        # pool workers share the instance; the counter's read-modify-write needs it
+        self._calls_lock = threading.Lock()
 
     def raw_simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -66,7 +69,8 @@ class Simulator:
             raise SimulatorError(
                 f"{self.name}: parameter shape {theta.shape} != ({self.theta_dim},)"
             )
-        self.n_calls += 1
+        with self._calls_lock:
+            self.n_calls += 1
         x = np.asarray(self.raw_simulate(theta, rng), dtype=np.float64)
         if self.summary is not None:
             x = np.asarray(self.summary(x), dtype=np.float64)

@@ -147,11 +147,17 @@ def fit(model, dataset: Dataset, config: TrainConfig | None = None) -> TrainRepo
         raise TrainingError(message, report=report)
 
     n_train = theta_tr.shape[0]
+    starts = list(range(0, n_train, config.batch_size))
+    if len(starts) > 1 and n_train - starts[-1] == 1:
+        # a lone trailing row joins the previous batch: NRE pairs each row
+        # with the next row's theta, which a one-row batch cannot do
+        starts.pop()
+    stops = starts[1:] + [n_train]
     for epoch in range(config.max_epochs):
         perm = rng.permutation(n_train)
         epoch_loss = 0.0
-        for start in range(0, n_train, config.batch_size):
-            idx = perm[start:start + config.batch_size]
+        for start, stop in zip(starts, stops):
+            idx = perm[start:stop]
             tape = Tape()
             loss = model.loss(tape, theta_tr[idx], x_tr[idx])
             value = float(loss.data)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -227,6 +229,20 @@ class TestGenerateDataset:
         sim = BallThrowSimulator()
         generate_dataset(sim.default_prior(), sim, 100, seed=0)
         assert sim.n_calls == 100 + 0  # no discards on the clean simulator
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_call_counter_is_exact_on_the_worker_pool(self, workers):
+        # a short switch interval makes threads interleave inside simulate()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sim = LinearGaussianSimulator(dim=1, noise_std=0.1)
+            ds = generate_dataset(DiagGaussian([0.0], [0.0]), sim, 2000, seed=3,
+                                  workers=workers, validity_filter=lambda t, x: x[0] > -1.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert ds.meta["discards"] > 0
+        assert sim.n_calls == len(ds) + ds.meta["discards"]
 
 
 def test_builtin_simulators_emit_only_finite_values_over_prior_draws():

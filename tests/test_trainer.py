@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sbikit.estimators import ConditionalMDN, EstimatorConfig
+from sbikit.estimators import ClassifierNet, ConditionalMDN, EstimatorConfig
 from sbikit.ndiff import ParamStore, Tensor
 from sbikit.simulators import Dataset
 from sbikit.trainer import TrainConfig, TrainingError, fit, split
@@ -169,6 +169,27 @@ def test_training_reduces_loss_on_small_dataset():
     assert best <= 0.5 * report.train_losses[0] or (
         report.train_losses[0] < 0 and best < report.train_losses[0]
     )
+
+
+def test_one_row_trailing_batch_joins_the_previous_batch():
+    # 21 training rows in batches of 5 would leave a one-row batch, in which
+    # NRE's cyclic shift pairs the row with its own theta as a class-0 pair
+    clf = ClassifierNet(1, 1, hidden=(8,), seed=0)
+    ds = toy_dataset(26)
+    clf.initialize_standardization(ds.theta, ds.x)
+    sizes = []
+
+    class Spy:
+        loss_kind = clf.loss_kind
+        store = clf.store
+
+        def loss(self, tape, theta, x):
+            sizes.append(theta.shape[0])
+            return clf.loss(tape, theta, x)
+
+    report = fit(Spy(), ds, TrainConfig(batch_size=5, val_fraction=0.2, max_epochs=2, seed=0))
+    assert sizes == [5, 5, 5, 6, 5] * 2   # four training batches, then validation
+    assert np.all(np.isfinite(report.train_losses))
 
 
 def test_nonfinite_loss_aborts_with_diagnostic_and_best_checkpoint():
