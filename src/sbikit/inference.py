@@ -12,13 +12,14 @@ and posterior ensembles that average member densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distributions import Distribution, prior_from_config
-from .estimators import ClassifierNet, EstimatorConfig, build_estimator, pairwise_iid_sum
-from .ndiff import Tape, Tensor
+from .estimators import (ClassifierNet, EstimatorConfig, NllTask, build_estimator,
+                         pairwise_iid_sum)
+from .ndiff import Tensor
 from .samplers import SamplerConfig, slice_sample
 from .simulators import Dataset, Simulator, simulate_rows
 from .trainer import TrainConfig, TrainReport, fit
@@ -26,35 +27,6 @@ from .trainer import TrainConfig, TrainReport, fit
 
 class InferenceError(RuntimeError):
     pass
-
-
-class _PosteriorTask:
-    """Trainer adapter: mean negative log-density of parameters given data."""
-
-    loss_kind = "nll"
-
-    def __init__(self, estimator):
-        self.estimator = estimator
-        self.store = estimator.store
-
-    def loss(self, tape, theta, x):
-        lp = self.estimator.log_prob_tape(
-            tape, Tensor(theta), Tensor(x) if self.estimator.context_dim else None)
-        return tape.negate(tape.mean(lp))
-
-
-class _LikelihoodTask:
-    """Trainer adapter: mean negative log-density of data given parameters."""
-
-    loss_kind = "nll"
-
-    def __init__(self, estimator):
-        self.estimator = estimator
-        self.store = estimator.store
-
-    def loss(self, tape, theta, x):
-        lp = self.estimator.log_prob_tape(tape, Tensor(x), Tensor(theta))
-        return tape.negate(tape.mean(lp))
 
 
 def _resolve_prior(dataset: Dataset, prior: Distribution | None) -> Distribution:
@@ -239,7 +211,7 @@ def npe_fit(dataset: Dataset, estimator_config: EstimatorConfig | None = None,
     estimator = build_estimator(estimator_config, dataset.theta_dim, dataset.x_dim,
                                 seed=train_config.seed)
     estimator.initialize_standardization(dataset.theta, dataset.x)
-    report = fit(_PosteriorTask(estimator), dataset, train_config)
+    report = fit(NllTask(estimator, theta_is_target=True), dataset, train_config)
     return DirectPosterior(estimator, prior), report
 
 
@@ -251,7 +223,7 @@ def nle_fit(dataset: Dataset, estimator_config: EstimatorConfig | None = None,
     estimator = build_estimator(estimator_config, dataset.x_dim, dataset.theta_dim,
                                 seed=train_config.seed)
     estimator.initialize_standardization(dataset.x, dataset.theta)
-    report = fit(_LikelihoodTask(estimator), dataset, train_config)
+    report = fit(NllTask(estimator, theta_is_target=False), dataset, train_config)
     return LikelihoodModel(estimator), report
 
 
@@ -385,11 +357,6 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
     return new_posterior, merged, info, report
 
 
-def ensemble(members) -> EnsemblePosterior:
-    """Average the densities of independently trained direct posteriors."""
-    return EnsemblePosterior(members)
-
-
 def fit_ensemble(dataset: Dataset, n_members: int = 5,
                  estimator_config: EstimatorConfig | None = None,
                  train_config: TrainConfig | None = None,
@@ -398,7 +365,7 @@ def fit_ensemble(dataset: Dataset, n_members: int = 5,
     train_config = train_config or TrainConfig()
     members, reports = [], []
     for k in range(n_members):
-        cfg_k = TrainConfig(**{**train_config.to_dict(), "seed": train_config.seed + k})
+        cfg_k = replace(train_config, seed=train_config.seed + k)
         post, report = npe_fit(dataset, estimator_config, cfg_k, prior=prior)
         members.append(post)
         reports.append(report)

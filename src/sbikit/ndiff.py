@@ -49,10 +49,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 class Gradients:
     """Adjoint arrays keyed by the tensors they belong to."""
 
@@ -91,17 +87,6 @@ class Tape:
         return out
 
     # -- primitives ------------------------------------------------------
-
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise NdiffError(f"matmul shapes do not conform: {a.shape} @ {b.shape}")
-        out = Tensor(a.data @ b.data)
-
-        def back(g, table):
-            _accumulate(table, a, g @ b.data.T)
-            _accumulate(table, b, a.data.T @ g)
-
-        return self._record(out, back)
 
     def add(self, a: Tensor, b) -> Tensor:
         if isinstance(b, (int, float)):
@@ -161,15 +146,6 @@ class Tape:
 
         def back(g, table):
             _accumulate(table, a, g * (1.0 - y * y))
-
-        return self._record(out, back)
-
-    def relu(self, a: Tensor) -> Tensor:
-        mask = a.data > 0.0
-        out = Tensor(np.where(mask, a.data, 0.0))
-
-        def back(g, table):
-            _accumulate(table, a, g * mask)
 
         return self._record(out, back)
 
@@ -287,19 +263,7 @@ class Tape:
 
         return self._record(out, back)
 
-    # -- dispatch / backward ----------------------------------------------
-
-    _OP_KINDS = (
-        "matmul", "add", "multiply", "affine", "tanh", "relu", "softplus",
-        "exp", "log", "logsumexp", "sum", "mean", "square", "negate",
-        "concat", "slice_cols",
-    )
-
-    def apply(self, op_kind: str, *inputs, **kwargs) -> Tensor:
-        """Generic entry point: run one primitive by name."""
-        if op_kind not in self._OP_KINDS:
-            raise NdiffError(f"unknown op kind {op_kind!r}")
-        return getattr(self, op_kind)(*inputs, **kwargs)
+    # -- backward ----------------------------------------------------------
 
     def backward(self, output: Tensor) -> Gradients:
         """Adjoints of a scalar output w.r.t. every tensor on the tape."""
@@ -382,7 +346,9 @@ class ParamStore:
 
     def load(self, values: dict[str, np.ndarray]) -> None:
         for name, arr in values.items():
-            t = self._params[name]
+            t = self._params.get(name)
+            if t is None:
+                raise NdiffError(f"unknown parameter {name!r}")
             arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != t.data.shape:
                 raise NdiffError(

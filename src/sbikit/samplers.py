@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Distribution
-from .ndiff import Tape, Tensor
+from .ndiff import Gradients, ParamStore, Tape
 from .tableio import write_table
 
 _MAX_SHRINK = 200
@@ -40,15 +40,8 @@ class SamplerConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.init not in ("sir", "prior"):
             raise ValueError(f"init must be 'sir' or 'prior', got {self.init!r}")
-
-    def to_dict(self):
-        return {"chains": self.chains, "warmup": self.warmup, "thin": self.thin,
-                "init": self.init, "sir_pool": self.sir_pool,
-                "step_scale": self.step_scale, "max_stepouts": self.max_stepouts}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+        if not (math.isfinite(self.step_scale) and self.step_scale > 0):
+            raise ValueError(f"step_scale must be finite and positive, got {self.step_scale}")
 
 
 @dataclass
@@ -297,32 +290,24 @@ def map_estimate(posterior, rng: np.random.Generator, restarts: int = 10,
     """
     prior = posterior.prior
     starts = posterior.sample(restarts, rng)
-    theta = np.clip(starts, prior.low, prior.high)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    store = ParamStore()
+    theta = store.add("theta", np.clip(starts, prior.low, prior.high))
     best_logp = np.full(restarts, -np.inf)
-    best_theta = theta.copy()
+    best_theta = theta.data.copy()
     trace = []
 
-    for step in range(1, steps + 1):
+    for _ in range(steps):
         tape = Tape()
-        theta_t = Tensor(theta)
-        lp = posterior.log_prob_tape(tape, theta_t)
+        lp = posterior.log_prob_tape(tape, theta)
         lp_np = lp.data[:, 0]
         better = lp_np > best_logp
         best_logp[better] = lp_np[better]
-        best_theta[better] = theta[better]
+        best_theta[better] = theta.data[better]
         trace.append(float(np.nanmax(lp_np)))
-        grads = tape.backward(tape.negate(tape.sum(lp)))
-        g = grads[theta_t]
+        g = tape.backward(tape.negate(tape.sum(lp)))[theta]
         g[~np.isfinite(g)] = 0.0
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** step)
-        v_hat = v / (1 - beta2 ** step)
-        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
-        theta = np.clip(theta, prior.low, prior.high)
+        store.adam_step(Gradients({id(theta): g}), lr=lr)
+        theta.data = np.clip(theta.data, prior.low, prior.high)
 
     if not np.any(np.isfinite(best_logp)):
         raise SamplerError(f"MAP search diverged in all restarts; trace tail {trace[-5:]}")

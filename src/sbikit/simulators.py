@@ -332,6 +332,18 @@ def _attempt_rng(seed: int, row: int, attempt: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def _fill_rows(fill, n: int, workers: int | None) -> None:
+    """Call ``fill`` on the row indices 0..n-1, split into one contiguous
+    chunk per worker thread; small batches run in the calling thread."""
+    n_workers = max_workers(workers)
+    if n_workers == 1 or n < 2 * n_workers:
+        fill(range(n))
+    else:
+        chunks = np.array_split(np.arange(n), n_workers)
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(fill, chunks))
+
+
 def simulate_rows(simulator: Simulator, thetas: np.ndarray, seed: int,
                   workers: int | None = None) -> np.ndarray:
     """Run the simulator once per given parameter row with per-row streams.
@@ -355,13 +367,7 @@ def simulate_rows(simulator: Simulator, thetas: np.ndarray, seed: int,
                     f"row {i}: simulator kept returning non-finite output"
                 )
 
-    n_workers = max_workers(workers)
-    if n_workers == 1 or n < 2 * n_workers:
-        fill(range(n))
-    else:
-        chunks = np.array_split(np.arange(n), n_workers)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, chunks))
+    _fill_rows(fill, n, workers)
     return x
 
 
@@ -398,13 +404,7 @@ def generate_dataset(prior: Distribution, simulator: Simulator, n: int, seed: in
             else:
                 failed[i] = True
 
-    n_workers = max_workers(workers)
-    if n_workers == 1 or n < 2 * n_workers:
-        fill(range(n))
-    else:
-        chunks = np.array_split(np.arange(n), n_workers)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, chunks))
+    _fill_rows(fill, n, workers)
 
     total_attempts = int(attempts.sum())
     discards = total_attempts - n + int(failed.sum())

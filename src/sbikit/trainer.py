@@ -1,13 +1,14 @@
 """Dataset splitting, minibatch training, early stopping, checkpointing.
 
-``fit`` drives any model exposing ``store`` (a ParamStore), ``loss_kind``
-("nll" or "bce"), and ``loss(tape, theta, x) -> scalar Tensor``. The model
-is left holding the parameters of the epoch with minimal validation loss.
+``fit`` drives any model exposing ``store`` (a ParamStore) and
+``loss(tape, theta, x) -> scalar Tensor``. The model is left holding the
+parameters of the epoch with minimal validation loss.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -38,19 +39,11 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.val_fraction < 0.5):
             raise ValueError(f"validation fraction must be in (0, 0.5), got {self.val_fraction}")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
-
-    def to_dict(self):
-        return {
-            "batch_size": self.batch_size, "learning_rate": self.learning_rate,
-            "val_fraction": self.val_fraction, "patience": self.patience,
-            "max_epochs": self.max_epochs, "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+        for name in ("batch_size", "patience", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass
@@ -126,8 +119,6 @@ def fit(model, dataset: Dataset, config: TrainConfig | None = None) -> TrainRepo
     checkpoint is restored and a TrainingError carrying the report raised.
     """
     config = config or TrainConfig()
-    if model.loss_kind not in ("nll", "bce"):
-        raise ValueError(f"unsupported loss kind {model.loss_kind!r}")
     train_set, val_set = split(dataset, config.val_fraction, config.seed)
     theta_tr, x_tr = train_set.theta, train_set.x
     theta_va, x_va = val_set.theta, val_set.x

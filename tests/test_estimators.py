@@ -6,15 +6,15 @@ from scipy import special, stats
 
 from sbikit.estimators import (
     AffineCouplingFlow,
-    BinaryClassifierModel,
     ClassifierNet,
     ConditionalMDN,
     EstimatorConfig,
     EstimatorError,
     MixedEstimator,
+    NllTask,
     build_estimator,
 )
-from sbikit.ndiff import Tape, Tensor
+from sbikit.ndiff import Tape, Tensor, sigmoid
 
 
 def loss_gradient_fd(model, theta, x, h=1e-5):
@@ -34,19 +34,6 @@ def loss_gradient_fd(model, theta, x, h=1e-5):
             gflat[i] = (up - down) / (2.0 * h)
         out[name] = g
     return out
-
-
-class _NpeLoss:
-    """Posterior-oriented adapter used by the gradient tests."""
-
-    def __init__(self, estimator):
-        self.estimator = estimator
-        self.store = estimator.store
-
-    def loss(self, tape, theta, x):
-        lp = self.estimator.log_prob_tape(
-            tape, Tensor(theta), Tensor(x) if self.estimator.context_dim else None)
-        return tape.negate(tape.mean(lp))
 
 
 def small_mdn(target_dim=2, context_dim=2, k=3, seed=0, randomize=True):
@@ -122,7 +109,7 @@ def test_mdn_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     theta, x = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
     m.initialize_standardization(theta, x)
-    task = _NpeLoss(m)
+    task = NllTask(m, theta_is_target=True)
     tape = Tape()
     loss = task.loss(tape, theta, x)
     grads = tape.backward(loss)
@@ -192,7 +179,7 @@ def test_flow_gradient_matches_finite_differences():
     rng = np.random.default_rng(14)
     theta, x = rng.normal(size=(5, 2)), rng.normal(size=(5, 1))
     f.initialize_standardization(theta, x)
-    task = _NpeLoss(f)
+    task = NllTask(f, theta_is_target=True)
     tape = Tape()
     grads = tape.backward(task.loss(tape, theta, x))
     fd = loss_gradient_fd(task, theta, x)
@@ -262,7 +249,7 @@ def test_embedding_trains_end_to_end_gradient_check():
     m.initialize_standardization(theta, x)
     embed_names = [n for n in m.store.names() if n.startswith("ctx.embed")]
     assert embed_names, "embedding parameters should be registered"
-    task = _NpeLoss(m)
+    task = NllTask(m, theta_is_target=True)
     tape = Tape()
     grads = tape.backward(task.loss(tape, theta, x))
     fd = loss_gradient_fd(task, theta, x)
@@ -343,9 +330,10 @@ class TestMixedEstimator:
     def test_gradient_matches_finite_differences(self):
         m, theta, targets = self.make(seed=71)
         theta, targets = theta[:5], targets[:5]
+        task = NllTask(m, theta_is_target=False)
         tape = Tape()
-        grads = tape.backward(m.loss(tape, theta, targets))
-        fd = loss_gradient_fd(m, theta, targets)
+        grads = tape.backward(task.loss(tape, theta, targets))
+        fd = loss_gradient_fd(task, theta, targets)
         for name in m.store.names():
             numeric = fd[name]
             denom = np.maximum(np.abs(numeric), 1e-3)
@@ -366,22 +354,23 @@ class TestClassifier:
             c.logit(np.zeros((3, 1)), np.zeros((3, 1)))
 
     def test_finite_logits_and_probability_range(self):
-        c = BinaryClassifierModel(3, hidden=(8,), seed=2)
+        c = ClassifierNet(2, 1, hidden=(8,), seed=2)
         rng = np.random.default_rng(3)
-        feats = rng.normal(size=(100, 3)) * 50
-        c.initialize_standardization(feats)
-        p = c.predict_proba(feats)
-        assert np.isfinite(c.logit(feats)).all()
+        theta, x = rng.normal(size=(100, 2)) * 50, rng.normal(size=(100, 1)) * 50
+        c.initialize_standardization(theta, x)
+        logit = c.logit(theta, x)
+        p = sigmoid(logit)
+        assert np.isfinite(logit).all()
         assert np.all((p > 0) & (p < 1))
 
     def test_bce_gradient_matches_finite_differences(self):
-        c = BinaryClassifierModel(2, hidden=(6,), seed=4)
+        c = ClassifierNet(1, 1, hidden=(6,), seed=4)
         rng = np.random.default_rng(5)
-        feats = rng.normal(size=(8, 2))
-        labels = rng.integers(0, 2, size=8).astype(np.float64)
+        theta, x = rng.normal(size=(4, 1)), rng.normal(size=(4, 1))
+        c.initialize_standardization(theta, x)
         tape = Tape()
-        grads = tape.backward(c.loss(tape, feats, labels))
-        fd = loss_gradient_fd(c, feats, labels)
+        grads = tape.backward(c.loss(tape, theta, x))
+        fd = loss_gradient_fd(c, theta, x)
         for name in c.store.names():
             numeric = fd[name]
             denom = np.maximum(np.abs(numeric), 1e-3)

@@ -44,18 +44,10 @@ def test_softplus_at_zero():
     assert out.data[0, 0] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_matmul_hand_computed():
-    a = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    b = Tensor([[1.0], [-1.0], [2.0]])
-    out = Tape().matmul(a, b)
-    # row 0: 1 - 2 + 6 = 5 ; row 1: 4 - 5 + 12 = 11
-    np.testing.assert_allclose(out.data, [[5.0], [11.0]])
-
-
 def test_shape_mismatch_names_offenders():
     tape = Tape()
     with pytest.raises(NdiffError, match=r"\(2, 3\)"):
-        tape.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        tape.affine(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
     with pytest.raises(NdiffError, match="add"):
         tape.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
@@ -95,7 +87,7 @@ def test_logsumexp_no_overflow_at_1e300():
     assert not np.isnan(neg).any()
 
 
-UNARY_OPS = ["tanh", "relu", "softplus", "exp", "square", "negate"]
+UNARY_OPS = ["tanh", "softplus", "exp", "square", "negate"]
 
 
 @pytest.mark.parametrize("op", UNARY_OPS)
@@ -104,9 +96,6 @@ def test_unary_gradients_match_finite_differences(op):
     for _ in range(20):
         shape = tuple(rng.integers(1, 5, size=2))
         x = rng.uniform(-3.0, 3.0, size=shape)
-        if op == "relu":
-            # keep away from the kink where the derivative is undefined
-            x = x + np.sign(x) * 0.05
 
         def fwd(arr):
             return getattr(Tape(), op)(Tensor(arr)).data.sum()
@@ -217,24 +206,17 @@ def test_identical_tape_replay_is_bit_identical():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 3))
     w = rng.normal(size=(3, 2))
+    b = rng.normal(size=(2,))
 
     def build():
         t = Tape()
         xt, wt = Tensor(x.copy()), Tensor(w.copy())
-        out = t.mean(t.tanh(t.matmul(xt, wt)))
+        out = t.mean(t.tanh(t.affine(xt, wt, Tensor(b))))
         return t.backward(out)[wt]
 
     g1 = build()
     g2 = build()
     assert np.array_equal(g1, g2)
-
-
-def test_apply_dispatch_and_unknown_kind():
-    tape = Tape()
-    out = tape.apply("add", Tensor([[1.0]]), Tensor([[2.0]]))
-    assert out.data[0, 0] == 3.0
-    with pytest.raises(NdiffError, match="unknown op"):
-        tape.apply("conv2d", Tensor([[1.0]]))
 
 
 class TestAdam:
@@ -299,3 +281,5 @@ def test_paramstore_rejects_duplicate_and_bad_names():
         store.add("w", [2.0])
     with pytest.raises(NdiffError):
         store.add("bad name", [1.0])
+    with pytest.raises(NdiffError, match="'v'"):
+        store.load({"v": [1.0]})

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
-from sbikit.distributions import DiagGaussian
-from sbikit.samplers import _MAX_SHRINK, SamplerConfig, slice_sample
+from sbikit.distributions import BoxUniform, DiagGaussian
+from sbikit.ndiff import Tensor
+from sbikit.samplers import _MAX_SHRINK, SamplerConfig, map_estimate, slice_sample
 from sbikit.tableio import read_table
 
 CHAINS, DIM, SWEEPS = 3, 2, 3
@@ -53,3 +55,39 @@ def test_target_finite_only_at_current_point_counts_shrink_caps(tmp_path):
     _, _, meta = read_table(tmp_path / "diag.csv")
     assert meta["n_shrink_capped"] == updates
     assert meta["n_stepout_capped"] == 0
+
+
+@pytest.mark.parametrize("step_scale", [0.0, -1.0, float("nan"), float("inf")])
+def test_nonpositive_or_nonfinite_step_scale_rejected(step_scale):
+    with pytest.raises(ValueError, match="step_scale"):
+        SamplerConfig(step_scale=step_scale)
+
+
+class GaussianBoxPosterior:
+    """Bound-posterior stand-in: an isotropic Gaussian log-density with a
+    known mode on a box prior, sampled from the prior."""
+
+    def __init__(self, mode, scale=0.5):
+        self.prior = BoxUniform([-2.0, -1.0], [2.0, 3.0])
+        self.mode = np.asarray(mode, dtype=np.float64)
+        self.scale = scale
+
+    def sample(self, n, rng):
+        return self.prior.sample(rng, n)
+
+    def log_prob_tape(self, tape, theta):
+        diff = tape.add(theta, Tensor(np.tile(-self.mode, (theta.shape[0], 1))))
+        quad = tape.multiply(tape.square(diff), -0.5 / self.scale ** 2)
+        return tape.sum(quad, axis=1)
+
+
+def test_map_estimate_finds_a_mode_inside_the_box():
+    post = GaussianBoxPosterior([0.7, 1.4])
+    theta = map_estimate(post, np.random.default_rng(0), restarts=4)
+    np.testing.assert_allclose(theta, [0.7, 1.4], atol=1e-3)
+
+
+def test_map_estimate_clamps_a_mode_outside_the_box_to_the_corner():
+    post = GaussianBoxPosterior([3.0, -2.0])
+    theta = map_estimate(post, np.random.default_rng(1), restarts=4, steps=300)
+    np.testing.assert_array_equal(theta, [2.0, -1.0])

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from sbikit.estimators import ClassifierNet, ConditionalMDN, EstimatorConfig
-from sbikit.ndiff import ParamStore, Tensor
+from sbikit.estimators import ClassifierNet, ConditionalMDN, EstimatorConfig, NllTask
+from sbikit.ndiff import ParamStore
 from sbikit.simulators import Dataset
 from sbikit.trainer import TrainConfig, TrainingError, fit, split
-from sbikit.ndiff import Tape
 
 
 def toy_dataset(n=100, seed=0):
@@ -15,20 +14,6 @@ def toy_dataset(n=100, seed=0):
     return Dataset(theta, x)
 
 
-class _NpeModel:
-    """Posterior-oriented wrapper so the raw estimator can be fitted here."""
-
-    loss_kind = "nll"
-
-    def __init__(self, estimator):
-        self.estimator = estimator
-        self.store = estimator.store
-
-    def loss(self, tape, theta, x):
-        lp = self.estimator.log_prob_tape(tape, Tensor(theta), Tensor(x))
-        return tape.negate(tape.mean(lp))
-
-
 class ScriptedModel:
     """Validation losses follow a script; parameters record the epoch.
 
@@ -36,7 +21,6 @@ class ScriptedModel:
     every fifth loss call is the end-of-epoch validation pass.
     """
 
-    loss_kind = "nll"
     CYCLE = 5
 
     def __init__(self, schedule):
@@ -104,10 +88,11 @@ class TestConfig:
             TrainConfig(val_fraction=0.7)
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
-
-    def test_roundtrip(self):
-        cfg = TrainConfig(batch_size=64, seed=9)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        for field, value in [("batch_size", 0), ("max_epochs", 0), ("learning_rate", -1.0),
+                             ("learning_rate", 0.0), ("learning_rate", float("nan")),
+                             ("learning_rate", float("inf"))]:
+            with pytest.raises(ValueError, match=field):
+                TrainConfig(**{field: value})
 
 
 def test_plateau_stops_at_best_plus_patience_and_restores_best_weights():
@@ -127,7 +112,7 @@ def test_fixed_seed_gives_bit_identical_reports_and_parameters():
         est = ConditionalMDN(1, 1, EstimatorConfig(n_components=2, hidden=(8,)), seed=1)
         ds = toy_dataset(60, seed=2)
         est.initialize_standardization(ds.theta, ds.x)
-        model = _NpeModel(est)
+        model = NllTask(est, theta_is_target=True)
         report = fit(model, ds, TrainConfig(batch_size=16, patience=3, max_epochs=12, seed=4))
         return report, est.store.values()
 
@@ -144,7 +129,7 @@ def test_returned_model_has_min_validation_loss_exactly():
     est = ConditionalMDN(1, 1, EstimatorConfig(n_components=2, hidden=(8,)), seed=7)
     ds = toy_dataset(80, seed=8)
     est.initialize_standardization(ds.theta, ds.x)
-    model = _NpeModel(est)
+    model = NllTask(est, theta_is_target=True)
     cfg = TrainConfig(batch_size=16, patience=5, max_epochs=30, seed=9)
     report = fit(model, ds, cfg)
     assert report.val_losses[report.best_epoch] == min(report.val_losses)
@@ -162,7 +147,7 @@ def test_training_reduces_loss_on_small_dataset():
     ds = Dataset(theta, x)
     est = ConditionalMDN(1, 1, EstimatorConfig(n_components=3, hidden=(32, 32)), seed=12)
     est.initialize_standardization(ds.theta, ds.x)
-    model = _NpeModel(est)
+    model = NllTask(est, theta_is_target=True)
     report = fit(model, ds, TrainConfig(batch_size=10, learning_rate=5e-3,
                                         patience=20, max_epochs=300, seed=13))
     best = report.train_losses[report.best_epoch]
@@ -180,7 +165,6 @@ def test_one_row_trailing_batch_joins_the_previous_batch():
     sizes = []
 
     class Spy:
-        loss_kind = clf.loss_kind
         store = clf.store
 
         def loss(self, tape, theta, x):
