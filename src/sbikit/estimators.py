@@ -4,24 +4,25 @@ The density estimators (MDN, coupling flow, mixed choice/reaction-time) train
 through one adapter, ``NllTask``: the mean negative log-density of the target
 given the context, with theta as the target for NPE and x for NLE.
 ``ClassifierNet`` is the one classifier, the NRE head; its loss and the mixed
-estimator's choice term share one taped binary cross-entropy.
+estimator's choice term share one binary cross-entropy.
 
-Each model keeps two evaluation paths: a taped one used for training and
-gradient-based optimization, and a plain numpy one used by MCMC and the
-diagnostics where no gradients are needed. The two are pinned together by
-equality tests. The numpy path stays because MCMC calls it hundreds of times
-per query: for one NLE target call on the DDM (3 theta rows) the networks
-take about 70 us in numpy and 90-100 us through a tape that records nothing,
-out of a 250-350 us call (2-core x86-64).
+Each model's math is written once, against an ``ops`` argument that is
+either an ``ndiff.Tape`` (Tensors in and out, recorded for gradients) or
+``ndiff.EVALUATOR``, which runs the same primitives on bare arrays and
+records nothing. ``log_prob_tape`` and the training losses receive a Tape;
+``log_prob``, ``iid_log_lik``, ``sample``, ``logit`` and the validation loss
+run the same code on the evaluator, so the two agree bit for bit on the
+same inputs.
 
 The density estimators also expose ``iid_log_lik(targets, contexts)``: the
-sum of the numpy log-density over all target rows, one value per context
-row. This is the NLE likelihood of i.i.d. trials that MCMC evaluates many
-times per query, so the MDN and the mixed estimator run their networks once
-per context (the mixed estimator's reaction-time head once per context and
-choice) and broadcast only the mixture density over the targets. The flow's
-conditioner mixes target and context, so it evaluates every (context,
-target) pair. Tests pin each to that pairwise reference.
+sum of the log-density over all target rows, one value per context row.
+This is the NLE likelihood of i.i.d. trials that MCMC evaluates many times
+per query, so the MDN and the mixed estimator run their networks once per
+context (the mixed estimator's reaction-time head once per context and
+choice) and broadcast only the mixture density over the targets, through
+``mixture_log_prob_np``. The flow's conditioner mixes target and context, so
+it evaluates every (context, target) pair. Tests pin each to that pairwise
+reference.
 
 Inputs and targets are z-scored with training-set statistics stored inside
 the model; densities are reported in original coordinates through the
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndiff import ParamStore, Tape, Tensor, logsumexp, sigmoid, softplus
+from .ndiff import EVALUATOR, ParamStore, Tensor, logsumexp, sigmoid
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -47,19 +48,16 @@ class EstimatorError(ValueError):
     pass
 
 
-def _bounded(raw: np.ndarray) -> np.ndarray:
-    return LOG_SCALE_BOUND * np.tanh(raw / LOG_SCALE_BOUND)
+def _bounded(ops, raw):
+    return ops.multiply(ops.tanh(ops.multiply(raw, 1.0 / LOG_SCALE_BOUND)), LOG_SCALE_BOUND)
 
 
-def _bounded_tape(tape: Tape, raw: Tensor) -> Tensor:
-    return tape.multiply(tape.tanh(tape.multiply(raw, 1.0 / LOG_SCALE_BOUND)), LOG_SCALE_BOUND)
-
-
-def _bce_tape(tape: Tape, logit: Tensor, labels: np.ndarray) -> Tensor:
-    """(n,1) binary cross-entropy of logits against constant 0/1 labels."""
-    return tape.add(
-        tape.multiply(tape.softplus(tape.negate(logit)), Tensor(labels)),
-        tape.multiply(tape.softplus(logit), Tensor(1.0 - labels)),
+def _bce(ops, logit, labels: np.ndarray):
+    """Binary cross-entropy of logits against constant 0/1 labels, (n,1) on
+    a Tape; on the evaluator the labels may broadcast against the logits."""
+    return ops.add(
+        ops.multiply(ops.softplus(ops.negate(logit)), ops.const(labels)),
+        ops.multiply(ops.softplus(logit), ops.const(1.0 - labels)),
     )
 
 
@@ -73,6 +71,8 @@ class Standardizer:
         self.std = std
         # Jacobian term for densities reported in original coordinates
         self.log_det = -float(np.sum(np.log(self.std)))
+        self._w = Tensor(np.diag(1.0 / self.std))
+        self._b = Tensor(-self.mean / self.std)
 
     @classmethod
     def fit(cls, data: np.ndarray) -> "Standardizer":
@@ -89,10 +89,9 @@ class Standardizer:
     def inverse(self, z):
         return np.atleast_2d(z) * self.std + self.mean
 
-    def transform_tape(self, tape: Tape, x: Tensor) -> Tensor:
-        w = Tensor(np.diag(1.0 / self.std))
-        b = Tensor(-self.mean / self.std)
-        return tape.affine(x, w, b)
+    def transform_ops(self, ops, x):
+        """``transform`` as one affine primitive, for inputs that feed a network."""
+        return ops.affine(x, self._w, self._b)
 
 
 class Mlp:
@@ -112,20 +111,12 @@ class Mlp:
             store.add(f"{prefix}b{i}", np.zeros(d_out))
             self.layer_names.append((f"{prefix}w{i}", f"{prefix}b{i}"))
 
-    def forward(self, tape: Tape, x: Tensor) -> Tensor:
+    def forward(self, ops, x):
         h = x
         for i, (wn, bn) in enumerate(self.layer_names):
-            h = tape.affine(h, self.store[wn], self.store[bn])
+            h = ops.affine(h, self.store[wn], self.store[bn])
             if i < len(self.layer_names) - 1:
-                h = tape.tanh(h)
-        return h
-
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        h = np.atleast_2d(x)
-        for i, (wn, bn) in enumerate(self.layer_names):
-            h = h @ self.store[wn].data + self.store[bn].data
-            if i < len(self.layer_names) - 1:
-                h = np.tanh(h)
+                h = ops.tanh(h)
         return h
 
 
@@ -160,20 +151,12 @@ class _ContextNet:
         if self.context_dim > 0:
             self.standardizer = Standardizer.fit(contexts)
 
-    def forward(self, tape, x: Tensor) -> Tensor | None:
+    def forward(self, ops, x):
         if self.context_dim == 0:
             return None
-        z = self.standardizer.transform_tape(tape, x)
+        z = self.standardizer.transform_ops(ops, x)
         if self.embedding is not None:
-            z = tape.tanh(self.embedding.forward(tape, z))
-        return z
-
-    def forward_np(self, x) -> np.ndarray | None:
-        if self.context_dim == 0:
-            return None
-        z = self.standardizer.transform(x)
-        if self.embedding is not None:
-            z = np.tanh(self.embedding.forward_np(z))
+            z = ops.tanh(self.embedding.forward(ops, z))
         return z
 
 
@@ -186,6 +169,7 @@ def mixture_log_prob_np(log_w, mu, log_std, y):
     the leading axes broadcast, so one set of parameters per context can
     score many targets.
     """
+    # not _MixtureHead.log_prob: this scores all trials per parameter set in one call
     z = (y[..., None, :] - mu) * np.exp(-log_std)
     comp = np.sum(-0.5 * z * z - 0.5 * LOG_2PI - log_std, axis=-1)
     return logsumexp(comp + log_w, axis=-1)[..., 0]
@@ -213,40 +197,41 @@ class _MixtureHead:
         self.mu_head = Mlp(store, f"{prefix}means.", [h, k * d], rng)
         self.std_head = Mlp(store, f"{prefix}logstds.", [h, k * d], rng)
 
-    def params_np(self, feats):
-        h = np.tanh(self.trunk.forward_np(feats))
-        n = h.shape[0]
-        k, d = self.n_components, self.target_dim
-        logits = self.w_head.forward_np(h)
-        log_w = logits - logsumexp(logits, axis=1)
-        mu = self.mu_head.forward_np(h).reshape(n, k, d)
-        log_std = _bounded(self.std_head.forward_np(h).reshape(n, k, d))
+    def params(self, ops, feats):
+        """Log-weights (n, K); means and log-stds (n, K*D), component-major."""
+        h = ops.tanh(self.trunk.forward(ops, feats))
+        logits = self.w_head.forward(ops, h)
+        lse = ops.logsumexp(logits, axis=1)
+        log_w = ops.add(logits, ops.negate(ops.concat([lse] * self.n_components, axis=1)))
+        mu = self.mu_head.forward(ops, h)
+        log_std = _bounded(ops, self.std_head.forward(ops, h))
         return log_w, mu, log_std
 
-    def log_prob_tape(self, tape, feats: Tensor, y_z: Tensor) -> Tensor:
+    def components(self, feats):
+        """``params`` on the evaluator, means and log-stds shaped (n, K, D)."""
+        log_w, mu, log_std = self.params(EVALUATOR, feats)
+        shape = (feats.shape[0], self.n_components, self.target_dim)
+        return log_w, mu.reshape(shape), log_std.reshape(shape)
+
+    def log_prob(self, ops, feats, y_z):
         """(n,1) mixture log-density of the standardized target."""
         k, d = self.n_components, self.target_dim
-        h = tape.tanh(self.trunk.forward(tape, feats))
-        logits = self.w_head.forward(tape, h)
-        lse = tape.logsumexp(logits, axis=1)
-        log_w = tape.add(logits, tape.negate(tape.concat([lse] * k, axis=1)))
-        mu = self.mu_head.forward(tape, h)
-        raw_std = self.std_head.forward(tape, h)
-        log_std = _bounded_tape(tape, raw_std)
+        log_w, mu, log_std = self.params(ops, feats)
+        # a loop, not mixture_log_prob_np: the benchmark pins its tape node count
         comp_cols = []
         for j in range(k):
-            mu_j = tape.slice_cols(mu, j * d, (j + 1) * d)
-            ls_j = tape.slice_cols(log_std, j * d, (j + 1) * d)
-            diff = tape.add(y_z, tape.negate(mu_j))
-            z = tape.multiply(diff, tape.exp(tape.negate(ls_j)))
-            quad = tape.multiply(tape.square(z), -0.5)
-            terms = tape.add(tape.add(quad, tape.negate(ls_j)), -0.5 * LOG_2PI)
-            comp_cols.append(tape.sum(terms, axis=1))
-        comp = tape.concat(comp_cols, axis=1)
-        return tape.logsumexp(tape.add(comp, log_w), axis=1)
+            mu_j = ops.slice_cols(mu, j * d, (j + 1) * d)
+            ls_j = ops.slice_cols(log_std, j * d, (j + 1) * d)
+            diff = ops.add(y_z, ops.negate(mu_j))
+            z = ops.multiply(diff, ops.exp(ops.negate(ls_j)))
+            quad = ops.multiply(ops.square(z), -0.5)
+            terms = ops.add(ops.add(quad, ops.negate(ls_j)), -0.5 * LOG_2PI)
+            comp_cols.append(ops.sum(terms, axis=1))
+        comp = ops.concat(comp_cols, axis=1)
+        return ops.logsumexp(ops.add(comp, log_w), axis=1)
 
-    def sample_np(self, feats, rng):
-        log_w, mu, log_std = self.params_np(feats)
+    def sample(self, feats, rng):
+        log_w, mu, log_std = self.components(feats)
         n = feats.shape[0]
         u = rng.uniform(size=(n, 1))
         choice = (np.exp(log_w).cumsum(axis=1) < u).sum(axis=1)
@@ -277,25 +262,18 @@ class ConditionalMDN:
         self.target_standardizer = Standardizer.fit(targets)
         self.context_net.fit_standardizer(contexts)
 
-    def _feats_np(self, x, n_rows):
-        feats = self.context_net.forward_np(x)
-        if feats is None:
-            feats = np.ones((n_rows, 1))
-        return feats
+    def _feats(self, ops, context, n_rows):
+        feats = self.context_net.forward(ops, context) if context is not None else None
+        return ops.const(np.ones((n_rows, 1))) if feats is None else feats
 
     def component_params(self, x):
         """Mixture parameters (standardized space) for a batch of contexts."""
         x = np.atleast_2d(x)
-        return self.head.params_np(self._feats_np(x, x.shape[0]))
+        return self.head.components(self._feats(EVALUATOR, x, x.shape[0]))
 
     def log_prob(self, target, context) -> np.ndarray:
-        target = np.atleast_2d(target)
         context = np.atleast_2d(context) if self.context_dim else None
-        y_z = self.target_standardizer.transform(target)
-        log_w, mu, log_std = self.component_params(
-            context if context is not None else np.zeros((target.shape[0], 0)))
-        return (mixture_log_prob_np(log_w, mu, log_std, y_z)
-                + self.target_standardizer.log_det)
+        return self.log_prob_tape(EVALUATOR, np.atleast_2d(target), context)[:, 0]
 
     def iid_log_lik(self, targets, contexts) -> np.ndarray:
         """Summed log-density of all target rows, per context row; the
@@ -306,20 +284,19 @@ class ConditionalMDN:
               + self.target_standardizer.log_det)
         return lp.sum(axis=1)
 
-    def log_prob_tape(self, tape, target: Tensor, context: Tensor | None) -> Tensor:
-        feats = self.context_net.forward(tape, context) if context is not None else None
-        if feats is None:
-            feats = Tensor(np.ones((target.shape[0], 1)))
-        y_z = self.target_standardizer.transform_tape(tape, target)
-        lp = self.head.log_prob_tape(tape, feats, y_z)
-        return tape.add(lp, self.target_standardizer.log_det)
+    def log_prob_tape(self, ops, target, context):
+        """(n,1) log-density of the target rows given the context rows."""
+        feats = self._feats(ops, context, target.shape[0])
+        y_z = self.target_standardizer.transform_ops(ops, target)
+        lp = self.head.log_prob(ops, feats, y_z)
+        return ops.add(lp, self.target_standardizer.log_det)
 
     def sample(self, context, n: int, rng) -> np.ndarray:
         if self.context_dim:
             ctx = np.tile(np.atleast_2d(context), (n, 1))
         else:
             ctx = np.zeros((n, 0))
-        z = self.head.sample_np(self._feats_np(ctx, n), rng)
+        z = self.head.sample(self._feats(EVALUATOR, ctx, n), rng)
         return self.target_standardizer.inverse(z)
 
 
@@ -356,92 +333,70 @@ class AffineCouplingFlow:
         self.target_standardizer = Standardizer.fit(targets)
         self.context_net.fit_standardizer(contexts)
 
-    def _conditioner_np(self, net, passthrough, feats, n_rows):
+    def _conditioner(self, ops, net, passthrough, feats, n_rows):
+        """Shift and bounded log-scale of one coupling layer."""
         parts = []
         if self.n_pass:
             parts.append(passthrough)
         if feats is not None:
             parts.append(feats)
-        inp = np.concatenate(parts, axis=1) if parts else np.ones((n_rows, 1))
-        out = net.forward_np(inp)
-        shift = out[:, :self.n_trans]
-        log_scale = _bounded(out[:, self.n_trans:])
+        inp = ops.concat(parts, axis=1) if parts else ops.const(np.ones((n_rows, 1)))
+        out = net.forward(ops, inp)
+        shift = ops.slice_cols(out, 0, self.n_trans)
+        log_scale = _bounded(ops, ops.slice_cols(out, self.n_trans, 2 * self.n_trans))
         return shift, log_scale
 
-    def _inverse_np(self, y_z, feats):
-        """Target (standardized) -> base, accumulating log|det dbase/dtarget|."""
+    def _inverse(self, ops, y_z, feats):
+        """Standardized target -> base, plus each layer's (n,1) term of
+        log|det dbase/dtarget|."""
         n = y_z.shape[0]
-        u = y_z.copy()
-        total = np.zeros(n)
+        u = y_z
+        logdets = []
         for net in reversed(self.nets):
-            trans = u[:, self.n_pass:]
-            passthrough = u[:, :self.n_pass]
-            shift, log_scale = self._conditioner_np(net, passthrough, feats, n)
-            orig_trans = (trans - shift) * np.exp(-log_scale)
-            u = np.concatenate([orig_trans, passthrough], axis=1)
-            total -= log_scale.sum(axis=1)
-        return u, total
+            trans = ops.slice_cols(u, self.n_pass, self.target_dim)
+            passthrough = ops.slice_cols(u, 0, self.n_pass)
+            shift, log_scale = self._conditioner(ops, net, passthrough, feats, n)
+            orig = ops.multiply(ops.add(trans, ops.negate(shift)),
+                                ops.exp(ops.negate(log_scale)))
+            u = ops.concat([orig, passthrough], axis=1) if self.n_pass else orig
+            logdets.append(ops.negate(ops.sum(log_scale, axis=1)))
+        return u, logdets
 
-    def _forward_np(self, u, feats):
-        """Base -> target (standardized)."""
-        n = u.shape[0]
-        y = u.copy()
+    def _to_target(self, u, feats):
+        """Base -> standardized target, the sampling direction (no gradients)."""
+        y = u
         for net in self.nets:
             trans = y[:, :self.n_trans]
             passthrough = y[:, self.n_trans:]
-            shift, log_scale = self._conditioner_np(net, passthrough, feats, n)
+            shift, log_scale = self._conditioner(EVALUATOR, net, passthrough, feats, y.shape[0])
             y = np.concatenate([passthrough, trans * np.exp(log_scale) + shift], axis=1)
         return y
 
     def log_prob(self, target, context) -> np.ndarray:
-        target = np.atleast_2d(target)
-        feats = self.context_net.forward_np(context) if self.context_dim else None
-        y_z = self.target_standardizer.transform(target)
-        u, logdet = self._inverse_np(y_z, feats)
-        base = np.sum(-0.5 * u * u - 0.5 * LOG_2PI, axis=1)
-        return base + logdet + self.target_standardizer.log_det
+        context = np.atleast_2d(context) if self.context_dim else None
+        return self.log_prob_tape(EVALUATOR, np.atleast_2d(target), context)[:, 0]
 
     def iid_log_lik(self, targets, contexts) -> np.ndarray:
         """Summed log-density of all target rows, per context row. The
         conditioner sees target and context together, so every pair runs."""
         return pairwise_iid_sum(self.log_prob, targets, contexts)
 
-    def log_prob_tape(self, tape, target: Tensor, context: Tensor | None) -> Tensor:
-        n = target.shape[0]
-        feats = self.context_net.forward(tape, context) if context is not None else None
-        u = self.target_standardizer.transform_tape(tape, target)
-        logdet_cols = []
-        for net in reversed(self.nets):
-            trans = tape.slice_cols(u, self.n_pass, self.target_dim)
-            passthrough = tape.slice_cols(u, 0, self.n_pass)
-            parts = []
-            if self.n_pass:
-                parts.append(passthrough)
-            if feats is not None:
-                parts.append(feats)
-            inp = tape.concat(parts, axis=1) if parts else Tensor(np.ones((n, 1)))
-            out = net.forward(tape, inp)
-            shift = tape.slice_cols(out, 0, self.n_trans)
-            log_scale = _bounded_tape(tape, tape.slice_cols(out, self.n_trans, 2 * self.n_trans))
-            orig = tape.multiply(tape.add(trans, tape.negate(shift)),
-                                 tape.exp(tape.negate(log_scale)))
-            u = tape.concat([orig, passthrough], axis=1) if self.n_pass else orig
-            logdet_cols.append(tape.negate(tape.sum(log_scale, axis=1)))
-        base = tape.sum(tape.add(tape.multiply(tape.square(u), -0.5), -0.5 * LOG_2PI), axis=1)
-        lp = base
-        for col in logdet_cols:
-            lp = tape.add(lp, col)
-        return tape.add(lp, self.target_standardizer.log_det)
+    def log_prob_tape(self, ops, target, context):
+        """(n,1) log-density of the target rows given the context rows."""
+        feats = self.context_net.forward(ops, context) if context is not None else None
+        u, logdets = self._inverse(ops, self.target_standardizer.transform_ops(ops, target), feats)
+        lp = ops.sum(ops.add(ops.multiply(ops.square(u), -0.5), -0.5 * LOG_2PI), axis=1)
+        for col in logdets:
+            lp = ops.add(lp, col)
+        return ops.add(lp, self.target_standardizer.log_det)
 
     def sample(self, context, n: int, rng) -> np.ndarray:
         if self.context_dim:
-            ctx = np.tile(np.atleast_2d(context), (n, 1))
-            feats = self.context_net.forward_np(ctx)
+            feats = self.context_net.forward(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
         else:
             feats = None
         u = rng.standard_normal((n, self.target_dim))
-        y_z = self._forward_np(u, feats)
-        return self.target_standardizer.inverse(y_z)
+        return self.target_standardizer.inverse(self._to_target(u, feats))
 
 
 class MixedEstimator:
@@ -474,26 +429,30 @@ class MixedEstimator:
         self.logrt_standardizer = Standardizer.fit(np.log(rts))
         self.context_standardizer = Standardizer.fit(contexts)
 
-    def _choice_logp_np(self, logit, choice):
-        return -(choice * softplus(-logit) + (1.0 - choice) * softplus(logit))
+    def _choice_logit(self, ops, context):
+        ctx_z = self.context_standardizer.transform_ops(ops, context)
+        return ctx_z, self.choice_net.forward(ops, ctx_z)
+
+    def _log_prob(self, ops, data, context):
+        """(n,1) joint log-density; ``data`` holds the (choice, rt) values,
+        every rt positive."""
+        choice = data[:, 0:1]
+        log_rt = np.log(data[:, 1:2])
+        ctx_z, logit = self._choice_logit(ops, context)
+        logp_choice = ops.negate(_bce(ops, logit, choice))
+        y_z = ops.const(self.logrt_standardizer.transform(log_rt))
+        feats = ops.concat([ctx_z, ops.const(choice)], axis=1)
+        logp_rt = self.rt_head.log_prob(ops, feats, y_z)
+        jac = ops.const(self.logrt_standardizer.log_det - log_rt)
+        return ops.add(ops.add(logp_choice, logp_rt), jac)
 
     def log_prob(self, target, context) -> np.ndarray:
         target = np.atleast_2d(target)
         context = np.atleast_2d(context)
-        choice = target[:, 0:1]
-        rt = target[:, 1:2]
-        ctx_z = self.context_standardizer.transform(context)
-        logit = self.choice_net.forward_np(ctx_z)
-        logp_choice = self._choice_logp_np(logit, choice)[:, 0]
         out = np.full(target.shape[0], -np.inf)
-        ok = rt[:, 0] > 0
+        ok = target[:, 1] > 0
         if ok.any():
-            y_z = self.logrt_standardizer.transform(np.log(rt[ok]))
-            feats = np.concatenate([ctx_z[ok], choice[ok]], axis=1)
-            log_w, mu, log_std = self.rt_head.params_np(feats)
-            logp_rt = (mixture_log_prob_np(log_w, mu, log_std, y_z)
-                       + self.logrt_standardizer.log_det - np.log(rt[ok, 0]))
-            out[ok] = logp_choice[ok] + logp_rt
+            out[ok] = self._log_prob(EVALUATOR, target[ok], context[ok])[:, 0]
         return out
 
     def iid_log_lik(self, targets, contexts) -> np.ndarray:
@@ -507,12 +466,12 @@ class MixedEstimator:
         choice, rt = targets[:, 0], targets[:, 1]
         if not np.all(rt > 0):
             return np.full(contexts.shape[0], -np.inf)
-        ctx_z = self.context_standardizer.transform(contexts)
-        logp_choice = self._choice_logp_np(self.choice_net.forward_np(ctx_z), choice[None, :])
+        ctx_z, logit = self._choice_logit(EVALUATOR, contexts)
+        logp_choice = -_bce(EVALUATOR, logit, choice[None, :])
         levels, which = np.unique(choice, return_inverse=True)
         c, u = ctx_z.shape[0], levels.size
         feats = np.concatenate([np.repeat(ctx_z, u, axis=0), np.tile(levels, c)[:, None]], axis=1)
-        log_w, mu, log_std = self.rt_head.params_np(feats)
+        log_w, mu, log_std = self.rt_head.components(feats)
         k = log_w.shape[1]
         log_w = log_w.reshape(c, u, k)[:, which]
         mu = mu.reshape(c, u, k, 1)[:, which]
@@ -522,31 +481,24 @@ class MixedEstimator:
                    + self.logrt_standardizer.log_det - np.log(rt))
         return (logp_choice + logp_rt).sum(axis=1)
 
-    def log_prob_tape(self, tape, target: Tensor, context: Tensor) -> Tensor:
-        data = target.data
+    def log_prob_tape(self, ops, target, context):
+        """(n,1) joint log-density as training sees it; any rt <= 0 is an error."""
+        # the target is data, never a parameter, so its values are read directly
+        data = target.data if isinstance(target, Tensor) else target
         if np.any(data[:, 1] <= 0):
             raise EstimatorError("reaction times must be positive for training")
-        choice = data[:, 0:1]
-        ctx_z = self.context_standardizer.transform_tape(tape, context)
-        logit = self.choice_net.forward(tape, ctx_z)
-        logp_choice = tape.negate(_bce_tape(tape, logit, choice))
-        y_z = Tensor(self.logrt_standardizer.transform(np.log(data[:, 1:2])))
-        feats = tape.concat([ctx_z, Tensor(choice)], axis=1)
-        logp_rt = self.rt_head.log_prob_tape(tape, feats, y_z)
-        jac = Tensor(self.logrt_standardizer.log_det - np.log(data[:, 1:2]))
-        return tape.add(tape.add(logp_choice, logp_rt), jac)
+        return self._log_prob(ops, data, context)
 
     def choice_probability(self, context) -> np.ndarray:
-        ctx_z = self.context_standardizer.transform(context)
-        return sigmoid(self.choice_net.forward_np(ctx_z))[:, 0]
+        _, logit = self._choice_logit(EVALUATOR, np.atleast_2d(context))
+        return sigmoid(logit)[:, 0]
 
     def sample(self, context, n: int, rng) -> np.ndarray:
-        ctx = np.tile(np.atleast_2d(context), (n, 1))
-        ctx_z = self.context_standardizer.transform(ctx)
-        p1 = sigmoid(self.choice_net.forward_np(ctx_z))[:, 0]
+        ctx_z, logit = self._choice_logit(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
+        p1 = sigmoid(logit)[:, 0]
         choice = (rng.uniform(size=n) < p1).astype(np.float64)[:, None]
         feats = np.concatenate([ctx_z, choice], axis=1)
-        y_z = self.rt_head.sample_np(feats, rng)
+        y_z = self.rt_head.sample(feats, rng)
         rt = np.exp(self.logrt_standardizer.inverse(y_z))
         return np.concatenate([choice, rt], axis=1)
 
@@ -567,6 +519,9 @@ class ClassifierNet:
     def initialize_standardization(self, theta, x):
         self.standardizer = Standardizer.fit(np.hstack([np.atleast_2d(theta), np.atleast_2d(x)]))
 
+    def _logit(self, ops, pairs):
+        return self.net.forward(ops, self.standardizer.transform_ops(ops, pairs))
+
     def logit(self, theta, x) -> np.ndarray:
         theta = np.atleast_2d(theta)
         x = np.atleast_2d(x)
@@ -575,18 +530,17 @@ class ClassifierNet:
                 f"classifier expects dims ({self.theta_dim}, {self.x_dim}), "
                 f"got ({theta.shape[1]}, {x.shape[1]})"
             )
-        return self.net.forward_np(self.standardizer.transform(np.hstack([theta, x])))[:, 0]
+        return self._logit(EVALUATOR, np.hstack([theta, x]))[:, 0]
 
-    def loss(self, tape, theta, x):
+    def loss(self, ops, theta, x):
         """NRE batch loss: class 1 is the matched pairing, class 0 pairs each
         x with the next row's theta (cyclic shift, exact 50/50 per batch)."""
         theta = np.atleast_2d(theta)
         x = np.atleast_2d(x)
         shuffled = np.roll(theta, -1, axis=0)
-        feats = np.vstack([np.hstack([theta, x]), np.hstack([shuffled, x])])
+        pairs = np.vstack([np.hstack([theta, x]), np.hstack([shuffled, x])])
         labels = np.concatenate([np.ones(theta.shape[0]), np.zeros(theta.shape[0])])[:, None]
-        logit = self.net.forward(tape, self.standardizer.transform_tape(tape, Tensor(feats)))
-        return tape.mean(_bce_tape(tape, logit, labels))
+        return ops.mean(_bce(ops, self._logit(ops, ops.const(pairs)), labels))
 
 
 class NllTask:
@@ -599,11 +553,11 @@ class NllTask:
         self.theta_is_target = theta_is_target
         self.store = estimator.store
 
-    def loss(self, tape, theta, x):
+    def loss(self, ops, theta, x):
         target, context = (theta, x) if self.theta_is_target else (x, theta)
         lp = self.estimator.log_prob_tape(
-            tape, Tensor(target), Tensor(context) if self.estimator.context_dim else None)
-        return tape.negate(tape.mean(lp))
+            ops, ops.const(target), ops.const(context) if self.estimator.context_dim else None)
+        return ops.negate(ops.mean(lp))
 
 
 def build_estimator(config: EstimatorConfig, target_dim: int, context_dim: int, seed: int = 0):

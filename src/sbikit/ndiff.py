@@ -4,12 +4,15 @@ Every trainable model in this package is a small MLP stack, so the engine
 favors explicit shapes and a flat replay tape over graph optimization.
 A fresh tape is built for each forward pass; ``Tape.backward`` replays the
 recorded primitives in exact reverse order and accumulates adjoints.
+``EVALUATOR`` runs the same primitives on bare arrays without recording,
+for forward passes that need no gradients.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import operator
 
 import numpy as np
 
@@ -61,9 +64,6 @@ class Gradients:
             return np.zeros_like(tensor.data)
         return g
 
-    def __contains__(self, tensor: Tensor) -> bool:
-        return id(tensor) in self._table
-
 
 def _accumulate(table, tensor, delta):
     key = id(tensor)
@@ -87,6 +87,10 @@ class Tape:
         return out
 
     # -- primitives ------------------------------------------------------
+
+    def const(self, arr) -> Tensor:
+        """A constant input: wrapped, not recorded, and given no adjoint."""
+        return Tensor(arr)
 
     def add(self, a: Tensor, b) -> Tensor:
         if isinstance(b, (int, float)):
@@ -163,14 +167,6 @@ class Tape:
 
         def back(g, table):
             _accumulate(table, a, g * y)
-
-        return self._record(out, back)
-
-    def log(self, a: Tensor) -> Tensor:
-        out = Tensor(np.log(a.data))
-
-        def back(g, table):
-            _accumulate(table, a, g / a.data)
 
         return self._record(out, back)
 
@@ -278,7 +274,7 @@ class Tape:
         return Gradients(table)
 
 
-# -- stable scalar kernels shared with the numpy evaluation paths ----------
+# -- stable scalar kernels shared by the Tape and the evaluator ------------
 
 def softplus(x):
     x = np.asarray(x, dtype=np.float64)
@@ -300,6 +296,38 @@ def logsumexp(x, axis):
     m = np.max(x, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     return m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+
+
+class Evaluator:
+    """The Tape's primitives on bare arrays, recording nothing.
+
+    Models write their math once against an ``ops`` argument: a ``Tape``
+    when gradients are needed, ``EVALUATOR`` otherwise. Each primitive
+    computes the same numpy expression as the Tape's primitive of the same
+    name, so results match the taped forward bit for bit. Inputs and outputs
+    are ndarrays; parameters (the ``w`` and ``b`` of ``affine``) stay Tensors
+    and are read through ``.data``. Shapes are not checked, so operands may
+    broadcast where the Tape would reject them.
+    """
+
+    const = staticmethod(lambda arr: np.asarray(arr, dtype=np.float64))
+    add = staticmethod(operator.add)
+    multiply = staticmethod(operator.mul)
+    affine = staticmethod(lambda x, w, b: x @ w.data + b.data)
+    tanh = staticmethod(np.tanh)
+    softplus = staticmethod(softplus)
+    exp = staticmethod(np.exp)
+    square = staticmethod(lambda a: a * a)
+    negate = staticmethod(operator.neg)
+    logsumexp = staticmethod(logsumexp)
+    sum = staticmethod(lambda a, axis=None:
+                       a.sum() if axis is None else a.sum(axis=axis, keepdims=True))
+    mean = staticmethod(np.mean)
+    concat = staticmethod(lambda parts, axis=1: np.concatenate(parts, axis=axis))
+    slice_cols = staticmethod(lambda a, start, stop: a[:, start:stop])
+
+
+EVALUATOR = Evaluator()
 
 
 class ParamStore:
@@ -329,17 +357,8 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self):
         return list(self._params)
-
-    def tensors(self):
-        return list(self._params.values())
-
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def values(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self._params.items()}
@@ -405,19 +424,31 @@ class ParamStore:
     def load_file(cls, path) -> "ParamStore":
         with open(path, "rb") as fh:
             raw = fh.read()
-        head_end = raw.index(b"end\n") + len(b"end\n")
-        lines = raw[:head_end].decode("ascii").splitlines()
+        marker = raw.find(b"\nend\n")
+        if marker < 0:
+            raise NdiffError(f"{path}: paramstore manifest has no 'end' line")
+        lines = raw[:marker].decode("ascii").splitlines()
         if lines[0] != "ndiff-paramstore 1":
-            raise NdiffError(f"unrecognized paramstore header: {lines[0]!r}")
-        blob = raw[head_end:]
+            raise NdiffError(f"{path}: unrecognized paramstore header: {lines[0]!r}")
+        blob = raw[marker + len(b"\nend\n"):]
         store = cls()
+        total = 0
         for line in lines[1:]:
-            if line == "end":
-                break
             fields = dict(part.split("=", 1) for part in line.split()[1:])
             shape = tuple(int(s) for s in fields["shape"].split(",") if s)
             offset = int(fields["offset"])
             count = math.prod(shape) if shape else 1
+            nbytes = 8 * count
+            if offset + nbytes > len(blob):
+                raise NdiffError(
+                    f"{path}: parameter {fields['name']!r} needs blob bytes "
+                    f"{offset}..{offset + nbytes}, but the blob has {len(blob)} bytes"
+                )
             arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
             store.add(fields["name"], arr.reshape(shape))
+            total += nbytes
+        if len(blob) != total:
+            raise NdiffError(
+                f"{path}: blob has {len(blob)} bytes, the manifest lists {total}"
+            )
         return store

@@ -206,7 +206,8 @@ def _split_r_hat(draws: np.ndarray) -> np.ndarray:
 
 
 def _ess(draws: np.ndarray) -> np.ndarray:
-    """Effective sample size per dimension (initial positive sequence cutoff)."""
+    """Effective sample size per dimension; the autocorrelation sum stops
+    at the first negative lag."""
     c, q, d = draws.shape
     total = c * q
     out = np.empty(d)

@@ -323,6 +323,8 @@ class Dataset:
     @classmethod
     def load(cls, path) -> "Dataset":
         array, _cols, meta = read_table(path)
+        if "theta_dim" not in meta:
+            raise SimulatorError(f"{path}: table metadata has no 'theta_dim' field")
         td = int(meta["theta_dim"])
         return cls(array[:, :td], array[:, td:], meta)
 

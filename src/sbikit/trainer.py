@@ -1,8 +1,10 @@
 """Dataset splitting, minibatch training, early stopping, checkpointing.
 
 ``fit`` drives any model exposing ``store`` (a ParamStore) and
-``loss(tape, theta, x) -> scalar Tensor``. The model is left holding the
-parameters of the epoch with minimal validation loss.
+``loss(ops, theta, x)``: a scalar Tensor when ``ops`` is a Tape (training
+steps), a scalar array when it is ``ndiff.EVALUATOR`` (the validation
+loss). The model is left holding the parameters of the epoch with minimal
+validation loss.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ndiff import NonFiniteGradientError, Tape
+from .ndiff import EVALUATOR, NonFiniteGradientError, Tape
 from .simulators import Dataset
 from .tableio import write_table
 
@@ -105,8 +107,8 @@ def _full_loss(model, theta: np.ndarray, x: np.ndarray) -> float:
     total = 0.0
     for start in range(0, n, _VAL_CHUNK):
         stop = min(start + _VAL_CHUNK, n)
-        loss = model.loss(Tape(), theta[start:stop], x[start:stop])
-        total += float(loss.data) * (stop - start)
+        loss = model.loss(EVALUATOR, theta[start:stop], x[start:stop])
+        total += float(loss) * (stop - start)
     return total / n
 
 

@@ -14,7 +14,8 @@ from sbikit.estimators import (
     NllTask,
     build_estimator,
 )
-from sbikit.ndiff import Tape, Tensor, sigmoid
+from sbikit.ndiff import EVALUATOR, Tape, Tensor, sigmoid
+from sbikit.simulators import DDMSimulator, LinearGaussianSimulator, generate_dataset
 
 
 def loss_gradient_fd(model, theta, x, h=1e-5):
@@ -138,9 +139,9 @@ def test_flow_invertibility(dim, ctx):
     rng = np.random.default_rng(dim)
     theta = rng.normal(size=(1000, dim), scale=2.0)
     x = rng.normal(size=(1000, ctx)) if ctx else None
-    feats = f.context_net.forward_np(x) if ctx else None
-    u, _ = f._inverse_np(theta, feats)
-    back = f._forward_np(u, feats)
+    feats = f.context_net.forward(EVALUATOR, x) if ctx else None
+    u, _ = f._inverse(EVALUATOR, theta, feats)
+    back = f._to_target(u, feats)
     assert np.max(np.abs(back - theta)) < 1e-6
 
 
@@ -151,14 +152,15 @@ def test_flow_logdet_matches_numerical_jacobian():
     for _ in range(50):
         theta = rng.normal(size=(1, 2))
         x = rng.normal(size=(1, 1))
-        feats = f.context_net.forward_np(x)
-        _, logdet = f._inverse_np(theta, feats)
+        feats = f.context_net.forward(EVALUATOR, x)
+        logdet = sum(f._inverse(EVALUATOR, theta, feats)[1])[:, 0]
         jac = np.zeros((2, 2))
         for j in range(2):
             up, dn = theta.copy(), theta.copy()
             up[0, j] += h
             dn[0, j] -= h
-            jac[:, j] = (f._inverse_np(up, feats)[0] - f._inverse_np(dn, feats)[0])[0] / (2 * h)
+            jac[:, j] = (f._inverse(EVALUATOR, up, feats)[0]
+                         - f._inverse(EVALUATOR, dn, feats)[0])[0] / (2 * h)
         expected = math.log(abs(np.linalg.det(jac)))
         assert abs(logdet[0] - expected) / max(abs(expected), 1e-3) < 1e-4
 
@@ -280,7 +282,7 @@ class TestMixedEstimator:
         logp_choice = np.where(choice == 1, np.log(p1), np.log1p(-p1))
         ctx_z = m.context_standardizer.transform(theta)
         feats = np.concatenate([ctx_z, choice[:, None]], axis=1)
-        log_w, mu, log_std = m.rt_head.params_np(feats)
+        log_w, mu, log_std = m.rt_head.components(feats)
         y = np.log(targets[:, 1:2])
         y_z = m.logrt_standardizer.transform(y)
         from sbikit.estimators import mixture_log_prob_np
@@ -375,6 +377,41 @@ class TestClassifier:
             numeric = fd[name]
             denom = np.maximum(np.abs(numeric), 1e-3)
             assert np.max(np.abs(grads[c.store[name]] - numeric) / denom) < 1e-4, name
+
+
+@pytest.mark.parametrize("kind, pinned", [("mdn", 152), ("flow", 119), ("mixed", 165)])
+def test_tape_nodes_per_training_step_at_200_rows(kind, pinned):
+    sim = DDMSimulator() if kind == "mixed" else LinearGaussianSimulator(dim=2, noise_std=0.1)
+    data = generate_dataset(sim.default_prior(), sim, 200, seed=0)
+    theta_is_target = kind != "mixed"
+    target, context = (data.theta, data.x) if theta_is_target else (data.x, data.theta)
+    est = build_estimator(EstimatorConfig(kind=kind), target.shape[1], context.shape[1], seed=0)
+    est.initialize_standardization(target, context)
+    tape = Tape()
+    NllTask(est, theta_is_target).loss(tape, data.theta, data.x)
+    assert len(tape) == pinned
+
+
+@pytest.mark.parametrize("kind", ["mdn", "flow", "mixed", "classifier"])
+def test_evaluator_loss_and_log_prob_equal_the_taped_ones_exactly(kind):
+    rng = np.random.default_rng(81)
+    theta = rng.normal(size=(30, 2))
+    if kind == "mixed":
+        x = np.column_stack([rng.integers(0, 2, size=30), rng.uniform(0.2, 2.0, size=30)])
+    else:
+        x = rng.normal(size=(30, 2))
+    if kind == "classifier":
+        model = ClassifierNet(2, 2, hidden=(8,), seed=82)
+        model.initialize_standardization(theta, x)
+    else:
+        cfg = EstimatorConfig(kind=kind, n_components=3, hidden=(8,))
+        est = build_estimator(cfg, 2, 2, seed=82)
+        target, context = (x, theta) if kind == "mixed" else (theta, x)
+        est.initialize_standardization(target, context)
+        model = NllTask(est, theta_is_target=kind != "mixed")
+        taped = est.log_prob_tape(Tape(), Tensor(target), Tensor(context)).data[:, 0]
+        np.testing.assert_array_equal(est.log_prob(target, context), taped)
+    assert float(model.loss(EVALUATOR, theta, x)) == float(model.loss(Tape(), theta, x).data)
 
 
 def test_build_estimator_dispatch():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sbikit.ndiff import (
+    EVALUATOR,
     Gradients,
     NdiffError,
     NonFiniteGradientError,
@@ -108,20 +109,25 @@ def test_unary_gradients_match_finite_differences(op):
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
 
 
-def test_log_gradient_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x = rng.uniform(0.1, 3.0, size=(3, 2))
-
-        def fwd(arr):
-            return Tape().log(Tensor(arr)).data.sum()
-
-        tape = Tape()
-        xt = Tensor(x.copy())
-        out = tape.sum(tape.log(xt))
-        analytic = tape.backward(out)[xt]
-        numeric = central_difference(fwd, x.copy())
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-4)
+def test_evaluator_matches_tape_primitives_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-40.0, 40.0, size=(6, 4))
+    y = rng.uniform(-3.0, 3.0, size=(6, 4))
+    w, b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(3,)))
+    cases = [
+        ("add", (x, y)), ("add", (x, 2.5)), ("multiply", (x, y)),
+        ("multiply", (x, -0.5)), ("tanh", (x,)), ("softplus", (x,)), ("exp", (y,)),
+        ("square", (x,)), ("negate", (x,)), ("logsumexp", (x, 0)), ("logsumexp", (x, 1)),
+        ("sum", (x,)), ("sum", (x, 1)), ("mean", (x,)), ("slice_cols", (x, 1, 3)),
+    ]
+    for name, args in cases:
+        taped = getattr(Tape(), name)(*[Tensor(a) if isinstance(a, np.ndarray) else a
+                                        for a in args])
+        np.testing.assert_array_equal(getattr(EVALUATOR, name)(*args), taped.data, err_msg=name)
+    np.testing.assert_array_equal(EVALUATOR.const(x), Tape().const(x).data)
+    np.testing.assert_array_equal(EVALUATOR.affine(x, w, b), Tape().affine(Tensor(x), w, b).data)
+    np.testing.assert_array_equal(EVALUATOR.concat([x, y], axis=1),
+                                  Tape().concat([Tensor(x), Tensor(y)], axis=1).data)
 
 
 def test_binary_and_structural_gradients_match_finite_differences():
@@ -283,3 +289,31 @@ def test_paramstore_rejects_duplicate_and_bad_names():
         store.add("bad name", [1.0])
     with pytest.raises(NdiffError, match="'v'"):
         store.load({"v": [1.0]})
+
+
+class TestParamStoreDamagedFile:
+    def saved(self, tmp_path):
+        store = ParamStore()
+        store.add("w", np.arange(6.0).reshape(2, 3))
+        store.add("b", np.ones(3))
+        path = tmp_path / "params.ndp"
+        store.save(path)
+        return path, path.read_bytes()
+
+    def test_truncated_blob_names_parameter_and_byte_counts(self, tmp_path):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw[:-4])
+        with pytest.raises(NdiffError, match=r"params\.ndp.*'b'.*48\.\.72.*68 bytes"):
+            ParamStore.load_file(path)
+
+    def test_missing_end_line_is_rejected(self, tmp_path):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw.replace(b"\nend\n", b"\n"))
+        with pytest.raises(NdiffError, match=r"params\.ndp.*'end'"):
+            ParamStore.load_file(path)
+
+    def test_trailing_bytes_are_rejected(self, tmp_path):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw + b"\x00" * 8)
+        with pytest.raises(NdiffError, match=r"params\.ndp.*80 bytes.*lists 72"):
+            ParamStore.load_file(path)

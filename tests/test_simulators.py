@@ -17,6 +17,7 @@ from sbikit.simulators import (
     generate_dataset,
     simulator_from_config,
 )
+from sbikit.tableio import write_table
 
 from .oracles import conjugate_posterior
 
@@ -273,6 +274,12 @@ class TestDatasetIO:
         assert np.array_equal(loaded.x, ds.x)
         assert loaded.meta["simulator"] == "ball_throw"
         assert loaded.meta["seed"] == 11
+
+    def test_load_without_theta_dim_names_path_and_field(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        write_table(path, np.zeros((3, 2)), ["a", "b"], meta={})
+        with pytest.raises(SimulatorError, match=r"bare\.csv.*'theta_dim'"):
+            Dataset.load(path)
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(SimulatorError, match="row mismatch"):
