@@ -13,7 +13,12 @@ import math
 import numpy as np
 from scipy import special
 
+from .ndiff import logsumexp
+
 LOG_2PI = math.log(2.0 * math.pi)
+
+# rejection rounds before TruncatedNormal.sample gives up on a tiny-mass interval
+_MAX_REJECTION_ROUNDS = 10_000
 
 
 class DistributionError(ValueError):
@@ -34,6 +39,18 @@ def _as_batch(point, dim):
 
 def _normal_logpdf(z):
     return -0.5 * z * z - 0.5 * LOG_2PI
+
+
+def mixture_log_prob(log_w, mu, log_std, y):
+    """log of sum_k w_k N(y; mu_k, sigma_k) for batched diagonal components.
+
+    Shapes: log_w (..., K), mu/log_std (..., K, D), y (..., D) -> (...);
+    the leading axes broadcast, so one set of parameters per context can
+    score many targets.
+    """
+    z = (y[..., None, :] - mu) * np.exp(-log_std)
+    comp = np.sum(_normal_logpdf(z) - log_std, axis=-1)
+    return logsumexp(comp + log_w, axis=-1)[..., 0]
 
 
 class Distribution:
@@ -157,7 +174,15 @@ class TruncatedNormal(Distribution):
     def sample(self, rng, n):
         out = np.empty(n)
         filled = 0
+        rounds = 0
         while filled < n:
+            if rounds == _MAX_REJECTION_ROUNDS:
+                raise DistributionError(
+                    f"truncated normal on [{self._low}, {self._high}] carries mass "
+                    f"{self._mass:.2e}; rejection sampling accepted {filled}/{n} draws "
+                    f"in {rounds} rounds"
+                )
+            rounds += 1
             draw = self.loc + self.scale * rng.standard_normal(max(n - filled, 16))
             keep = draw[(draw >= self._low) & (draw <= self._high)]
             take = min(keep.size, n - filled)
@@ -215,9 +240,7 @@ class MixtureDiagGaussian(Distribution):
 
     def log_prob(self, point):
         arr, single = _as_batch(point, self.dim)
-        z = (arr[:, None, :] - self.means[None, :, :]) * np.exp(-self.log_stds[None, :, :])
-        comp_logp = np.sum(_normal_logpdf(z) - self.log_stds[None, :, :], axis=2)
-        out = special.logsumexp(comp_logp + self.log_weights[None, :], axis=1)
+        out = mixture_log_prob(self.log_weights, self.means, self.log_stds, arr)
         return float(out[0]) if single else out
 
     def mean(self):

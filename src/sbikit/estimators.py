@@ -20,9 +20,9 @@ This is the NLE likelihood of i.i.d. trials that MCMC evaluates many times
 per query, so the MDN and the mixed estimator run their networks once per
 context (the mixed estimator's reaction-time head once per context and
 choice) and broadcast only the mixture density over the targets, through
-``mixture_log_prob_np``. The flow's conditioner mixes target and context, so
-it evaluates every (context, target) pair. Tests pin each to that pairwise
-reference.
+``distributions.mixture_log_prob``, the one broadcast mixture density. The
+flow's conditioner mixes target and context, so it evaluates every
+(context, target) pair. Tests pin each to that pairwise reference.
 
 Inputs and targets are z-scored with training-set statistics stored inside
 the model; densities are reported in original coordinates through the
@@ -36,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndiff import EVALUATOR, ParamStore, Tensor, logsumexp, sigmoid
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .distributions import LOG_2PI, mixture_log_prob
+from .ndiff import EVALUATOR, ParamStore, Tensor, sigmoid
 
 # soft bound on emitted log-scales, preventing early-training divergence
 LOG_SCALE_BOUND = 5.0
@@ -162,19 +161,6 @@ class _ContextNet:
 
 # -- Gaussian mixture head shared by the MDN and the mixed estimator -------
 
-def mixture_log_prob_np(log_w, mu, log_std, y):
-    """log of sum_k w_k N(y; mu_k, sigma_k) for batched diagonal components.
-
-    Shapes: log_w (..., K), mu/log_std (..., K, D), y (..., D) -> (...);
-    the leading axes broadcast, so one set of parameters per context can
-    score many targets.
-    """
-    # not _MixtureHead.log_prob: this scores all trials per parameter set in one call
-    z = (y[..., None, :] - mu) * np.exp(-log_std)
-    comp = np.sum(-0.5 * z * z - 0.5 * LOG_2PI - log_std, axis=-1)
-    return logsumexp(comp + log_w, axis=-1)[..., 0]
-
-
 def pairwise_iid_sum(row_fn, targets, contexts) -> np.ndarray:
     """Sum of ``row_fn(target, context)`` over the target rows, per context
     row, by evaluating every (context, target) pair as one batch row."""
@@ -217,7 +203,7 @@ class _MixtureHead:
         """(n,1) mixture log-density of the standardized target."""
         k, d = self.n_components, self.target_dim
         log_w, mu, log_std = self.params(ops, feats)
-        # a loop, not mixture_log_prob_np: the benchmark pins its tape node count
+        # a loop, not mixture_log_prob: the benchmark pins its tape node count
         comp_cols = []
         for j in range(k):
             mu_j = ops.slice_cols(mu, j * d, (j + 1) * d)
@@ -280,7 +266,7 @@ class ConditionalMDN:
         mixture parameters are computed once per context."""
         log_w, mu, log_std = self.component_params(contexts)
         y_z = self.target_standardizer.transform(targets)
-        lp = (mixture_log_prob_np(log_w[:, None], mu[:, None], log_std[:, None], y_z)
+        lp = (mixture_log_prob(log_w[:, None], mu[:, None], log_std[:, None], y_z)
               + self.target_standardizer.log_det)
         return lp.sum(axis=1)
 
@@ -405,7 +391,9 @@ class MixedEstimator:
     A categorical head models P(choice | context); a mixture head models
     log(rt) given (context, choice), with separate trunks. The change of
     variables from log(rt) to rt contributes -log(rt) to the joint density.
-    The target convention is x = [choice, rt].
+    Both heads read the context through ``_ContextNet``, so an embedding
+    configured in ``EstimatorConfig`` trains with them. The target convention
+    is x = [choice, rt].
     """
 
     def __init__(self, context_dim: int, config: EstimatorConfig | None = None, seed: int = 0):
@@ -414,9 +402,10 @@ class MixedEstimator:
         self.context_dim = context_dim
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
-        self.context_standardizer = Standardizer.identity(context_dim)
-        self.choice_net = Mlp(self.store, "choice.", [context_dim, *self.config.hidden, 1], rng)
-        self.rt_head = _MixtureHead(self.store, "rt.", context_dim + 1, 1,
+        self.context_net = _ContextNet(self.store, "ctx.", context_dim, self.config, rng)
+        feat_dim = self.context_net.out_dim
+        self.choice_net = Mlp(self.store, "choice.", [feat_dim, *self.config.hidden, 1], rng)
+        self.rt_head = _MixtureHead(self.store, "rt.", feat_dim + 1, 1,
                                     self.config.n_components, self.config.hidden, rng)
         self.logrt_standardizer = Standardizer.identity(1)
         self.seed = seed
@@ -427,21 +416,21 @@ class MixedEstimator:
         if np.any(rts <= 0):
             raise EstimatorError("reaction times must be positive")
         self.logrt_standardizer = Standardizer.fit(np.log(rts))
-        self.context_standardizer = Standardizer.fit(contexts)
+        self.context_net.fit_standardizer(contexts)
 
     def _choice_logit(self, ops, context):
-        ctx_z = self.context_standardizer.transform_ops(ops, context)
-        return ctx_z, self.choice_net.forward(ops, ctx_z)
+        feats = self.context_net.forward(ops, context)
+        return feats, self.choice_net.forward(ops, feats)
 
     def _log_prob(self, ops, data, context):
         """(n,1) joint log-density; ``data`` holds the (choice, rt) values,
         every rt positive."""
         choice = data[:, 0:1]
         log_rt = np.log(data[:, 1:2])
-        ctx_z, logit = self._choice_logit(ops, context)
+        ctx, logit = self._choice_logit(ops, context)
         logp_choice = ops.negate(_bce(ops, logit, choice))
         y_z = ops.const(self.logrt_standardizer.transform(log_rt))
-        feats = ops.concat([ctx_z, ops.const(choice)], axis=1)
+        feats = ops.concat([ctx, ops.const(choice)], axis=1)
         logp_rt = self.rt_head.log_prob(ops, feats, y_z)
         jac = ops.const(self.logrt_standardizer.log_det - log_rt)
         return ops.add(ops.add(logp_choice, logp_rt), jac)
@@ -466,18 +455,18 @@ class MixedEstimator:
         choice, rt = targets[:, 0], targets[:, 1]
         if not np.all(rt > 0):
             return np.full(contexts.shape[0], -np.inf)
-        ctx_z, logit = self._choice_logit(EVALUATOR, contexts)
+        ctx, logit = self._choice_logit(EVALUATOR, contexts)
         logp_choice = -_bce(EVALUATOR, logit, choice[None, :])
         levels, which = np.unique(choice, return_inverse=True)
-        c, u = ctx_z.shape[0], levels.size
-        feats = np.concatenate([np.repeat(ctx_z, u, axis=0), np.tile(levels, c)[:, None]], axis=1)
+        c, u = ctx.shape[0], levels.size
+        feats = np.concatenate([np.repeat(ctx, u, axis=0), np.tile(levels, c)[:, None]], axis=1)
         log_w, mu, log_std = self.rt_head.components(feats)
         k = log_w.shape[1]
         log_w = log_w.reshape(c, u, k)[:, which]
         mu = mu.reshape(c, u, k, 1)[:, which]
         log_std = log_std.reshape(c, u, k, 1)[:, which]
         y_z = self.logrt_standardizer.transform(np.log(rt)[:, None])
-        logp_rt = (mixture_log_prob_np(log_w, mu, log_std, y_z)
+        logp_rt = (mixture_log_prob(log_w, mu, log_std, y_z)
                    + self.logrt_standardizer.log_det - np.log(rt))
         return (logp_choice + logp_rt).sum(axis=1)
 
@@ -494,10 +483,10 @@ class MixedEstimator:
         return sigmoid(logit)[:, 0]
 
     def sample(self, context, n: int, rng) -> np.ndarray:
-        ctx_z, logit = self._choice_logit(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
+        ctx, logit = self._choice_logit(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
         p1 = sigmoid(logit)[:, 0]
         choice = (rng.uniform(size=n) < p1).astype(np.float64)[:, None]
-        feats = np.concatenate([ctx_z, choice], axis=1)
+        feats = np.concatenate([ctx, choice], axis=1)
         y_z = self.rt_head.sample(feats, rng)
         rt = np.exp(self.logrt_standardizer.inverse(y_z))
         return np.concatenate([choice, rt], axis=1)

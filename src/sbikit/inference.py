@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import Distribution, prior_from_config
+from .distributions import Distribution, prior_from_config, prior_to_config
 from .estimators import (ClassifierNet, EstimatorConfig, NllTask, build_estimator,
                          pairwise_iid_sum)
-from .ndiff import Tensor
+from .ndiff import EVALUATOR, Tensor
 from .samplers import SamplerConfig, slice_sample
 from .simulators import Dataset, Simulator, simulate_rows
 from .trainer import TrainConfig, TrainReport, fit
@@ -52,7 +52,7 @@ class BoundPosterior:
         return self.parent.log_prob(self.x, theta)
 
     def log_prob_tape(self, tape, theta: Tensor) -> Tensor:
-        return self.parent._log_prob_tape(tape, self.x, theta)
+        return self.parent._log_prob(tape, self.x, theta)
 
 
 class DirectPosterior:
@@ -63,8 +63,6 @@ class DirectPosterior:
     outside (not renormalized for leakage, which cancels in rank-based
     diagnostics).
     """
-
-    kind = "direct"
 
     def __init__(self, estimator, prior: Distribution):
         self.estimator = estimator
@@ -95,13 +93,11 @@ class DirectPosterior:
         lp = self.estimator.log_prob(theta, ctx)
         return np.where(self.prior.contains(theta), lp, -np.inf)
 
-    def _log_prob_tape(self, tape, x, theta: Tensor) -> Tensor:
-        ctx = Tensor(np.tile(np.asarray(x, dtype=np.float64).reshape(1, -1),
-                             (theta.shape[0], 1)))
-        return self.estimator.log_prob_tape(tape, theta, ctx)
-
-    def save(self, path):
-        self.estimator.store.save(path)
+    def _log_prob(self, ops, x, theta):
+        """(n,1) estimator log-density at every theta row, support not masked."""
+        ctx = ops.const(np.tile(np.asarray(x, dtype=np.float64).reshape(1, -1),
+                                (theta.shape[0], 1)))
+        return self.estimator.log_prob_tape(ops, theta, ctx)
 
 
 class LikelihoodModel:
@@ -133,14 +129,10 @@ class RatioModel:
 class McmcPosterior:
     """Posterior accessed through slice sampling of a learned log-target."""
 
-    kind = "mcmc"
-
-    def __init__(self, log_target, prior: Distribution, sampler_config: SamplerConfig,
-                 observations):
+    def __init__(self, log_target, prior: Distribution, sampler_config: SamplerConfig):
         self.log_target = log_target
         self.prior = prior
         self.sampler_config = sampler_config
-        self.observations = np.atleast_2d(observations)
         self.last_diagnostics = None
 
     def sample(self, n, rng):
@@ -152,21 +144,20 @@ class McmcPosterior:
     def log_prob(self, theta):
         raise InferenceError(
             "mcmc-backed posteriors expose no density; "
-            "use TARP for coverage diagnostics"
+            "draw from sample() instead"
         )
 
 
 class EnsemblePosterior:
     """Uniform mixture of direct posteriors: density is the member average."""
 
-    kind = "ensemble"
-
     def __init__(self, members):
         if len(members) < 2:
             raise InferenceError("an ensemble needs at least 2 members")
-        dims = {(m.prior.dim, m.estimator.context_dim) for m in members}
-        if len(dims) != 1:
-            raise InferenceError(f"ensemble members disagree on dimensions: {dims}")
+        # log_prob masks with the first member's prior, so all must share it
+        specs = [(prior_to_config(m.prior), m.estimator.context_dim) for m in members]
+        if any(spec != specs[0] for spec in specs):
+            raise InferenceError(f"ensemble members disagree on prior or context: {specs}")
         self.members = list(members)
         self.prior = members[0].prior
 
@@ -184,18 +175,13 @@ class EnsemblePosterior:
 
     def log_prob(self, x, theta):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-        lps = np.stack([m.log_prob(x, theta) for m in self.members])
-        with np.errstate(invalid="ignore"):
-            mx = np.max(lps, axis=0)
-            safe = np.where(np.isfinite(mx), mx, 0.0)
-            out = safe + np.log(np.exp(lps - safe).sum(axis=0)) - math.log(len(self.members))
-        return np.where(np.isfinite(mx), out, -np.inf)
+        lp = self._log_prob(EVALUATOR, x, theta)[:, 0]
+        return np.where(self.prior.contains(theta), lp, -np.inf)
 
-    def _log_prob_tape(self, tape, x, theta: Tensor) -> Tensor:
-        cols = [m._log_prob_tape(tape, x, theta) for m in self.members]
-        stacked = tape.concat(cols, axis=1)
-        lse = tape.logsumexp(stacked, axis=1)
-        return tape.add(lse, -math.log(len(self.members)))
+    def _log_prob(self, ops, x, theta):
+        cols = [m._log_prob(ops, x, theta) for m in self.members]
+        lse = ops.logsumexp(ops.concat(cols, axis=1), axis=1)
+        return ops.add(lse, -math.log(len(self.members)))
 
 
 def npe_fit(dataset: Dataset, estimator_config: EstimatorConfig | None = None,
@@ -243,9 +229,16 @@ def nre_fit(dataset: Dataset, hidden: tuple = (50, 50),
     return RatioModel(classifier), report
 
 
-def _support_masked(prior: Distribution, term) -> callable:
-    """Posterior log-target: prior plus a learned term, short-circuited to
-    -inf outside the prior support (the network is never queried there)."""
+def _mcmc_posterior(term, prior: Distribution, observations,
+                    sampler_config: SamplerConfig | None) -> McmcPosterior:
+    """MCMC posterior whose log-target is the prior plus
+    ``term(observations, thetas)``, short-circuited to -inf outside the prior
+    support (the network is never queried there). The callers' ``term``
+    looks the model method up on every call, so a wrapper set on the model
+    after the posterior is built still applies."""
+    observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
+    if observations.shape[0] < 1:
+        raise InferenceError("need at least one observation")
 
     def log_target(thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
@@ -253,10 +246,10 @@ def _support_masked(prior: Distribution, term) -> callable:
         out = np.full(thetas.shape[0], -np.inf)
         ok = np.isfinite(lp)
         if ok.any():
-            out[ok] = lp[ok] + term(thetas[ok])
+            out[ok] = lp[ok] + term(observations, thetas[ok])
         return out
 
-    return log_target
+    return McmcPosterior(log_target, prior, sampler_config or SamplerConfig())
 
 
 def nle_posterior(model: LikelihoodModel, prior: Distribution, observations,
@@ -269,21 +262,15 @@ def nle_posterior(model: LikelihoodModel, prior: Distribution, observations,
     rows in the call, not theta rows times trials; only the mixture density
     is evaluated per trial.
     """
-    observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-    if observations.shape[0] < 1:
-        raise InferenceError("need at least one observation")
-    target = _support_masked(prior, lambda t: model.log_lik(observations, t))
-    return McmcPosterior(target, prior, sampler_config or SamplerConfig(), observations)
+    return _mcmc_posterior(lambda obs, t: model.log_lik(obs, t), prior, observations,
+                           sampler_config)
 
 
 def nre_posterior(model: RatioModel, prior: Distribution, observations,
                   sampler_config: SamplerConfig | None = None) -> McmcPosterior:
     """MCMC posterior over summed per-trial logits plus the prior."""
-    observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-    if observations.shape[0] < 1:
-        raise InferenceError("need at least one observation")
-    target = _support_masked(prior, lambda t: model.log_ratio(observations, t))
-    return McmcPosterior(target, prior, sampler_config or SamplerConfig(), observations)
+    return _mcmc_posterior(lambda obs, t: model.log_ratio(obs, t), prior, observations,
+                           sampler_config)
 
 
 class TruncationRegion:
@@ -344,7 +331,7 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
     accumulated data with the unmodified loss.
     Returns (posterior, accumulated dataset, TsnpeRoundInfo, TrainReport).
     """
-    if posterior.kind != "direct":
+    if not isinstance(posterior, DirectPosterior):
         raise InferenceError("truncated sequential refinement needs a direct posterior")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
     region = TruncationRegion(posterior.at(x_o), epsilon=epsilon, rng=rng)

@@ -1,4 +1,4 @@
-"""Axis-aligned slice-sampling MCMC, SIR initialization, MAP search, quadrature.
+"""Axis-aligned slice-sampling MCMC, SIR initialization, MAP search.
 
 The slice sampler needs only log-target evaluations (no gradients) and runs
 all chains in lockstep: every step-out and shrinkage round evaluates the
@@ -141,24 +141,16 @@ class _SliceState:
 
             # step out the interval until both ends fall below the level
             capped = np.zeros(n, dtype=bool)
-            grow = np.arange(n)
-            for _ in range(self.max_stepouts):
-                if grow.size == 0:
-                    break
-                lf = self._eval_coord(grow, j, left[grow])
-                still = lf > level[grow]
-                left[grow[still]] -= w
-                grow = grow[still]
-            capped[grow] = True
-            grow = np.arange(n)
-            for _ in range(self.max_stepouts):
-                if grow.size == 0:
-                    break
-                lf = self._eval_coord(grow, j, right[grow])
-                still = lf > level[grow]
-                right[grow[still]] += w
-                grow = grow[still]
-            capped[grow] = True
+            for end, step in ((left, -w), (right, w)):
+                grow = np.arange(n)
+                for _ in range(self.max_stepouts):
+                    if grow.size == 0:
+                        break
+                    lf = self._eval_coord(grow, j, end[grow])
+                    still = lf > level[grow]
+                    end[grow[still]] += step
+                    grow = grow[still]
+                capped[grow] = True
             self.stepout_capped += int(capped.sum())
 
             # shrink toward the current point until a proposal is accepted
@@ -269,18 +261,6 @@ def slice_sample(log_target, prior: Distribution, config: SamplerConfig,
     return samples, diag
 
 
-def batch_means_mcse(values: np.ndarray) -> np.ndarray:
-    """Monte-Carlo standard error via batch means with ~sqrt(n) batches."""
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64).T).T
-    n = values.shape[0]
-    if n < 4:
-        return values.std(axis=0, ddof=1) / math.sqrt(max(n, 2))
-    b = int(math.sqrt(n))
-    nb = n // b
-    batches = values[:nb * b].reshape(nb, b, values.shape[1]).mean(axis=1)
-    return batches.std(axis=0, ddof=1) / math.sqrt(nb)
-
-
 def map_estimate(posterior, rng: np.random.Generator, restarts: int = 10,
                  lr: float = 0.01, steps: int = 1000):
     """Posterior mode by batched Adam ascent from posterior-sample starts.
@@ -314,24 +294,3 @@ def map_estimate(posterior, rng: np.random.Generator, restarts: int = 10,
         raise SamplerError(f"MAP search diverged in all restarts; trace tail {trace[-5:]}")
     winner = int(np.argmax(best_logp))
     return best_theta[winner]
-
-
-def quadrature(fn, intervals, nodes: int = 512) -> float:
-    """Trapezoid integration of a vectorized fn over a 1-D or 2-D box.
-
-    ``fn`` maps points of shape (n, d) to values of shape (n,).
-    """
-    if isinstance(intervals[0], (int, float)):
-        intervals = [tuple(intervals)]
-    if len(intervals) not in (1, 2):
-        raise ValueError("quadrature supports 1-D or 2-D rectangular domains")
-    if nodes < 16:
-        raise ValueError("need at least 16 quadrature nodes per axis")
-    grids = [np.linspace(lo, hi, nodes) for lo, hi in intervals]
-    if len(intervals) == 1:
-        values = np.asarray(fn(grids[0][:, None]))
-        return float(np.trapezoid(values, grids[0]))
-    gx, gy = np.meshgrid(grids[0], grids[1], indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    values = np.asarray(fn(pts)).reshape(nodes, nodes)
-    return float(np.trapezoid(np.trapezoid(values, grids[1], axis=1), grids[0]))

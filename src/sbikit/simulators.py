@@ -4,8 +4,10 @@ Built-ins: a ball-throw simulator (angle -> distance), an identity-plus-noise
 linear Gaussian reference task with analytic posterior, and a drift-diffusion
 model with collapsing boundaries emitting (choice, reaction time) trials.
 
-Batch generation derives one RNG stream per (row, attempt) from the root
-seed, so results are bit-identical for any worker count.
+``simulate_rows`` (given parameters) and ``generate_dataset`` (parameters
+drawn from a prior, optionally filtered) run one row loop that derives an RNG
+stream per (row, attempt) from the root seed and retries rows with invalid
+output, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def max_workers(requested: int | None) -> int:
 class Simulator:
     """Maps a parameter vector and an RNG stream to one output vector.
 
-    Subclasses set name/theta_dim/x_dim/output_kind and implement
+    Subclasses set name/theta_dim/x_dim and implement
     ``raw_simulate``. An optional summary map is applied to the raw output;
     declared dimensions refer to the post-summary output. Simulators are
     pure functions of (theta, rng) and safe to call from multiple threads.
@@ -52,7 +54,6 @@ class Simulator:
     name: str = "simulator"
     theta_dim: int = 1
     x_dim: int = 1
-    output_kind: str = "continuous"
 
     def __init__(self, summary=None):
         self.summary = summary
@@ -200,7 +201,6 @@ class DDMSimulator(Simulator):
     name = "ddm"
     theta_dim = 5
     x_dim = 2
-    output_kind = "mixed"
 
     def __init__(self, dt: float = 1e-3, max_decision_time: float = 10.0, summary=None):
         super().__init__(summary=summary)
@@ -334,9 +334,38 @@ def _attempt_rng(seed: int, row: int, attempt: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _fill_rows(fill, n: int, workers: int | None) -> None:
-    """Call ``fill`` on the row indices 0..n-1, split into one contiguous
-    chunk per worker thread; small batches run in the calling thread."""
+def _run_rows(simulator: Simulator, n: int, seed: int, workers: int | None, propose,
+              max_attempts: int, accept=None):
+    """Fill rows 0..n-1, one contiguous chunk per worker thread (small
+    batches run in the calling thread).
+
+    Attempt ``a`` of row ``i`` draws from its own stream: ``propose(i, rng)``
+    gives the parameters, the simulator runs on the same stream, and the
+    attempt is kept when the output is finite and ``accept(theta, x)``, if
+    given, holds. Returns (theta, x, attempts per row, failed rows).
+    """
+    theta = np.empty((n, simulator.theta_dim))
+    x = np.empty((n, simulator.x_dim))
+    attempts = np.zeros(n, dtype=np.int64)
+    failed = np.zeros(n, dtype=bool)
+
+    def fill(rows):
+        for i in rows:
+            for attempt in range(max_attempts):
+                rng = _attempt_rng(seed, i, attempt)
+                t = propose(i, rng)
+                xi = simulator.simulate(t, rng)
+                attempts[i] += 1
+                ok = bool(np.all(np.isfinite(xi)))
+                if ok and accept is not None:
+                    ok = bool(accept(t, xi))
+                if ok:
+                    theta[i] = t
+                    x[i] = xi
+                    break
+            else:
+                failed[i] = True
+
     n_workers = max_workers(workers)
     if n_workers == 1 or n < 2 * n_workers:
         fill(range(n))
@@ -344,6 +373,7 @@ def _fill_rows(fill, n: int, workers: int | None) -> None:
         chunks = np.array_split(np.arange(n), n_workers)
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(fill, chunks))
+    return theta, x, attempts, failed
 
 
 def simulate_rows(simulator: Simulator, thetas: np.ndarray, seed: int,
@@ -354,22 +384,12 @@ def simulate_rows(simulator: Simulator, thetas: np.ndarray, seed: int,
     retried on fresh per-row streams a few times before erroring.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    n = thetas.shape[0]
-    x = np.empty((n, simulator.x_dim))
-
-    def fill(rows):
-        for i in rows:
-            for attempt in range(16):
-                xi = simulator.simulate(thetas[i], _attempt_rng(seed, i, attempt))
-                if np.all(np.isfinite(xi)):
-                    x[i] = xi
-                    break
-            else:
-                raise SimulationBudgetError(
-                    f"row {i}: simulator kept returning non-finite output"
-                )
-
-    _fill_rows(fill, n, workers)
+    _, x, _, failed = _run_rows(simulator, thetas.shape[0], seed, workers,
+                                lambda i, rng: thetas[i], max_attempts=16)
+    if failed.any():
+        raise SimulationBudgetError(
+            f"row {int(np.argmax(failed))}: simulator kept returning non-finite output"
+        )
     return x
 
 
@@ -384,29 +404,9 @@ def generate_dataset(prior: Distribution, simulator: Simulator, n: int, seed: in
     """
     if n < 1:
         raise SimulatorError("need n >= 1")
-    theta = np.empty((n, simulator.theta_dim))
-    x = np.empty((n, simulator.x_dim))
-    attempts = np.zeros(n, dtype=np.int64)
-    failed = np.zeros(n, dtype=bool)
-
-    def fill(rows):
-        for i in rows:
-            for attempt in range(max_attempts_per_row):
-                rng = _attempt_rng(seed, i, attempt)
-                t = prior.sample(rng, 1)[0]
-                xi = simulator.simulate(t, rng)
-                attempts[i] += 1
-                ok = bool(np.all(np.isfinite(xi)))
-                if ok and validity_filter is not None:
-                    ok = bool(validity_filter(t, xi))
-                if ok:
-                    theta[i] = t
-                    x[i] = xi
-                    break
-            else:
-                failed[i] = True
-
-    _fill_rows(fill, n, workers)
+    theta, x, attempts, failed = _run_rows(
+        simulator, n, seed, workers, lambda i, rng: prior.sample(rng, 1)[0],
+        max_attempts_per_row, validity_filter)
 
     total_attempts = int(attempts.sum())
     discards = total_attempts - n + int(failed.sum())

@@ -148,6 +148,12 @@ def test_mixture_weights_normalized_and_log_prob_matches_brute_force():
     assert d.log_prob(pt) == pytest.approx(special.logsumexp(comps), abs=1e-12)
 
 
+def test_far_tail_truncated_normal_sampling_raises_instead_of_hanging():
+    d = TruncatedNormal(0.0, 1.0, 8.0, 9.0)
+    with pytest.raises(DistributionError, match=r"\[8\.0, 9\.0\] carries mass 6\.66e-16"):
+        d.sample(np.random.default_rng(0), 1)
+
+
 def test_moments_helpers():
     d = BoxUniform([0.0], [12.0])
     assert d.std()[0] == pytest.approx(12.0 / math.sqrt(12.0))

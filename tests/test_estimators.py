@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from sbikit.distributions import mixture_log_prob
 from sbikit.estimators import (
     AffineCouplingFlow,
     ClassifierNet,
@@ -280,15 +281,38 @@ class TestMixedEstimator:
         p1 = m.choice_probability(theta)
         choice = targets[:, 0]
         logp_choice = np.where(choice == 1, np.log(p1), np.log1p(-p1))
-        ctx_z = m.context_standardizer.transform(theta)
-        feats = np.concatenate([ctx_z, choice[:, None]], axis=1)
+        ctx = m.context_net.forward(EVALUATOR, theta)
+        feats = np.concatenate([ctx, choice[:, None]], axis=1)
         log_w, mu, log_std = m.rt_head.components(feats)
         y = np.log(targets[:, 1:2])
         y_z = m.logrt_standardizer.transform(y)
-        from sbikit.estimators import mixture_log_prob_np
-        logp_rt = (mixture_log_prob_np(log_w, mu, log_std, y_z)
+        logp_rt = (mixture_log_prob(log_w, mu, log_std, y_z)
                    + m.logrt_standardizer.log_det - np.log(targets[:, 1]))
         np.testing.assert_allclose(lp, logp_choice + logp_rt, atol=1e-10)
+
+    def test_embedding_parameters_train_with_the_heads(self):
+        cfg = EstimatorConfig(kind="mixed", n_components=2, hidden=(6,),
+                              embedding_dim=2, embedding_hidden=(4,))
+        m = MixedEstimator(context_dim=3, config=cfg, seed=63)
+        rng = np.random.default_rng(64)
+        m.store.load({n: rng.normal(scale=0.3, size=m.store[n].data.shape)
+                      for n in m.store.names()})
+        theta = rng.normal(size=(6, 3))
+        targets = np.column_stack([rng.integers(0, 2, size=6), rng.uniform(0.2, 2.0, size=6)])
+        m.initialize_standardization(targets, theta)
+        embed_names = [n for n in m.store.names() if n.startswith("ctx.embed")]
+        assert embed_names, "embedding parameters should be registered"
+        # both heads read the 2-d embedding, not the 3-d context
+        assert m.store["choice.w0"].data.shape[0] == 2
+        assert m.store["rt.trunk.w0"].data.shape[0] == 3
+        task = NllTask(m, theta_is_target=False)
+        tape = Tape()
+        grads = tape.backward(task.loss(tape, theta, targets))
+        fd = loss_gradient_fd(task, theta, targets)
+        for name in embed_names:
+            numeric = fd[name]
+            denom = np.maximum(np.abs(numeric), 1e-3)
+            assert np.max(np.abs(grads[m.store[name]] - numeric) / denom) < 1e-4, name
 
     def test_choice_probabilities_sum_to_one(self):
         m, theta, _ = self.make()

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from sbikit.distributions import DiagGaussian
+from sbikit.distributions import BoxUniform, DiagGaussian
 from sbikit.estimators import EstimatorConfig, build_estimator
-from sbikit.inference import LikelihoodModel, nle_fit, nle_posterior
+from sbikit.inference import (EnsemblePosterior, InferenceError, LikelihoodModel, fit_ensemble,
+                              nle_fit, nle_posterior, npe_fit, nre_fit, nre_posterior,
+                              tsnpe_round)
 from sbikit.samplers import SamplerConfig
-from sbikit.simulators import LinearGaussianSimulator, generate_dataset
+from sbikit.simulators import LinearGaussianSimulator, generate_dataset, simulate_rows
 from sbikit.trainer import TrainConfig
 
 from .oracles import conjugate_posterior
@@ -76,17 +78,75 @@ def test_log_lik_accepts_single_rows():
     np.testing.assert_allclose(got, tiled_log_lik(est, obs, theta[None, :]), rtol=1e-12)
 
 
-def test_nle_linear_gaussian_matches_conjugate_posterior():
-    noise_std = 0.3
+X_OBS = np.array([[0.9], [1.3], [0.7], [1.1], [1.0]])
+CONJUGATE_TRAIN = TrainConfig(max_epochs=150, learning_rate=3e-3, seed=5)
+CONJUGATE_SAMPLER = SamplerConfig(chains=20, warmup=50, thin=2, sir_pool=200)
+
+
+def assert_slice_draws_match_conjugate(make_posterior, noise_std=0.3):
+    """Train on the 1-d linear Gaussian, then compare slice draws at X_OBS
+    with the conjugate posterior."""
     sim = LinearGaussianSimulator(dim=1, noise_std=noise_std)
     prior = DiagGaussian([0.0], [0.0])
     data = generate_dataset(prior, sim, 2000, seed=5)
-    model, _ = nle_fit(data, EstimatorConfig(kind="mdn", n_components=2, hidden=(20,)),
-                            TrainConfig(max_epochs=150, learning_rate=3e-3, seed=5))
-    x_obs = np.array([[0.9], [1.3], [0.7], [1.1], [1.0]])
-    post = nle_posterior(model, prior, x_obs,
-                         SamplerConfig(chains=20, warmup=50, thin=2, sir_pool=200))
-    draws = post.sample(400, np.random.default_rng(6))
-    mean, std = conjugate_posterior([0.0], [1.0], noise_std, x_obs)
+    draws = make_posterior(data, prior).sample(400, np.random.default_rng(6))
+    mean, std = conjugate_posterior([0.0], [1.0], noise_std, X_OBS)
     assert abs(draws.mean() - mean[0]) < 0.5 * std[0]
     assert 0.6 < draws.std() / std[0] < 1.5
+
+
+def test_nle_linear_gaussian_matches_conjugate_posterior():
+    def make(data, prior):
+        model, _ = nle_fit(data, EstimatorConfig(kind="mdn", n_components=2, hidden=(20,)),
+                           CONJUGATE_TRAIN)
+        return nle_posterior(model, prior, X_OBS, CONJUGATE_SAMPLER)
+    assert_slice_draws_match_conjugate(make)
+
+
+def test_nre_linear_gaussian_matches_conjugate_posterior():
+    def make(data, prior):
+        model, _ = nre_fit(data, hidden=(20,), train_config=CONJUGATE_TRAIN)
+        return nre_posterior(model, prior, X_OBS, CONJUGATE_SAMPLER)
+    assert_slice_draws_match_conjugate(make)
+
+
+def box_gaussian_task(n, seed):
+    sim = LinearGaussianSimulator(dim=1, noise_std=0.3)
+    prior = BoxUniform([-3.0], [3.0])
+    return sim, prior, generate_dataset(prior, sim, n, seed=seed)
+
+
+SMALL_MDN = EstimatorConfig(kind="mdn", n_components=2, hidden=(10,))
+
+
+def test_ensemble_density_normalizes_inside_the_support_and_averages_members():
+    _, prior, data = box_gaussian_task(600, seed=1)
+    ens, reports = fit_ensemble(data, 3, SMALL_MDN,
+                                TrainConfig(max_epochs=80, learning_rate=5e-3, seed=1))
+    assert len(reports) == 3
+    x_o = [0.5]
+    grid = np.linspace(-3.0, 3.0, 4001)[:, None]
+    lp = ens.log_prob(x_o, grid)
+    assert abs(np.trapezoid(np.exp(lp), grid[:, 0]) - 1.0) < 1e-4
+    member_mean = np.mean([np.exp(m.log_prob(x_o, grid)) for m in ens.members], axis=0)
+    np.testing.assert_allclose(lp, np.log(member_mean), rtol=1e-12, atol=1e-12)
+    assert np.all(ens.log_prob(x_o, [[-3.5], [3.01], [10.0]]) == -np.inf)
+
+
+def test_tsnpe_round_accumulates_rows_drawn_inside_the_region():
+    sim, prior, data = box_gaussian_task(500, seed=2)
+    train = TrainConfig(max_epochs=30, seed=2)
+    post, _ = npe_fit(data, SMALL_MDN, train)
+    theta_true = np.array([[0.7]])
+    x_o = simulate_rows(sim, theta_true, seed=3)[0]
+    new_post, merged, info, _ = tsnpe_round(post, x_o, prior, sim, 200, SMALL_MDN, train,
+                                            seed=4, data=data)
+    assert len(merged) == len(data) + 200
+    np.testing.assert_array_equal(merged.theta[:len(data)], data.theta)
+    assert 0.0 < info.acceptance_rate <= 1.0
+    # the region is {theta: log q(theta | x_o) >= cutoff} under the input posterior
+    assert post.log_prob(x_o, theta_true)[0] >= info.cutoff
+    assert np.all(post.log_prob(x_o, merged.theta[len(data):]) >= info.cutoff)
+    assert np.all(np.isfinite(new_post.log_prob(x_o, theta_true)))
+    with pytest.raises(InferenceError, match="direct posterior"):
+        tsnpe_round(EnsemblePosterior([post, post]), x_o, prior, sim, 10, seed=4)

@@ -15,6 +15,7 @@ from sbikit.simulators import (
     SimulationBudgetError,
     SimulatorError,
     generate_dataset,
+    simulate_rows,
     simulator_from_config,
 )
 from sbikit.tableio import write_table
@@ -244,6 +245,50 @@ class TestGenerateDataset:
             sys.setswitchinterval(old)
         assert ds.meta["discards"] > 0
         assert sim.n_calls == len(ds) + ds.meta["discards"]
+
+
+class TestSimulateRows:
+    MARK = 5.0   # theta value of the rows the flaky simulator fails on
+
+    class Flaky(LinearGaussianSimulator):
+        """Non-finite output on its first ``bad_calls`` calls at theta = MARK."""
+
+        def __init__(self, bad_calls):
+            super().__init__(dim=1, noise_std=0.1)
+            self.bad_calls = bad_calls
+
+        def raw_simulate(self, theta, rng):
+            if theta[0] == TestSimulateRows.MARK and self.bad_calls > 0:
+                self.bad_calls -= 1
+                return np.array([np.nan])
+            return super().raw_simulate(theta, rng)
+
+    def test_output_is_worker_invariant(self):
+        sim = DDMSimulator()
+        thetas = sim.default_prior().sample(np.random.default_rng(0), 12)
+        one = simulate_rows(sim, thetas, seed=4, workers=1)
+        two = simulate_rows(sim, thetas, seed=4, workers=2)
+        np.testing.assert_array_equal(one, two)
+        assert np.all(np.isfinite(one))
+
+    def test_non_finite_row_is_retried_on_its_next_stream(self):
+        thetas = np.linspace(0.0, 1.0, 10)[:, None]
+        thetas[4] = self.MARK
+        clean = simulate_rows(LinearGaussianSimulator(dim=1, noise_std=0.1), thetas, seed=3)
+        sim = self.Flaky(bad_calls=3)
+        got = simulate_rows(sim, thetas, seed=3)
+        assert sim.n_calls == 10 + 3
+        keep = np.arange(10) != 4
+        np.testing.assert_array_equal(got[keep], clean[keep])
+        # the fourth attempt of row 4 draws from stream (seed, row 4, attempt 3)
+        rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(4, 3)))
+        assert got[4, 0] == self.MARK + 0.1 * rng.standard_normal(1)[0]
+
+    def test_row_that_never_turns_finite_is_named(self):
+        thetas = np.linspace(0.0, 1.0, 10)[:, None]
+        thetas[[3, 7]] = self.MARK
+        with pytest.raises(SimulationBudgetError, match="^row 3: "):
+            simulate_rows(self.Flaky(bad_calls=np.inf), thetas, seed=0, workers=2)
 
 
 def test_builtin_simulators_emit_only_finite_values_over_prior_draws():
