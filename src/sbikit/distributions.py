@@ -17,8 +17,8 @@ from .ndiff import logsumexp
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# rejection rounds before TruncatedNormal.sample gives up on a tiny-mass interval
-_MAX_REJECTION_ROUNDS = 10_000
+# TruncatedNormal intervals of smaller mass are sampled by inverse CDF, not rejection
+_INVERSE_CDF_MASS = 0.1
 
 
 class DistributionError(ValueError):
@@ -146,7 +146,8 @@ class DiagGaussian(Distribution):
 
 
 class TruncatedNormal(Distribution):
-    """Scalar normal restricted to [low, high], rejection-sampled."""
+    """Scalar normal restricted to [low, high]: rejection-sampled, or by
+    inverse CDF when the interval's mass is below ``_INVERSE_CDF_MASS``."""
 
     def __init__(self, loc, scale, low, high):
         if not (low < high):
@@ -172,23 +173,30 @@ class TruncatedNormal(Distribution):
         self._std_val = self.scale * math.sqrt(var)
 
     def sample(self, rng, n):
+        if self._mass < _INVERSE_CDF_MASS:
+            return self._sample_inverse_cdf(rng, n)[:, None]
         out = np.empty(n)
         filled = 0
-        rounds = 0
         while filled < n:
-            if rounds == _MAX_REJECTION_ROUNDS:
-                raise DistributionError(
-                    f"truncated normal on [{self._low}, {self._high}] carries mass "
-                    f"{self._mass:.2e}; rejection sampling accepted {filled}/{n} draws "
-                    f"in {rounds} rounds"
-                )
-            rounds += 1
             draw = self.loc + self.scale * rng.standard_normal(max(n - filled, 16))
             keep = draw[(draw >= self._low) & (draw <= self._high)]
             take = min(keep.size, n - filled)
             out[filled:filled + take] = keep[:take]
             filled += take
         return out[:, None]
+
+    def _sample_inverse_cdf(self, rng, n):
+        # mirror the interval so its bulk lies in the lower tail, where
+        # log_ndtr and ndtri_exp keep full relative precision
+        a = (self._low - self.loc) / self.scale
+        b = (self._high - self.loc) / self.scale
+        sign = -1.0 if a + b > 0 else 1.0
+        lo, hi = sorted((sign * a, sign * b))
+        log_hi = special.log_ndtr(hi)
+        r = math.exp(special.log_ndtr(lo) - log_hi)   # Phi(lo) / Phi(hi)
+        # log(Phi(lo) + u * (Phi(hi) - Phi(lo))) for u ~ U(0, 1)
+        z = special.ndtri_exp(log_hi + np.log(r + rng.uniform(size=n) * (1.0 - r)))
+        return np.clip(self.loc + self.scale * sign * z, self._low, self._high)
 
     def log_prob(self, point):
         arr, single = _as_batch(point, self.dim)

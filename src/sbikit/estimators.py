@@ -242,7 +242,6 @@ class ConditionalMDN:
         self.head = _MixtureHead(self.store, "mdn.", in_dim, target_dim,
                                  self.config.n_components, self.config.hidden, rng)
         self.target_standardizer = Standardizer.identity(target_dim)
-        self.seed = seed
 
     def initialize_standardization(self, targets, contexts):
         self.target_standardizer = Standardizer.fit(targets)
@@ -313,7 +312,6 @@ class AffineCouplingFlow:
             for i in range(self.config.n_layers)
         ]
         self.target_standardizer = Standardizer.identity(target_dim)
-        self.seed = seed
 
     def initialize_standardization(self, targets, contexts):
         self.target_standardizer = Standardizer.fit(targets)
@@ -408,7 +406,6 @@ class MixedEstimator:
         self.rt_head = _MixtureHead(self.store, "rt.", feat_dim + 1, 1,
                                     self.config.n_components, self.config.hidden, rng)
         self.logrt_standardizer = Standardizer.identity(1)
-        self.seed = seed
 
     def initialize_standardization(self, targets, contexts):
         targets = np.atleast_2d(targets)
@@ -503,7 +500,6 @@ class ClassifierNet:
         rng = np.random.default_rng(seed)
         self.net = Mlp(self.store, "clf.", [theta_dim + x_dim, *hidden, 1], rng)
         self.standardizer = Standardizer.identity(theta_dim + x_dim)
-        self.seed = seed
 
     def initialize_standardization(self, theta, x):
         self.standardizer = Standardizer.fit(np.hstack([np.atleast_2d(theta), np.atleast_2d(x)]))

@@ -12,7 +12,7 @@ and posterior ensembles that average member densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -233,9 +233,7 @@ def _mcmc_posterior(term, prior: Distribution, observations,
                     sampler_config: SamplerConfig | None) -> McmcPosterior:
     """MCMC posterior whose log-target is the prior plus
     ``term(observations, thetas)``, short-circuited to -inf outside the prior
-    support (the network is never queried there). The callers' ``term``
-    looks the model method up on every call, so a wrapper set on the model
-    after the posterior is built still applies."""
+    support (the network is never queried there)."""
     observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
     if observations.shape[0] < 1:
         raise InferenceError("need at least one observation")
@@ -262,15 +260,13 @@ def nle_posterior(model: LikelihoodModel, prior: Distribution, observations,
     rows in the call, not theta rows times trials; only the mixture density
     is evaluated per trial.
     """
-    return _mcmc_posterior(lambda obs, t: model.log_lik(obs, t), prior, observations,
-                           sampler_config)
+    return _mcmc_posterior(model.log_lik, prior, observations, sampler_config)
 
 
 def nre_posterior(model: RatioModel, prior: Distribution, observations,
                   sampler_config: SamplerConfig | None = None) -> McmcPosterior:
     """MCMC posterior over summed per-trial logits plus the prior."""
-    return _mcmc_posterior(lambda obs, t: model.log_ratio(obs, t), prior, observations,
-                           sampler_config)
+    return _mcmc_posterior(model.log_ratio, prior, observations, sampler_config)
 
 
 class TruncationRegion:
@@ -328,7 +324,8 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
 
     Draws new parameters from the prior restricted to the current
     posterior's highest-density region, simulates them, and retrains on all
-    accumulated data with the unmodified loss.
+    accumulated data with the unmodified loss. The accumulated dataset's
+    ``meta`` counts all its rows in ``n`` and appends this round to ``rounds``.
     Returns (posterior, accumulated dataset, TsnpeRoundInfo, TrainReport).
     """
     if not isinstance(posterior, DirectPosterior):
@@ -337,10 +334,12 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
     region = TruncationRegion(posterior.at(x_o), epsilon=epsilon, rng=rng)
     thetas, acceptance = sample_truncated_prior(prior, region, n_new, rng)
     x = simulate_rows(simulator, thetas, seed=seed)
-    new_data = Dataset(thetas, x, dict(data.meta) if data else {})
+    new_data = Dataset(thetas, x)
     merged = data.concat(new_data) if data is not None else new_data
+    info = TsnpeRoundInfo(acceptance_rate=acceptance, cutoff=region.cutoff, n_new=int(n_new))
+    merged.meta["n"] = len(merged)
+    merged.meta["rounds"] = merged.meta.get("rounds", []) + [{"seed": int(seed), **asdict(info)}]
     new_posterior, report = npe_fit(merged, estimator_config, train_config, prior=prior)
-    info = TsnpeRoundInfo(acceptance_rate=acceptance, cutoff=region.cutoff, n_new=n_new)
     return new_posterior, merged, info, report
 
 

@@ -10,8 +10,6 @@ for forward passes that need no gradients.
 
 from __future__ import annotations
 
-import io
-import math
 import operator
 
 import numpy as np
@@ -346,8 +344,6 @@ class ParamStore:
     def add(self, name: str, values) -> Tensor:
         if name in self._params:
             raise NdiffError(f"parameter {name!r} already registered")
-        if any(c.isspace() for c in name):
-            raise NdiffError(f"parameter name {name!r} contains whitespace")
         t = Tensor(np.array(values, dtype=np.float64))
         self._params[name] = t
         self._m[name] = np.zeros_like(t.data)
@@ -399,56 +395,3 @@ class ParamStore:
             v += (1.0 - beta2) * g * g
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         self.step_count = t
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Text manifest (names, shapes, byte offsets) + little-endian f64 blob."""
-        header = io.StringIO()
-        header.write("ndiff-paramstore 1\n")
-        offset = 0
-        blobs = []
-        for name, t in self._params.items():
-            shape = ",".join(str(s) for s in t.data.shape)
-            header.write(f"param name={name} shape={shape} offset={offset}\n")
-            raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-            blobs.append(raw)
-            offset += len(raw)
-        header.write("end\n")
-        with open(path, "wb") as fh:
-            fh.write(header.getvalue().encode("ascii"))
-            for raw in blobs:
-                fh.write(raw)
-
-    @classmethod
-    def load_file(cls, path) -> "ParamStore":
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        marker = raw.find(b"\nend\n")
-        if marker < 0:
-            raise NdiffError(f"{path}: paramstore manifest has no 'end' line")
-        lines = raw[:marker].decode("ascii").splitlines()
-        if lines[0] != "ndiff-paramstore 1":
-            raise NdiffError(f"{path}: unrecognized paramstore header: {lines[0]!r}")
-        blob = raw[marker + len(b"\nend\n"):]
-        store = cls()
-        total = 0
-        for line in lines[1:]:
-            fields = dict(part.split("=", 1) for part in line.split()[1:])
-            shape = tuple(int(s) for s in fields["shape"].split(",") if s)
-            offset = int(fields["offset"])
-            count = math.prod(shape) if shape else 1
-            nbytes = 8 * count
-            if offset + nbytes > len(blob):
-                raise NdiffError(
-                    f"{path}: parameter {fields['name']!r} needs blob bytes "
-                    f"{offset}..{offset + nbytes}, but the blob has {len(blob)} bytes"
-                )
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            store.add(fields["name"], arr.reshape(shape))
-            total += nbytes
-        if len(blob) != total:
-            raise NdiffError(
-                f"{path}: blob has {len(blob)} bytes, the manifest lists {total}"
-            )
-        return store

@@ -2,14 +2,16 @@
 
 The slice sampler needs only log-target evaluations (no gradients) and runs
 all chains in lockstep: every step-out and shrinkage round evaluates the
-batched target on the still-active chains only. Output order is chain-major
-and fully deterministic for a fixed seed.
+batched target on the still-active chains only. Chains start from SIR
+draws; the step-out width of each coordinate is its prior std, with at most
+``_MAX_STEPOUTS`` step-outs per end and ``_MAX_SHRINK`` shrink rounds per
+update. Output order is chain-major and fully deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .distributions import Distribution
 from .ndiff import Gradients, ParamStore, Tape
 from .tableio import write_table
 
+_MAX_STEPOUTS = 50
 _MAX_SHRINK = 200
 
 
@@ -29,19 +32,12 @@ class SamplerConfig:
     chains: int = 100
     warmup: int = 1000            # sweeps per chain before retention
     thin: int = 2
-    init: str = "sir"             # sir | prior
     sir_pool: int = 1000
-    step_scale: float = 1.0       # step-out width in units of prior std per dim
-    max_stepouts: int = 50
 
     def __post_init__(self):
-        for name in ("chains", "warmup", "thin", "sir_pool", "max_stepouts"):
+        for name in ("chains", "warmup", "thin", "sir_pool"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.init not in ("sir", "prior"):
-            raise ValueError(f"init must be 'sir' or 'prior', got {self.init!r}")
-        if not (math.isfinite(self.step_scale) and self.step_scale > 0):
-            raise ValueError(f"step_scale must be finite and positive, got {self.step_scale}")
 
 
 @dataclass
@@ -50,7 +46,7 @@ class ChainDiagnostics:
     ess: np.ndarray                      # per dimension
     acceptance: np.ndarray               # per chain, shrinkage acceptance rate
     n_target_evals: int = 0
-    n_stepout_capped: int = 0            # (chain, coordinate) updates stopped at max_stepouts
+    n_stepout_capped: int = 0            # (chain, coordinate) updates stopped at _MAX_STEPOUTS
     n_shrink_capped: int = 0             # updates that hit _MAX_SHRINK and kept the current point
 
     def save(self, path):
@@ -91,33 +87,18 @@ def sir_init(log_target, prior: Distribution, pool_size: int, chains: int,
     return pool[idx]
 
 
-def _prior_init(log_target, prior, chains, rng, tries=20):
-    x = prior.sample(rng, chains)
-    logf = _sanitize(np.asarray(log_target(x)))
-    for _ in range(tries):
-        bad = ~np.isfinite(logf)
-        if not bad.any():
-            return x
-        x[bad] = prior.sample(rng, int(bad.sum()))
-        logf[bad] = _sanitize(np.asarray(log_target(x[bad])))
-    raise SamplerError("could not find prior draws with finite log-target")
-
-
 class _SliceState:
     """Lockstep slice sampler over a batch of chains."""
 
-    def __init__(self, log_target, x0, widths, max_stepouts, rng):
+    def __init__(self, log_target, x0, widths, rng):
         self.log_target = log_target
         self.x = np.array(x0, dtype=np.float64)
         self.widths = widths
-        self.max_stepouts = max_stepouts
         self.rng = rng
         self.logf = _sanitize(np.asarray(log_target(self.x), dtype=np.float64))
         if not np.all(np.isfinite(self.logf)):
             raise SamplerError("log-target not finite at initialization points")
         self.n_evals = self.x.shape[0]
-        self.accepted = 0
-        self.proposed = 0
         self.chain_accepted = np.zeros(self.x.shape[0], dtype=np.int64)
         self.chain_proposed = np.zeros(self.x.shape[0], dtype=np.int64)
         self.stepout_capped = 0
@@ -143,7 +124,7 @@ class _SliceState:
             capped = np.zeros(n, dtype=bool)
             for end, step in ((left, -w), (right, w)):
                 grow = np.arange(n)
-                for _ in range(self.max_stepouts):
+                for _ in range(_MAX_STEPOUTS):
                     if grow.size == 0:
                         break
                     lf = self._eval_coord(grow, j, end[grow])
@@ -161,13 +142,11 @@ class _SliceState:
                 prop = left[active] + self.rng.uniform(size=active.size) * (
                     right[active] - left[active])
                 lf = self._eval_coord(active, j, prop)
-                self.proposed += active.size
                 self.chain_proposed[active] += 1
                 acc = lf > level[active]
                 hit = active[acc]
                 self.x[hit, j] = prop[acc]
                 self.logf[hit] = lf[acc]
-                self.accepted += hit.size
                 self.chain_accepted[hit] += 1
                 rej = active[~acc]
                 pr = prop[~acc]
@@ -229,12 +208,9 @@ def slice_sample(log_target, prior: Distribution, config: SamplerConfig,
     """
     if n_samples < 1:
         raise SamplerError("need n_samples >= 1")
-    widths = config.step_scale * np.asarray(prior.std(), dtype=np.float64)
-    if config.init == "sir":
-        x0 = sir_init(log_target, prior, config.sir_pool, config.chains, rng)
-    else:
-        x0 = _prior_init(log_target, prior, config.chains, rng)
-    state = _SliceState(log_target, x0, widths, config.max_stepouts, rng)
+    widths = np.asarray(prior.std(), dtype=np.float64)
+    x0 = sir_init(log_target, prior, config.sir_pool, config.chains, rng)
+    state = _SliceState(log_target, x0, widths, rng)
 
     for _ in range(config.warmup):
         state.sweep()

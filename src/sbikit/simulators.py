@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Distribution, prior_from_config, prior_to_config
+from .distributions import Distribution, prior_to_config
 from .tableio import read_table, write_table
 
 
@@ -31,15 +29,6 @@ class SimulatorError(ValueError):
 
 class SimulationBudgetError(RuntimeError):
     """Too many invalid simulations; the prior/simulator pair looks misspecified."""
-
-
-def max_workers(requested: int | None) -> int:
-    """Worker-pool size: the requested count capped by SBI_ENGINE_THREADS."""
-    cap = os.environ.get("SBI_ENGINE_THREADS")
-    n = 1 if requested is None else max(1, int(requested))
-    if cap:
-        n = min(n, max(1, int(cap)))
-    return n
 
 
 class Simulator:
@@ -57,9 +46,6 @@ class Simulator:
 
     def __init__(self, summary=None):
         self.summary = summary
-        self.n_calls = 0
-        # pool workers share the instance; the counter's read-modify-write needs it
-        self._calls_lock = threading.Lock()
 
     def raw_simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -70,8 +56,6 @@ class Simulator:
             raise SimulatorError(
                 f"{self.name}: parameter shape {theta.shape} != ({self.theta_dim},)"
             )
-        with self._calls_lock:
-            self.n_calls += 1
         x = np.asarray(self.raw_simulate(theta, rng), dtype=np.float64)
         if self.summary is not None:
             x = np.asarray(self.summary(x), dtype=np.float64)
@@ -248,26 +232,6 @@ class DDMSimulator(Simulator):
         return BoxUniform(DDM_PRIOR_LOW, DDM_PRIOR_HIGH)
 
 
-_SIMULATOR_BUILDERS = {
-    "ball_throw": lambda cfg: BallThrowSimulator(BallThrowConfig(**cfg)),
-    "linear_gaussian": lambda cfg: LinearGaussianSimulator(**cfg),
-    "ddm": lambda cfg: DDMSimulator(**cfg),
-}
-
-
-def simulator_from_config(config: dict) -> Simulator:
-    spec = dict(config)
-    name = spec.pop("name", None)
-    if name not in _SIMULATOR_BUILDERS:
-        raise SimulatorError(
-            f"unknown simulator {name!r}; expected one of {sorted(_SIMULATOR_BUILDERS)}"
-        )
-    try:
-        return _SIMULATOR_BUILDERS[name](spec)
-    except TypeError as exc:
-        raise SimulatorError(f"bad fields for simulator {name!r}: {exc}") from exc
-
-
 @dataclass
 class Dataset:
     """Paired parameter and simulation-output matrices, the training currency."""
@@ -366,12 +330,12 @@ def _run_rows(simulator: Simulator, n: int, seed: int, workers: int | None, prop
             else:
                 failed[i] = True
 
-    n_workers = max_workers(workers)
+    n_workers = 1 if workers is None else max(1, int(workers))
     if n_workers == 1 or n < 2 * n_workers:
         fill(range(n))
     else:
         chunks = np.array_split(np.arange(n), n_workers)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(n_workers) as pool:
             list(pool.map(fill, chunks))
     return theta, x, attempts, failed
 

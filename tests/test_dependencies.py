@@ -47,3 +47,20 @@ def test_public_functions_and_classes_are_referenced(path):
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in USED]
     assert not unused, f"{path.name} defines {unused}, which nothing in src/ or tests/ uses"
+
+
+def environment_reads(tree):
+    """``os.environ`` / ``os.getenv`` attribute reads and imports of either."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            yield f"line {node.lineno}: {ast.unparse(node)}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ("environ", "getenv"):
+                    yield f"line {node.lineno}: from os import {alias.name}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_reads_no_environment_variables(path):
+    reads = list(environment_reads(TREES[path]))
+    assert not reads, f"{path.name} reads the environment ({reads}); pass settings as arguments"

@@ -148,10 +148,14 @@ def test_mixture_weights_normalized_and_log_prob_matches_brute_force():
     assert d.log_prob(pt) == pytest.approx(special.logsumexp(comps), abs=1e-12)
 
 
-def test_far_tail_truncated_normal_sampling_raises_instead_of_hanging():
-    d = TruncatedNormal(0.0, 1.0, 8.0, 9.0)
-    with pytest.raises(DistributionError, match=r"\[8\.0, 9\.0\] carries mass 6\.66e-16"):
-        d.sample(np.random.default_rng(0), 1)
+def test_small_mass_truncated_normal_draws_follow_the_truncated_cdf():
+    # the far upper tail (mass 6.7e-16), an interval of mass 2.3e-4 and its
+    # mirror image, and a narrow interval around the mode (mass 0.06)
+    for low, high in [(8.0, 9.0), (3.5, 9.0), (-9.0, -3.5), (-0.05, 0.1)]:
+        d = TruncatedNormal(0.0, 1.0, low, high)
+        draws = d.sample(np.random.default_rng(0), 20_000)[:, 0]
+        assert np.all((draws >= low) & (draws <= high))
+        assert stats.kstest(draws, stats.truncnorm(low, high).cdf).pvalue > 0.01, (low, high)
 
 
 def test_moments_helpers():

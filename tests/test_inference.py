@@ -144,6 +144,12 @@ def test_tsnpe_round_accumulates_rows_drawn_inside_the_region():
     assert len(merged) == len(data) + 200
     np.testing.assert_array_equal(merged.theta[:len(data)], data.theta)
     assert 0.0 < info.acceptance_rate <= 1.0
+    # the metadata counts every merged row and records the round that added 200
+    assert merged.meta["n"] == len(data) + 200
+    assert merged.meta["seed"] == data.meta["seed"] == 2
+    assert merged.meta["rounds"] == [{"seed": 4, "n_new": 200, "cutoff": info.cutoff,
+                                      "acceptance_rate": info.acceptance_rate}]
+    assert data.meta["n"] == len(data) and "rounds" not in data.meta
     # the region is {theta: log q(theta | x_o) >= cutoff} under the input posterior
     assert post.log_prob(x_o, theta_true)[0] >= info.cutoff
     assert np.all(post.log_prob(x_o, merged.theta[len(data):]) >= info.cutoff)

@@ -266,54 +266,10 @@ class TestAdam:
             store.adam_step(Gradients({id(p): np.zeros((3,))}), lr=0.1)
 
 
-def test_paramstore_roundtrip(tmp_path):
-    store = ParamStore()
-    rng = np.random.default_rng(0)
-    store.add("layer0.w", rng.normal(size=(3, 4)))
-    store.add("layer0.b", rng.normal(size=(4,)))
-    store.add("head.w", rng.normal(size=(4, 1)))
-    path = tmp_path / "params.ndp"
-    store.save(path)
-    loaded = ParamStore.load_file(path)
-    assert loaded.names() == store.names()
-    for name in store.names():
-        assert np.array_equal(loaded[name].data, store[name].data)
-
-
 def test_paramstore_rejects_duplicate_and_bad_names():
     store = ParamStore()
     store.add("w", [1.0])
     with pytest.raises(NdiffError):
         store.add("w", [2.0])
-    with pytest.raises(NdiffError):
-        store.add("bad name", [1.0])
     with pytest.raises(NdiffError, match="'v'"):
         store.load({"v": [1.0]})
-
-
-class TestParamStoreDamagedFile:
-    def saved(self, tmp_path):
-        store = ParamStore()
-        store.add("w", np.arange(6.0).reshape(2, 3))
-        store.add("b", np.ones(3))
-        path = tmp_path / "params.ndp"
-        store.save(path)
-        return path, path.read_bytes()
-
-    def test_truncated_blob_names_parameter_and_byte_counts(self, tmp_path):
-        path, raw = self.saved(tmp_path)
-        path.write_bytes(raw[:-4])
-        with pytest.raises(NdiffError, match=r"params\.ndp.*'b'.*48\.\.72.*68 bytes"):
-            ParamStore.load_file(path)
-
-    def test_missing_end_line_is_rejected(self, tmp_path):
-        path, raw = self.saved(tmp_path)
-        path.write_bytes(raw.replace(b"\nend\n", b"\n"))
-        with pytest.raises(NdiffError, match=r"params\.ndp.*'end'"):
-            ParamStore.load_file(path)
-
-    def test_trailing_bytes_are_rejected(self, tmp_path):
-        path, raw = self.saved(tmp_path)
-        path.write_bytes(raw + b"\x00" * 8)
-        with pytest.raises(NdiffError, match=r"params\.ndp.*80 bytes.*lists 72"):
-            ParamStore.load_file(path)

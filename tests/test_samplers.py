@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from sbikit.distributions import BoxUniform, DiagGaussian
+from sbikit.distributions import BoxUniform, DiagGaussian, MixtureDiagGaussian
 from sbikit.ndiff import Tensor
-from sbikit.samplers import _MAX_SHRINK, SamplerConfig, map_estimate, slice_sample
+from sbikit.samplers import (_MAX_SHRINK, _MAX_STEPOUTS, SamplerConfig, map_estimate,
+                              slice_sample)
 from sbikit.tableio import read_table
 
 CHAINS, DIM, SWEEPS = 3, 2, 3
-CONFIG = dict(chains=CHAINS, warmup=SWEEPS - 1, thin=1, init="prior")
+CONFIG = dict(chains=CHAINS, warmup=SWEEPS - 1, thin=1)
 
 
 class PointPrior:
@@ -18,21 +19,23 @@ class PointPrior:
     def sample(self, rng, n):
         return np.zeros((n, self.dim))
 
+    def log_prob(self, point):
+        return np.zeros(len(point))
+
     def std(self):
         return np.ones(self.dim)
 
 
 def test_flat_target_counts_every_update_as_stepout_capped(tmp_path):
     prior = DiagGaussian(np.zeros(DIM), np.zeros(DIM))
-    config = SamplerConfig(max_stepouts=1, **CONFIG)
-    draws, diag = slice_sample(lambda x: np.zeros(len(x)), prior, config,
+    draws, diag = slice_sample(lambda x: np.zeros(len(x)), prior, SamplerConfig(**CONFIG),
                                np.random.default_rng(0), CHAINS)
     updates = CHAINS * DIM * SWEEPS
     assert draws.shape == (CHAINS, DIM)
     assert diag.n_stepout_capped == updates
     assert diag.n_shrink_capped == 0
-    # per update: one left and one right step-out, one accepted proposal
-    assert diag.n_target_evals == CHAINS + 3 * updates
+    # per update: every step-out on both ends, one accepted proposal
+    assert diag.n_target_evals == CHAINS + (2 * _MAX_STEPOUTS + 1) * updates
     diag.save(tmp_path / "diag.csv")
     _, _, meta = read_table(tmp_path / "diag.csv")
     assert meta["n_stepout_capped"] == updates
@@ -57,10 +60,19 @@ def test_target_finite_only_at_current_point_counts_shrink_caps(tmp_path):
     assert meta["n_stepout_capped"] == 0
 
 
-@pytest.mark.parametrize("step_scale", [0.0, -1.0, float("nan"), float("inf")])
-def test_nonpositive_or_nonfinite_step_scale_rejected(step_scale):
-    with pytest.raises(ValueError, match="step_scale"):
-        SamplerConfig(step_scale=step_scale)
+def test_slice_sampler_recovers_the_weights_and_modes_of_a_bimodal_mixture():
+    # weights 0.3 / 0.7 at -2 / +2 with std 0.5, far from the box edges at -5 / 5
+    target = MixtureDiagGaussian(np.log([0.3, 0.7]), [[-2.0], [2.0]], np.full((2, 1), np.log(0.5)))
+    config = SamplerConfig(chains=40, warmup=30, thin=1)
+    draws, diag = slice_sample(target.log_prob, BoxUniform([-5.0], [5.0]), config,
+                               np.random.default_rng(0), 2000)
+    theta = draws[:, 0]
+    upper = theta > 0.0
+    ess = diag.ess[0]
+    # four standard errors at the sampler's own effective sample size
+    assert upper.mean() == pytest.approx(0.7, abs=4 * np.sqrt(0.7 * 0.3 / ess))
+    assert theta[upper].mean() == pytest.approx(2.0, abs=4 * 0.5 / np.sqrt(0.7 * ess))
+    assert theta[~upper].mean() == pytest.approx(-2.0, abs=4 * 0.5 / np.sqrt(0.3 * ess))
 
 
 class GaussianBoxPosterior:
