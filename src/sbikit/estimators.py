@@ -1,6 +1,8 @@
 """Conditional density estimators and the ratio classifier, built on the tape engine.
 
-The density estimators (MDN, coupling flow, mixed choice/reaction-time) train
+Every estimator is conditional: it models the target given a context of at
+least one column, theta given x for NPE and x given theta for NLE. The
+density estimators (MDN, coupling flow, mixed choice/reaction-time) train
 through one adapter, ``NllTask``: the mean negative log-density of the target
 given the context, with theta as the target for NPE and x for NLE.
 ``ClassifierNet`` is the one classifier, the NRE head; its loss and the mixed
@@ -136,9 +138,11 @@ class _ContextNet:
     trained end-to-end with the downstream estimator."""
 
     def __init__(self, store, prefix, context_dim, config: EstimatorConfig, rng):
-        self.context_dim = context_dim
-        self.standardizer = Standardizer.identity(max(context_dim, 1))
-        if config.embedding_dim is not None and context_dim > 0:
+        if context_dim < 1:
+            raise EstimatorError(
+                f"estimators are conditional: context_dim must be at least 1, got {context_dim}")
+        self.standardizer = Standardizer.identity(context_dim)
+        if config.embedding_dim is not None:
             sizes = [context_dim, *config.embedding_hidden, config.embedding_dim]
             self.embedding = Mlp(store, f"{prefix}embed.", sizes, rng)
             self.out_dim = config.embedding_dim
@@ -147,12 +151,9 @@ class _ContextNet:
             self.out_dim = context_dim
 
     def fit_standardizer(self, contexts):
-        if self.context_dim > 0:
-            self.standardizer = Standardizer.fit(contexts)
+        self.standardizer = Standardizer.fit(contexts)
 
     def forward(self, ops, x):
-        if self.context_dim == 0:
-            return None
         z = self.standardizer.transform_ops(ops, x)
         if self.embedding is not None:
             z = ops.tanh(self.embedding.forward(ops, z))
@@ -227,38 +228,50 @@ class _MixtureHead:
         return mu[rows, choice] + np.exp(log_std[rows, choice]) * eps
 
 
-class ConditionalMDN:
-    """Mixture density network: context -> Gaussian mixture over the target."""
+class _ConditionalDensity:
+    """Scaffold of the MDN and the flow: a parameter store, the context
+    network, and the target standardizer whose Jacobian reports densities
+    in original coordinates. Subclasses register their layers in ``_build``
+    and give the log-density of the standardized target in ``_log_prob_z``."""
 
-    def __init__(self, target_dim: int, context_dim: int,
-                 config: EstimatorConfig | None = None, seed: int = 0):
-        self.config = config or EstimatorConfig(kind="mdn")
+    def __init__(self, target_dim: int, context_dim: int, config: EstimatorConfig,
+                 seed: int = 0):
+        self.config = config
         self.target_dim = target_dim
         self.context_dim = context_dim
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
-        self.context_net = _ContextNet(self.store, "ctx.", context_dim, self.config, rng)
-        in_dim = max(self.context_net.out_dim, 1)
-        self.head = _MixtureHead(self.store, "mdn.", in_dim, target_dim,
-                                 self.config.n_components, self.config.hidden, rng)
+        self.context_net = _ContextNet(self.store, "ctx.", context_dim, config, rng)
+        self._build(rng)
         self.target_standardizer = Standardizer.identity(target_dim)
 
     def initialize_standardization(self, targets, contexts):
         self.target_standardizer = Standardizer.fit(targets)
         self.context_net.fit_standardizer(contexts)
 
-    def _feats(self, ops, context, n_rows):
-        feats = self.context_net.forward(ops, context) if context is not None else None
-        return ops.const(np.ones((n_rows, 1))) if feats is None else feats
+    def log_prob(self, target, context) -> np.ndarray:
+        return self.log_prob_tape(EVALUATOR, np.atleast_2d(target), np.atleast_2d(context))[:, 0]
+
+    def log_prob_tape(self, ops, target, context):
+        """(n,1) log-density of the target rows given the context rows."""
+        feats = self.context_net.forward(ops, context)
+        y_z = self.target_standardizer.transform_ops(ops, target)
+        return ops.add(self._log_prob_z(ops, y_z, feats), self.target_standardizer.log_det)
+
+
+class ConditionalMDN(_ConditionalDensity):
+    """Mixture density network: context -> Gaussian mixture over the target."""
+
+    def _build(self, rng):
+        self.head = _MixtureHead(self.store, "mdn.", self.context_net.out_dim, self.target_dim,
+                                 self.config.n_components, self.config.hidden, rng)
+
+    def _log_prob_z(self, ops, y_z, feats):
+        return self.head.log_prob(ops, feats, y_z)
 
     def component_params(self, x):
         """Mixture parameters (standardized space) for a batch of contexts."""
-        x = np.atleast_2d(x)
-        return self.head.components(self._feats(EVALUATOR, x, x.shape[0]))
-
-    def log_prob(self, target, context) -> np.ndarray:
-        context = np.atleast_2d(context) if self.context_dim else None
-        return self.log_prob_tape(EVALUATOR, np.atleast_2d(target), context)[:, 0]
+        return self.head.components(self.context_net.forward(EVALUATOR, np.atleast_2d(x)))
 
     def iid_log_lik(self, targets, contexts) -> np.ndarray:
         """Summed log-density of all target rows, per context row; the
@@ -269,23 +282,13 @@ class ConditionalMDN:
               + self.target_standardizer.log_det)
         return lp.sum(axis=1)
 
-    def log_prob_tape(self, ops, target, context):
-        """(n,1) log-density of the target rows given the context rows."""
-        feats = self._feats(ops, context, target.shape[0])
-        y_z = self.target_standardizer.transform_ops(ops, target)
-        lp = self.head.log_prob(ops, feats, y_z)
-        return ops.add(lp, self.target_standardizer.log_det)
-
     def sample(self, context, n: int, rng) -> np.ndarray:
-        if self.context_dim:
-            ctx = np.tile(np.atleast_2d(context), (n, 1))
-        else:
-            ctx = np.zeros((n, 0))
-        z = self.head.sample(self._feats(EVALUATOR, ctx, n), rng)
+        feats = self.context_net.forward(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
+        z = self.head.sample(feats, rng)
         return self.target_standardizer.inverse(z)
 
 
-class AffineCouplingFlow:
+class AffineCouplingFlow(_ConditionalDensity):
     """Coupling flow with a standard Gaussian base.
 
     Each layer shifts and rescales one half of the coordinates conditioned
@@ -295,36 +298,19 @@ class AffineCouplingFlow:
     the conditioner sees the context alone.
     """
 
-    def __init__(self, target_dim: int, context_dim: int,
-                 config: EstimatorConfig | None = None, seed: int = 0):
-        self.config = config or EstimatorConfig(kind="flow")
-        self.target_dim = target_dim
-        self.context_dim = context_dim
-        self.store = ParamStore()
-        rng = np.random.default_rng(seed)
-        self.context_net = _ContextNet(self.store, "ctx.", context_dim, self.config, rng)
-        self.n_trans = (target_dim + 1) // 2
-        self.n_pass = target_dim - self.n_trans
+    def _build(self, rng):
+        self.n_trans = (self.target_dim + 1) // 2
+        self.n_pass = self.target_dim - self.n_trans
         in_dim = self.n_pass + self.context_net.out_dim
         self.nets = [
-            Mlp(self.store, f"layer{i}.", [max(in_dim, 1), *self.config.hidden, 2 * self.n_trans],
+            Mlp(self.store, f"layer{i}.", [in_dim, *self.config.hidden, 2 * self.n_trans],
                 rng, zero_init_last=True)
             for i in range(self.config.n_layers)
         ]
-        self.target_standardizer = Standardizer.identity(target_dim)
 
-    def initialize_standardization(self, targets, contexts):
-        self.target_standardizer = Standardizer.fit(targets)
-        self.context_net.fit_standardizer(contexts)
-
-    def _conditioner(self, ops, net, passthrough, feats, n_rows):
+    def _conditioner(self, ops, net, passthrough, feats):
         """Shift and bounded log-scale of one coupling layer."""
-        parts = []
-        if self.n_pass:
-            parts.append(passthrough)
-        if feats is not None:
-            parts.append(feats)
-        inp = ops.concat(parts, axis=1) if parts else ops.const(np.ones((n_rows, 1)))
+        inp = ops.concat([passthrough, feats], axis=1) if self.n_pass else feats
         out = net.forward(ops, inp)
         shift = ops.slice_cols(out, 0, self.n_trans)
         log_scale = _bounded(ops, ops.slice_cols(out, self.n_trans, 2 * self.n_trans))
@@ -333,13 +319,12 @@ class AffineCouplingFlow:
     def _inverse(self, ops, y_z, feats):
         """Standardized target -> base, plus each layer's (n,1) term of
         log|det dbase/dtarget|."""
-        n = y_z.shape[0]
         u = y_z
         logdets = []
         for net in reversed(self.nets):
             trans = ops.slice_cols(u, self.n_pass, self.target_dim)
             passthrough = ops.slice_cols(u, 0, self.n_pass)
-            shift, log_scale = self._conditioner(ops, net, passthrough, feats, n)
+            shift, log_scale = self._conditioner(ops, net, passthrough, feats)
             orig = ops.multiply(ops.add(trans, ops.negate(shift)),
                                 ops.exp(ops.negate(log_scale)))
             u = ops.concat([orig, passthrough], axis=1) if self.n_pass else orig
@@ -352,33 +337,24 @@ class AffineCouplingFlow:
         for net in self.nets:
             trans = y[:, :self.n_trans]
             passthrough = y[:, self.n_trans:]
-            shift, log_scale = self._conditioner(EVALUATOR, net, passthrough, feats, y.shape[0])
+            shift, log_scale = self._conditioner(EVALUATOR, net, passthrough, feats)
             y = np.concatenate([passthrough, trans * np.exp(log_scale) + shift], axis=1)
         return y
 
-    def log_prob(self, target, context) -> np.ndarray:
-        context = np.atleast_2d(context) if self.context_dim else None
-        return self.log_prob_tape(EVALUATOR, np.atleast_2d(target), context)[:, 0]
+    def _log_prob_z(self, ops, y_z, feats):
+        u, logdets = self._inverse(ops, y_z, feats)
+        lp = ops.sum(ops.add(ops.multiply(ops.square(u), -0.5), -0.5 * LOG_2PI), axis=1)
+        for col in logdets:
+            lp = ops.add(lp, col)
+        return lp
 
     def iid_log_lik(self, targets, contexts) -> np.ndarray:
         """Summed log-density of all target rows, per context row. The
         conditioner sees target and context together, so every pair runs."""
         return pairwise_iid_sum(self.log_prob, targets, contexts)
 
-    def log_prob_tape(self, ops, target, context):
-        """(n,1) log-density of the target rows given the context rows."""
-        feats = self.context_net.forward(ops, context) if context is not None else None
-        u, logdets = self._inverse(ops, self.target_standardizer.transform_ops(ops, target), feats)
-        lp = ops.sum(ops.add(ops.multiply(ops.square(u), -0.5), -0.5 * LOG_2PI), axis=1)
-        for col in logdets:
-            lp = ops.add(lp, col)
-        return ops.add(lp, self.target_standardizer.log_det)
-
     def sample(self, context, n: int, rng) -> np.ndarray:
-        if self.context_dim:
-            feats = self.context_net.forward(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
-        else:
-            feats = None
+        feats = self.context_net.forward(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
         u = rng.standard_normal((n, self.target_dim))
         return self.target_standardizer.inverse(self._to_target(u, feats))
 
@@ -394,8 +370,8 @@ class MixedEstimator:
     is x = [choice, rt].
     """
 
-    def __init__(self, context_dim: int, config: EstimatorConfig | None = None, seed: int = 0):
-        self.config = config or EstimatorConfig(kind="mixed")
+    def __init__(self, context_dim: int, config: EstimatorConfig, seed: int = 0):
+        self.config = config
         self.target_dim = 2
         self.context_dim = context_dim
         self.store = ParamStore()
@@ -540,8 +516,7 @@ class NllTask:
 
     def loss(self, ops, theta, x):
         target, context = (theta, x) if self.theta_is_target else (x, theta)
-        lp = self.estimator.log_prob_tape(
-            ops, ops.const(target), ops.const(context) if self.estimator.context_dim else None)
+        lp = self.estimator.log_prob_tape(ops, ops.const(target), ops.const(context))
         return ops.negate(ops.mean(lp))
 
 

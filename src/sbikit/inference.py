@@ -12,7 +12,7 @@ and posterior ensembles that average member densities.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,6 +23,16 @@ from .ndiff import EVALUATOR, Tensor
 from .samplers import SamplerConfig, slice_sample
 from .simulators import Dataset, Simulator, simulate_rows
 from .trainer import TrainConfig, TrainReport, fit
+
+
+_MAX_LEAK_ROUNDS = 200   # estimator draws per direct sample before leakage is an error
+# tsnpe_round: posterior mass left outside the region, posterior draws that
+# place its cutoff, prior draws per rejection batch, and the acceptance below
+# which a round aborts after 100 batches
+_TSNPE_EPSILON = 1e-4
+_TSNPE_DENSITY_SAMPLES = 10_000
+_TSNPE_BATCH = 4096
+_TSNPE_MIN_ACCEPTANCE = 1e-3
 
 
 class InferenceError(RuntimeError):
@@ -71,10 +81,10 @@ class DirectPosterior:
     def at(self, x) -> BoundPosterior:
         return BoundPosterior(self, x)
 
-    def sample(self, x, n, rng, max_rounds: int = 200):
+    def sample(self, x, n, rng):
         out = np.empty((n, self.prior.dim))
         filled = 0
-        for _ in range(max_rounds):
+        for _ in range(_MAX_LEAK_ROUNDS):
             draw = self.estimator.sample(x, max(n - filled, 32), rng)
             keep = draw[self.prior.contains(draw)]
             take = min(keep.shape[0], n - filled)
@@ -269,78 +279,55 @@ def nre_posterior(model: RatioModel, prior: Distribution, observations,
     return _mcmc_posterior(model.log_ratio, prior, observations, sampler_config)
 
 
-class TruncationRegion:
-    """Highest-density region of a reference posterior, thresholded at the
-    epsilon-quantile of sampled member densities."""
-
-    def __init__(self, bound_posterior: BoundPosterior, epsilon: float = 1e-4,
-                 n_density_samples: int = 10_000, rng=None):
-        rng = rng or np.random.default_rng(0)
-        self.bound = bound_posterior
-        self.epsilon = float(epsilon)
-        samples = bound_posterior.sample(n_density_samples, rng)
-        densities = bound_posterior.log_prob(samples)
-        self.cutoff = float(np.quantile(densities, self.epsilon))
-
-    def contains(self, thetas) -> np.ndarray:
-        return self.bound.log_prob(thetas) >= self.cutoff
-
-
-@dataclass
-class TsnpeRoundInfo:
-    acceptance_rate: float
-    cutoff: float
-    n_new: int
-
-
-def sample_truncated_prior(prior: Distribution, region: TruncationRegion, n: int,
-                           rng, min_acceptance: float = 1e-3,
-                           batch: int = 4096) -> tuple[np.ndarray, float]:
-    """Rejection-sample the prior restricted to the truncation region."""
-    kept = []
-    n_kept = 0
-    n_drawn = 0
-    while n_kept < n:
-        draw = prior.sample(rng, batch)
-        ok = region.contains(draw)
-        kept.append(draw[ok])
-        n_kept += int(ok.sum())
-        n_drawn += batch
-        if n_drawn >= 100 * batch and n_kept < min_acceptance * n_drawn:
-            raise InferenceError(
-                f"truncated-prior rejection acceptance {n_kept / n_drawn:.2e} "
-                "below 1e-3; region and prior barely overlap"
-            )
-    return np.vstack(kept)[:n], n_kept / n_drawn
-
-
 def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
                 simulator: Simulator, n_new: int,
                 estimator_config: EstimatorConfig | None = None,
-                train_config: TrainConfig | None = None,
-                seed: int = 0, data: Dataset | None = None,
-                epsilon: float = 1e-4):
-    """One truncated-sequential refinement round.
+                train_config: TrainConfig | None = None, seed: int = 0,
+                data: Dataset | None = None) -> tuple[DirectPosterior, Dataset, TrainReport]:
+    """One truncated-sequential refinement round (TSNPE).
 
-    Draws new parameters from the prior restricted to the current
-    posterior's highest-density region, simulates them, and retrains on all
-    accumulated data with the unmodified loss. The accumulated dataset's
-    ``meta`` counts all its rows in ``n`` and appends this round to ``rounds``.
-    Returns (posterior, accumulated dataset, TsnpeRoundInfo, TrainReport).
+    The truncation region is {theta: log q(theta | x_o) >= cutoff} under the
+    input posterior, with the cutoff set so that it holds all but
+    ``_TSNPE_EPSILON`` of that posterior's mass. The round rejection-samples
+    ``n_new`` prior draws inside the region, simulates them, and retrains on
+    all accumulated data with the unmodified NPE loss against ``prior``.
+
+    Returns (posterior, accumulated dataset, TrainReport). The accumulated
+    dataset's ``meta`` counts all its rows in ``n`` and appends this round's
+    record ``{seed, n_new, x_o, cutoff, acceptance_rate}`` to ``rounds``;
+    ``x_o`` and ``cutoff`` together with the input posterior rebuild the
+    region. ``meta["prior"]``, carried over from ``data``, names the prior
+    the unmodified loss trains against, not the truncated proposal.
     """
     if not isinstance(posterior, DirectPosterior):
         raise InferenceError("truncated sequential refinement needs a direct posterior")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
-    region = TruncationRegion(posterior.at(x_o), epsilon=epsilon, rng=rng)
-    thetas, acceptance = sample_truncated_prior(prior, region, n_new, rng)
-    x = simulate_rows(simulator, thetas, seed=seed)
-    new_data = Dataset(thetas, x)
+    bound = posterior.at(x_o)
+    densities = bound.log_prob(bound.sample(_TSNPE_DENSITY_SAMPLES, rng))
+    cutoff = float(np.quantile(densities, _TSNPE_EPSILON))
+    kept = []
+    n_kept = 0
+    n_drawn = 0
+    while n_kept < n_new:
+        draw = prior.sample(rng, _TSNPE_BATCH)
+        ok = bound.log_prob(draw) >= cutoff
+        kept.append(draw[ok])
+        n_kept += int(ok.sum())
+        n_drawn += _TSNPE_BATCH
+        if n_drawn >= 100 * _TSNPE_BATCH and n_kept < _TSNPE_MIN_ACCEPTANCE * n_drawn:
+            raise InferenceError(
+                f"truncated-prior rejection acceptance {n_kept / n_drawn:.2e} "
+                f"below {_TSNPE_MIN_ACCEPTANCE:g}; region and prior barely overlap"
+            )
+    thetas = np.vstack(kept)[:n_new]
+    new_data = Dataset(thetas, simulate_rows(simulator, thetas, seed=seed))
     merged = data.concat(new_data) if data is not None else new_data
-    info = TsnpeRoundInfo(acceptance_rate=acceptance, cutoff=region.cutoff, n_new=int(n_new))
     merged.meta["n"] = len(merged)
-    merged.meta["rounds"] = merged.meta.get("rounds", []) + [{"seed": int(seed), **asdict(info)}]
+    merged.meta["rounds"] = merged.meta.get("rounds", []) + [{
+        "seed": int(seed), "n_new": int(n_new), "x_o": bound.x.tolist(),
+        "cutoff": cutoff, "acceptance_rate": n_kept / n_drawn}]
     new_posterior, report = npe_fit(merged, estimator_config, train_config, prior=prior)
-    return new_posterior, merged, info, report
+    return new_posterior, merged, report
 
 
 def fit_ensemble(dataset: Dataset, n_members: int = 5,

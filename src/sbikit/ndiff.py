@@ -16,6 +16,10 @@ import numpy as np
 
 # softplus(x) = x for x above this threshold, avoiding exp overflow
 _SOFTPLUS_CUTOFF = 33.0
+# Adam moment decay rates and denominator guard (Kingma & Ba's defaults)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 class NdiffError(ValueError):
@@ -371,12 +375,11 @@ class ParamStore:
                 )
             t.data = arr.copy()
 
-    def adam_step(self, grads: Gradients, lr: float,
-                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    def adam_step(self, grads: Gradients, lr: float) -> None:
         """Bias-corrected Adam update on every registered parameter."""
         t = self.step_count + 1
-        bc1 = 1.0 - beta1 ** t
-        bc2 = 1.0 - beta2 ** t
+        bc1 = 1.0 - _ADAM_BETA1 ** t
+        bc2 = 1.0 - _ADAM_BETA2 ** t
         for name, p in self._params.items():
             g = grads[p]
             if g.shape != p.data.shape:
@@ -389,9 +392,9 @@ class ParamStore:
                 )
             m = self._m[name]
             v = self._v[name]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * g * g
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
         self.step_count = t

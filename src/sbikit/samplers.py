@@ -17,7 +17,6 @@ import numpy as np
 
 from .distributions import Distribution
 from .ndiff import Gradients, ParamStore, Tape
-from .tableio import write_table
 
 _MAX_STEPOUTS = 50
 _MAX_SHRINK = 200
@@ -48,18 +47,6 @@ class ChainDiagnostics:
     n_target_evals: int = 0
     n_stepout_capped: int = 0            # (chain, coordinate) updates stopped at _MAX_STEPOUTS
     n_shrink_capped: int = 0             # updates that hit _MAX_SHRINK and kept the current point
-
-    def save(self, path):
-        dim = self.r_hat.size
-        rows = np.column_stack([np.arange(dim, dtype=np.float64), self.r_hat, self.ess])
-        meta = {
-            "n_target_evals": int(self.n_target_evals),
-            "n_stepout_capped": int(self.n_stepout_capped),
-            "n_shrink_capped": int(self.n_shrink_capped),
-            "mean_acceptance": float(self.acceptance.mean()),
-            "n_chains": int(self.acceptance.size),
-        }
-        write_table(path, rows, ["dimension", "r_hat", "ess"], meta)
 
 
 def _sanitize(logf: np.ndarray) -> np.ndarray:

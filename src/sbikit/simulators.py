@@ -7,7 +7,8 @@ model with collapsing boundaries emitting (choice, reaction time) trials.
 ``simulate_rows`` (given parameters) and ``generate_dataset`` (parameters
 drawn from a prior, optionally filtered) run one row loop that derives an RNG
 stream per (row, attempt) from the root seed and retries rows with invalid
-output, so results are bit-identical for any worker count.
+output. Only ``generate_dataset`` takes a worker count; its results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ import numpy as np
 
 from .distributions import Distribution, prior_to_config
 from .tableio import read_table, write_table
+
+
+# attempts per prior-drawn row in generate_dataset before the row fails
+_MAX_ATTEMPTS_PER_ROW = 64
 
 
 class SimulatorError(ValueError):
@@ -340,15 +345,14 @@ def _run_rows(simulator: Simulator, n: int, seed: int, workers: int | None, prop
     return theta, x, attempts, failed
 
 
-def simulate_rows(simulator: Simulator, thetas: np.ndarray, seed: int,
-                  workers: int | None = None) -> np.ndarray:
+def simulate_rows(simulator: Simulator, thetas: np.ndarray, seed: int) -> np.ndarray:
     """Run the simulator once per given parameter row with per-row streams.
 
-    Bit-identical for any worker count; rows with non-finite output are
-    retried on fresh per-row streams a few times before erroring.
+    Rows with non-finite output are retried on fresh per-row streams a few
+    times before erroring.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    _, x, _, failed = _run_rows(simulator, thetas.shape[0], seed, workers,
+    _, x, _, failed = _run_rows(simulator, thetas.shape[0], seed, None,
                                 lambda i, rng: thetas[i], max_attempts=16)
     if failed.any():
         raise SimulationBudgetError(
@@ -358,8 +362,7 @@ def simulate_rows(simulator: Simulator, thetas: np.ndarray, seed: int,
 
 
 def generate_dataset(prior: Distribution, simulator: Simulator, n: int, seed: int,
-                     validity_filter=None, workers: int | None = None,
-                     max_attempts_per_row: int = 64) -> Dataset:
+                     validity_filter=None, workers: int | None = None) -> Dataset:
     """Draw parameters from the prior, simulate, and filter invalid rows.
 
     Invalid rows (non-finite outputs or filter rejections) are resampled
@@ -370,7 +373,7 @@ def generate_dataset(prior: Distribution, simulator: Simulator, n: int, seed: in
         raise SimulatorError("need n >= 1")
     theta, x, attempts, failed = _run_rows(
         simulator, n, seed, workers, lambda i, rng: prior.sample(rng, 1)[0],
-        max_attempts_per_row, validity_filter)
+        _MAX_ATTEMPTS_PER_ROW, validity_filter)
 
     total_attempts = int(attempts.sum())
     discards = total_attempts - n + int(failed.sum())

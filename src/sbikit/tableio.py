@@ -1,9 +1,8 @@
 """Delimited text tables with a JSON metadata header.
 
-One format serves datasets, posterior samples, and diagnostic outputs:
-comment lines carry the metadata record, one header row names the columns,
-and data rows are decimal with 17 significant digits so doubles round-trip
-exactly.
+The on-disk format of ``Dataset.save``/``Dataset.load``: comment lines
+carry the metadata record, one header row names the columns, and data rows
+are decimal with 17 significant digits so doubles round-trip exactly.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ import numpy as np
 
 from .ndiff import EVALUATOR, NonFiniteGradientError, Tape
 from .simulators import Dataset
-from .tableio import write_table
 
 _VAL_CHUNK = 4096
 
@@ -72,21 +71,6 @@ class TrainReport:
         h.update(np.asarray(self.val_losses).tobytes())
         h.update(f"{self.best_epoch}|{self.stopped_early}".encode())
         return h.hexdigest()
-
-    def save(self, path) -> None:
-        rows = np.column_stack([
-            np.arange(self.n_epochs, dtype=np.float64),
-            np.asarray(self.train_losses),
-            np.asarray(self.val_losses),
-        ])
-        meta = {
-            "best_epoch": self.best_epoch,
-            "stopped_early": self.stopped_early,
-            "wall_time": self.wall_time,
-        }
-        if self.aborted:
-            meta["aborted"] = self.aborted
-        write_table(path, rows, ["epoch", "train_loss", "val_loss"], meta)
 
 
 def split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

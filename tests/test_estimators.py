@@ -134,13 +134,13 @@ def test_flow_zero_initialized_is_identity():
     assert np.abs(draws.var(axis=0) - 1.0).max() < 0.06
 
 
-@pytest.mark.parametrize("dim,ctx", [(1, 1), (2, 2), (3, 0), (5, 2)])
+@pytest.mark.parametrize("dim,ctx", [(1, 1), (2, 2), (3, 1), (5, 2)])
 def test_flow_invertibility(dim, ctx):
     f = small_flow(target_dim=dim, context_dim=ctx, seed=dim * 7 + ctx)
     rng = np.random.default_rng(dim)
     theta = rng.normal(size=(1000, dim), scale=2.0)
-    x = rng.normal(size=(1000, ctx)) if ctx else None
-    feats = f.context_net.forward(EVALUATOR, x) if ctx else None
+    x = rng.normal(size=(1000, ctx))
+    feats = f.context_net.forward(EVALUATOR, x)
     u, _ = f._inverse(EVALUATOR, theta, feats)
     back = f._to_target(u, feats)
     assert np.max(np.abs(back - theta)) < 1e-6
@@ -167,13 +167,13 @@ def test_flow_logdet_matches_numerical_jacobian():
 
 
 def test_flow_tape_and_numpy_paths_agree():
-    for dim, ctx in [(1, 1), (2, 2), (4, 0)]:
+    for dim, ctx in [(1, 1), (2, 2), (4, 1)]:
         f = small_flow(target_dim=dim, context_dim=ctx, seed=dim)
         rng = np.random.default_rng(dim + 20)
         theta = rng.normal(size=(9, dim))
-        x = rng.normal(size=(9, ctx)) if ctx else None
-        f.initialize_standardization(theta, x if ctx else np.zeros((9, 0)))
-        taped = f.log_prob_tape(Tape(), Tensor(theta), Tensor(x) if ctx else None).data[:, 0]
+        x = rng.normal(size=(9, ctx))
+        f.initialize_standardization(theta, x)
+        taped = f.log_prob_tape(Tape(), Tensor(theta), Tensor(x)).data[:, 0]
         np.testing.assert_allclose(taped, f.log_prob(theta, x), atol=1e-12)
 
 
@@ -193,15 +193,22 @@ def test_flow_gradient_matches_finite_differences():
 
 
 @pytest.mark.parametrize("builder", [
-    lambda: small_mdn(target_dim=1, context_dim=0, k=3, seed=21),
-    lambda: small_flow(target_dim=1, context_dim=0, seed=22),
+    pytest.param(lambda: small_mdn(target_dim=1, context_dim=1, k=3, seed=21), id="mdn"),
+    pytest.param(lambda: small_flow(target_dim=1, context_dim=1, seed=22), id="flow"),
 ])
-def test_unconditional_1d_density_normalizes_by_quadrature(builder):
+def test_1d_density_normalizes_by_quadrature_at_a_fixed_context(builder):
     model = builder()
     grid = np.linspace(-10, 10, 8001)[:, None]
-    dens = np.exp(model.log_prob(grid, None))
-    mass = np.trapezoid(dens, grid[:, 0])
-    assert 0.999 <= mass <= 1.001
+    for context in (-1.3, 0.0, 0.8):
+        dens = np.exp(model.log_prob(grid, np.full_like(grid, context)))
+        mass = np.trapezoid(dens, grid[:, 0])
+        assert 0.999 <= mass <= 1.001
+
+
+@pytest.mark.parametrize("kind", ["mdn", "flow", "mixed"])
+def test_build_estimator_rejects_a_context_free_estimator(kind):
+    with pytest.raises(EstimatorError, match="context_dim must be at least 1, got 0"):
+        build_estimator(EstimatorConfig(kind=kind), 2, 0)
 
 
 def test_conditional_2d_density_normalizes_by_grid_quadrature():

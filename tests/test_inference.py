@@ -1,13 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from sbikit.distributions import BoxUniform, DiagGaussian
+from sbikit.distributions import BoxUniform, DiagGaussian, prior_to_config
 from sbikit.estimators import EstimatorConfig, build_estimator
 from sbikit.inference import (EnsemblePosterior, InferenceError, LikelihoodModel, fit_ensemble,
                               nle_fit, nle_posterior, npe_fit, nre_fit, nre_posterior,
                               tsnpe_round)
-from sbikit.samplers import SamplerConfig
-from sbikit.simulators import LinearGaussianSimulator, generate_dataset, simulate_rows
+from sbikit.samplers import SamplerConfig, map_estimate
+from sbikit.simulators import Dataset, LinearGaussianSimulator, generate_dataset, simulate_rows
 from sbikit.trainer import TrainConfig
 
 from .oracles import conjugate_posterior
@@ -83,16 +85,33 @@ CONJUGATE_TRAIN = TrainConfig(max_epochs=150, learning_rate=3e-3, seed=5)
 CONJUGATE_SAMPLER = SamplerConfig(chains=20, warmup=50, thin=2, sir_pool=200)
 
 
-def assert_slice_draws_match_conjugate(make_posterior, noise_std=0.3):
-    """Train on the 1-d linear Gaussian, then compare slice draws at X_OBS
-    with the conjugate posterior."""
+def assert_draws_match_conjugate(make_posterior, x_obs=X_OBS, noise_std=0.3):
+    """Train on the 1-d linear Gaussian, then compare posterior draws at
+    ``x_obs`` with the conjugate posterior; returns the posterior and the
+    conjugate mean and std."""
     sim = LinearGaussianSimulator(dim=1, noise_std=noise_std)
     prior = DiagGaussian([0.0], [0.0])
     data = generate_dataset(prior, sim, 2000, seed=5)
-    draws = make_posterior(data, prior).sample(400, np.random.default_rng(6))
-    mean, std = conjugate_posterior([0.0], [1.0], noise_std, X_OBS)
+    posterior = make_posterior(data, prior)
+    draws = posterior.sample(400, np.random.default_rng(6))
+    mean, std = conjugate_posterior([0.0], [1.0], noise_std, x_obs)
     assert abs(draws.mean() - mean[0]) < 0.5 * std[0]
     assert 0.6 < draws.std() / std[0] < 1.5
+    return posterior, mean[0], std[0]
+
+
+def test_npe_linear_gaussian_matches_conjugate_posterior_and_mode():
+    x_o = np.array([1.0])
+
+    def make(data, prior):
+        post, _ = npe_fit(data, EstimatorConfig(kind="mdn", n_components=2, hidden=(20,)),
+                          CONJUGATE_TRAIN)
+        return post.at(x_o)
+    bound, mean, std = assert_draws_match_conjugate(make, x_o)
+    # the conjugate posterior is Gaussian, so its mode is its mean; the
+    # search ascends the taped density, BoundPosterior.log_prob_tape
+    theta_map = map_estimate(bound, np.random.default_rng(7))
+    assert abs(theta_map[0] - mean) < 0.5 * std
 
 
 def test_nle_linear_gaussian_matches_conjugate_posterior():
@@ -100,14 +119,14 @@ def test_nle_linear_gaussian_matches_conjugate_posterior():
         model, _ = nle_fit(data, EstimatorConfig(kind="mdn", n_components=2, hidden=(20,)),
                            CONJUGATE_TRAIN)
         return nle_posterior(model, prior, X_OBS, CONJUGATE_SAMPLER)
-    assert_slice_draws_match_conjugate(make)
+    assert_draws_match_conjugate(make)
 
 
 def test_nre_linear_gaussian_matches_conjugate_posterior():
     def make(data, prior):
         model, _ = nre_fit(data, hidden=(20,), train_config=CONJUGATE_TRAIN)
         return nre_posterior(model, prior, X_OBS, CONJUGATE_SAMPLER)
-    assert_slice_draws_match_conjugate(make)
+    assert_draws_match_conjugate(make)
 
 
 def box_gaussian_task(n, seed):
@@ -133,26 +152,59 @@ def test_ensemble_density_normalizes_inside_the_support_and_averages_members():
     assert np.all(ens.log_prob(x_o, [[-3.5], [3.01], [10.0]]) == -np.inf)
 
 
-def test_tsnpe_round_accumulates_rows_drawn_inside_the_region():
+@pytest.fixture(scope="module")
+def tsnpe_run():
+    """One TSNPE round on 500 prior rows of the box task, adding 200 rows;
+    the input posterior is trained long enough for its region to exclude
+    part of the prior."""
     sim, prior, data = box_gaussian_task(500, seed=2)
-    train = TrainConfig(max_epochs=30, seed=2)
+    train = TrainConfig(max_epochs=150, learning_rate=3e-3, seed=2)
     post, _ = npe_fit(data, SMALL_MDN, train)
     theta_true = np.array([[0.7]])
     x_o = simulate_rows(sim, theta_true, seed=3)[0]
-    new_post, merged, info, _ = tsnpe_round(post, x_o, prior, sim, 200, SMALL_MDN, train,
-                                            seed=4, data=data)
+    new_post, merged, _ = tsnpe_round(post, x_o, prior, sim, 200, SMALL_MDN, train,
+                                      seed=4, data=data)
+    return SimpleNamespace(sim=sim, prior=prior, data=data, post=post, theta_true=theta_true,
+                           x_o=x_o, new_post=new_post, merged=merged)
+
+
+def test_tsnpe_round_accumulates_rows_drawn_inside_the_region(tsnpe_run):
+    run = tsnpe_run
+    data, post, x_o, merged = run.data, run.post, run.x_o, run.merged
     assert len(merged) == len(data) + 200
     np.testing.assert_array_equal(merged.theta[:len(data)], data.theta)
-    assert 0.0 < info.acceptance_rate <= 1.0
     # the metadata counts every merged row and records the round that added 200
     assert merged.meta["n"] == len(data) + 200
     assert merged.meta["seed"] == data.meta["seed"] == 2
-    assert merged.meta["rounds"] == [{"seed": 4, "n_new": 200, "cutoff": info.cutoff,
-                                      "acceptance_rate": info.acceptance_rate}]
+    (record,) = merged.meta["rounds"]
+    assert set(record) == {"seed", "n_new", "x_o", "cutoff", "acceptance_rate"}
+    assert (record["seed"], record["n_new"], record["x_o"]) == (4, 200, list(x_o))
+    assert 0.0 < record["acceptance_rate"] < 0.9
     assert data.meta["n"] == len(data) and "rounds" not in data.meta
     # the region is {theta: log q(theta | x_o) >= cutoff} under the input posterior
-    assert post.log_prob(x_o, theta_true)[0] >= info.cutoff
-    assert np.all(post.log_prob(x_o, merged.theta[len(data):]) >= info.cutoff)
-    assert np.all(np.isfinite(new_post.log_prob(x_o, theta_true)))
+    assert post.log_prob(x_o, run.theta_true)[0] >= record["cutoff"]
+    assert np.all(post.log_prob(x_o, merged.theta[len(data):]) >= record["cutoff"])
+    assert np.all(np.isfinite(run.new_post.log_prob(x_o, run.theta_true)))
     with pytest.raises(InferenceError, match="direct posterior"):
-        tsnpe_round(EnsemblePosterior([post, post]), x_o, prior, sim, 10, seed=4)
+        tsnpe_round(EnsemblePosterior([post, post]), x_o, run.prior, run.sim, 10, seed=4)
+
+
+def test_tsnpe_round_record_rebuilds_the_region_after_save_and_load(tsnpe_run, tmp_path):
+    run = tsnpe_run
+    run.merged.save(tmp_path / "round.csv")
+    loaded = Dataset.load(tmp_path / "round.csv")
+    assert loaded.digest() == run.merged.digest()
+    # the prior the loss trains against is the untruncated one
+    assert loaded.meta["prior"] == prior_to_config(run.prior)
+    (record,) = loaded.meta["rounds"]
+    new_rows = loaded.theta[len(run.data):]
+    assert np.all(run.post.log_prob(record["x_o"], new_rows) >= record["cutoff"])
+
+
+def test_tsnpe_acceptance_error_names_the_bound_in_use(tsnpe_run):
+    run = tsnpe_run
+    # the region lies inside [-3, 3], so a prior 2000 times wider accepts
+    # under 5e-4 of its draws, below the bound of 1e-3
+    wide = BoxUniform([-6000.0], [6000.0])
+    with pytest.raises(InferenceError, match=r"below 0\.001; region and prior barely overlap"):
+        tsnpe_round(run.post, run.x_o, wide, run.sim, 1000, SMALL_MDN, seed=4)

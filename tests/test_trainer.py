@@ -187,17 +187,3 @@ def test_nonfinite_loss_aborts_with_diagnostic_and_best_checkpoint():
             TrainConfig(batch_size=5, val_fraction=0.2, patience=10, max_epochs=50, seed=0))
     assert err.value.report.aborted is not None
     assert model.param.data[0] == 2.0  # best epoch checkpoint restored
-
-
-def test_report_save(tmp_path):
-    schedule = [1.0, 0.8, 0.7] + [0.7] * 10
-    model = ScriptedModel(schedule)
-    report = fit(model, toy_dataset(25),
-                 TrainConfig(batch_size=5, val_fraction=0.2, patience=2, max_epochs=20, seed=0))
-    path = tmp_path / "report.csv"
-    report.save(path)
-    from sbikit.tableio import read_table
-    rows, cols, meta = read_table(path)
-    assert cols == ["epoch", "train_loss", "val_loss"]
-    assert meta["best_epoch"] == report.best_epoch
-    assert rows.shape[0] == report.n_epochs
