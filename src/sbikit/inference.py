@@ -296,8 +296,10 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
     dataset's ``meta`` counts all its rows in ``n`` and appends this round's
     record ``{seed, n_new, x_o, cutoff, acceptance_rate}`` to ``rounds``;
     ``x_o`` and ``cutoff`` together with the input posterior rebuild the
-    region. ``meta["prior"]``, carried over from ``data``, names the prior
-    the unmodified loss trains against, not the truncated proposal.
+    region. ``meta["prior"]`` names the prior the unmodified loss trains
+    against, not the truncated proposal: it is carried over from ``data``,
+    or recorded with ``meta["simulator"]`` when the round starts without
+    data, so ``npe_fit`` on the dataset or its saved file needs no prior.
     """
     if not isinstance(posterior, DirectPosterior):
         raise InferenceError("truncated sequential refinement needs a direct posterior")
@@ -320,7 +322,8 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
                 f"below {_TSNPE_MIN_ACCEPTANCE:g}; region and prior barely overlap"
             )
     thetas = np.vstack(kept)[:n_new]
-    new_data = Dataset(thetas, simulate_rows(simulator, thetas, seed=seed))
+    new_data = Dataset(thetas, simulate_rows(simulator, thetas, seed=seed),
+                       {"simulator": simulator.name, "prior": prior_to_config(prior)})
     merged = data.concat(new_data) if data is not None else new_data
     merged.meta["n"] = len(merged)
     merged.meta["rounds"] = merged.meta.get("rounds", []) + [{

@@ -4,11 +4,19 @@ Built-ins: a ball-throw simulator (angle -> distance), an identity-plus-noise
 linear Gaussian reference task with analytic posterior, and a drift-diffusion
 model with collapsing boundaries emitting (choice, reaction time) trials.
 
+Simulators run rows in batches: ``Simulator.simulate_batch(thetas, rngs)``
+takes one ``Generator`` per row and each row draws only from its own
+generator, so a row's output depends on its parameters and its stream, not on
+which other rows share the batch. ``simulate(theta, rng)`` is a one-row
+batch.
+
 ``simulate_rows`` (given parameters) and ``generate_dataset`` (parameters
 drawn from a prior, optionally filtered) run one row loop that derives an RNG
-stream per (row, attempt) from the root seed and retries rows with invalid
-output. Only ``generate_dataset`` takes a worker count; its results are
-bit-identical for any worker count.
+stream per (row, attempt) from the root seed, draws each row's parameters on
+it, simulates a block of rows in one batch call, and retries the rows with
+invalid output as a batch on their next attempt's streams. Only
+``generate_dataset`` takes a worker count; its results are bit-identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -26,6 +34,20 @@ from .tableio import read_table, write_table
 
 # attempts per prior-drawn row in generate_dataset before the row fails
 _MAX_ATTEMPTS_PER_ROW = 64
+# rows whose streams the row loop builds and simulates in one batch call
+_ROW_BLOCK = 128
+
+
+def _normals(rngs, m: int) -> np.ndarray:
+    """(rows, m) standard normals, row i drawn from ``rngs[i]``. Rows that
+    share one generator draw from it in row order, as a loop over rows would."""
+    out = np.empty((len(rngs), m))
+    first = rngs[0]
+    if all(rng is first for rng in rngs):
+        return first.standard_normal(out=out)
+    for rng, row in zip(rngs, out):
+        rng.standard_normal(out=row)
+    return out
 
 
 class SimulatorError(ValueError):
@@ -37,12 +59,27 @@ class SimulationBudgetError(RuntimeError):
 
 
 class Simulator:
-    """Maps a parameter vector and an RNG stream to one output vector.
+    """Maps parameter rows and one RNG stream per row to output rows.
 
-    Subclasses set name/theta_dim/x_dim and implement
-    ``raw_simulate``. An optional summary map is applied to the raw output;
-    declared dimensions refer to the post-summary output. Simulators are
-    pure functions of (theta, rng) and safe to call from multiple threads.
+    Subclasses set name/theta_dim/x_dim and implement one of two hooks:
+    ``raw_simulate(theta, rng)`` for one row, or
+    ``raw_simulate_batch(thetas, rngs)`` for a block of rows, where
+    ``rngs[i]`` is row i's ``Generator``. The base batch hook loops over
+    ``raw_simulate``, so a per-row simulator works unchanged; the built-ins
+    implement only the batch hook.
+
+    Contract of the batch hook: row i draws only from ``rngs[i]``, and
+    draws from it in the order one call on that row alone would. Rows may
+    share a generator (``[rng] * n``); they then draw from it one after
+    another, so a batch is a valid sample, but not necessarily the one a
+    loop of one-row calls would give. Any float reduction over a row's steps keeps
+    a fixed association that does not depend on the batch size (the DDM
+    restarts its partial sum at every ``_DDM_BLOCK`` steps), so a row's
+    output is the same bits in any batch.
+
+    An optional summary map is applied to each raw output row; declared
+    dimensions refer to the post-summary output. Simulators are pure
+    functions of (thetas, rngs) and safe to call from multiple threads.
     """
 
     name: str = "simulator"
@@ -55,20 +92,37 @@ class Simulator:
     def raw_simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
+    def raw_simulate_batch(self, thetas: np.ndarray, rngs) -> np.ndarray:
+        return np.array([self.raw_simulate(theta, rng) for theta, rng in zip(thetas, rngs)],
+                        dtype=np.float64)
+
+    def simulate_batch(self, thetas, rngs) -> np.ndarray:
+        """Simulate each parameter row on its own generator ``rngs[i]``."""
+        thetas = np.asarray(thetas, dtype=np.float64)
+        if thetas.ndim != 2 or thetas.shape[1] != self.theta_dim:
+            raise SimulatorError(
+                f"{self.name}: parameter shape {thetas.shape} != (rows, {self.theta_dim})"
+            )
+        if len(rngs) != thetas.shape[0]:
+            raise SimulatorError(
+                f"{self.name}: {len(rngs)} generators for {thetas.shape[0]} parameter rows"
+            )
+        x = np.asarray(self.raw_simulate_batch(thetas, rngs), dtype=np.float64)
+        if self.summary is not None:
+            x = np.array([np.asarray(self.summary(row), dtype=np.float64) for row in x])
+        if x.shape[1:] != (self.x_dim,):
+            raise SimulatorError(
+                f"{self.name}: output shape {x.shape[1:]} != declared ({self.x_dim},)"
+            )
+        return x
+
     def simulate(self, theta, rng) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.theta_dim,):
             raise SimulatorError(
                 f"{self.name}: parameter shape {theta.shape} != ({self.theta_dim},)"
             )
-        x = np.asarray(self.raw_simulate(theta, rng), dtype=np.float64)
-        if self.summary is not None:
-            x = np.asarray(self.summary(x), dtype=np.float64)
-        if x.shape != (self.x_dim,):
-            raise SimulatorError(
-                f"{self.name}: output shape {x.shape} != declared ({self.x_dim},)"
-            )
-        return x
+        return self.simulate_batch(theta[None, :], [rng])[0]
 
     def row_flags(self, theta: np.ndarray, x: np.ndarray) -> dict:
         """Per-row metadata flags, recomputed from the stored row."""
@@ -121,14 +175,17 @@ class BallThrowSimulator(Simulator):
         vy = c.launch_speed * np.sin(rad)
         return vx * (2.0 * vy / c.gravity)
 
-    def raw_simulate(self, theta, rng):
-        angle = theta[0]
-        if not (0.0 <= angle <= 90.0):
-            raise SimulatorError(f"ball_throw: angle {angle} outside [0, 90] degrees")
+    def raw_simulate_batch(self, thetas, rngs):
+        angle = thetas[:, 0]
+        outside = ~((angle >= 0.0) & (angle <= 90.0))
+        if outside.any():
+            raise SimulatorError(
+                f"ball_throw: angle {angle[np.argmax(outside)]} outside [0, 90] degrees")
         c = self.config
-        wind = c.tailwind_std * rng.standard_normal()
-        distance = self.range_given_wind(angle, wind) + c.noise_std * rng.standard_normal()
-        return np.array([distance])
+        noise = _normals(rngs, 2)   # per row: tailwind, then measurement noise
+        wind = c.tailwind_std * noise[:, 0]
+        distance = self.range_given_wind(angle, wind) + c.noise_std * noise[:, 1]
+        return distance[:, None]
 
     def default_prior(self):
         from .distributions import TruncatedNormal
@@ -148,38 +205,36 @@ class LinearGaussianSimulator(Simulator):
         self.x_dim = dim
         self.noise_std = float(noise_std)
 
-    def raw_simulate(self, theta, rng):
-        return theta + self.noise_std * rng.standard_normal(theta.size)
+    def raw_simulate_batch(self, thetas, rngs):
+        return thetas + self.noise_std * _normals(rngs, self.theta_dim)
 
     def default_prior(self):
         from .distributions import DiagGaussian
         return DiagGaussian(np.zeros(self.theta_dim), np.zeros(self.theta_dim))
 
 
-@dataclass
-class DDMParams:
-    drift: float           # evidence accumulation rate
-    boundary: float        # boundary separation at t = 0
-    start_bias: float      # relative start point; offset from midpoint is start_bias * boundary
-    nondecision: float     # seconds added outside the diffusion process
-    collapse: float        # boundary collapse rate, negative means collapsing
-
-    def validate(self):
-        if self.boundary <= 0:
-            raise SimulatorError("boundary separation must be positive")
-        if self.nondecision <= 0:
-            raise SimulatorError("non-decision time must be positive")
-        if not (-0.5 < self.start_bias < 0.5):
-            raise SimulatorError("start bias must lie strictly inside (-0.5, 0.5)")
-
-
 # uniform prior ranges for (drift, boundary, start bias, non-decision, collapse)
 DDM_PRIOR_LOW = np.array([-2.5, 0.25, -0.25, 0.05, -1.0])
 DDM_PRIOR_HIGH = np.array([2.5, 1.0, 0.25, 0.95, -0.1])
 
+# Euler steps per block: a trial's partial sum restarts at every block, so
+# this fixes the float association of each path and must not change
+_DDM_BLOCK = 1024
+# steps of the first sub-chunk of a block; each later sub-chunk doubles, so
+# a trial that ends early draws few of its block's steps
+_DDM_FIRST_CHUNK = 64
+# trials integrated in lockstep, which bounds the working set of a call
+_DDM_ROWS = 64
+
 
 class DDMSimulator(Simulator):
     """Drift-diffusion trial with symmetric exponentially collapsing bounds.
+
+    Parameters are (drift, boundary, start_bias, nondecision, collapse):
+    the evidence accumulation rate, the boundary separation at t = 0, the
+    start point's offset from the midpoint in units of the boundary, the
+    seconds added outside the diffusion process, and the boundary collapse
+    rate (negative means collapsing).
 
     Euler-Maruyama integration of dz = drift*dt + dW (unit diffusion) from
     z0 = start_bias * boundary until |z| >= (boundary/2) * exp(collapse * t).
@@ -196,37 +251,71 @@ class DDMSimulator(Simulator):
         self.dt = float(dt)
         self.max_decision_time = float(max_decision_time)
 
-    def trial(self, params: DDMParams, rng) -> tuple[int, float, bool]:
-        params.validate()
+    def raw_simulate_batch(self, thetas, rngs):
+        x = np.empty((thetas.shape[0], 2))
+        for lo in range(0, thetas.shape[0], _DDM_ROWS):
+            hi = lo + _DDM_ROWS
+            x[lo:hi] = self._lockstep(thetas[lo:hi], rngs[lo:hi])
+        return x
+
+    def _lockstep(self, thetas, rngs):
+        """Integrate a block of trials together. Row i draws its steps'
+        normals from ``rngs[i]`` in step order and stops drawing once it hits."""
+        drift, boundary, start_bias, nondecision, collapse = thetas.T
+        for invalid, message in (
+                (boundary <= 0, "boundary separation must be positive"),
+                (nondecision <= 0, "non-decision time must be positive"),
+                (~((-0.5 < start_bias) & (start_bias < 0.5)),
+                 "start bias must lie strictly inside (-0.5, 0.5)")):
+            if invalid.any():
+                raise SimulatorError(f"ddm: {message}")
         dt = self.dt
         sqdt = math.sqrt(dt)
         n_total = int(round(self.max_decision_time / dt))
-        z = params.start_bias * params.boundary
-        half = 0.5 * params.boundary
+        step = drift * dt
+        half = 0.5 * boundary
+        z = start_bias * boundary
+        x = np.empty((thetas.shape[0], 2))
+        live = np.arange(thetas.shape[0])   # trials that have not hit a bound
         done = 0
-        block = 1024
-        while done < n_total:
-            m = min(block, n_total - done)
-            incr = params.drift * dt + sqdt * rng.standard_normal(m)
-            path = z + np.cumsum(incr)
-            times = (done + np.arange(1, m + 1)) * dt
-            hit = np.abs(path) >= half * np.exp(params.collapse * times)
-            if hit.any():
-                i = int(np.argmax(hit))
-                choice = 1 if path[i] > 0 else 0
-                return choice, params.nondecision + float(times[i]), False
-            z = float(path[-1])
+        while done < n_total and live.size:
+            m = min(_DDM_BLOCK, n_total - done)
+            partial = None   # each live trial's sum of its block's increments so far
+            pos, width = 0, _DDM_FIRST_CHUNK
+            while pos < m and live.size:
+                w = min(width, m - pos)
+                # in place: sqrt(dt) * normal + drift * dt gives the same
+                # floats as drift * dt + sqrt(dt) * normal
+                path = _normals([rngs[i] for i in live], w)
+                path *= sqdt
+                path += step[live, None]
+                if partial is not None:
+                    path[:, 0] += partial
+                np.cumsum(path, axis=1, out=path)
+                partial = path[:, -1].copy()
+                path += z[live, None]
+                times = (done + np.arange(pos + 1, pos + w + 1)) * dt
+                bound = collapse[live, None] * times
+                np.exp(bound, out=bound)
+                bound *= half[live, None]
+                hit = np.abs(path) >= bound
+                ended = hit.any(axis=1)
+                if ended.any():
+                    rows = np.flatnonzero(ended)
+                    first = np.argmax(hit[rows], axis=1)
+                    x[live[rows], 0] = path[rows, first] > 0
+                    x[live[rows], 1] = nondecision[live[rows]] + times[first]
+                    live, partial = live[~ended], partial[~ended]
+                pos += w
+                width *= 2
+            z[live] = z[live] + partial
             done += m
-        if z == 0.0:
-            choice = int(rng.integers(0, 2))
-        else:
-            choice = 1 if z > 0 else 0
-        return choice, params.nondecision + self.max_decision_time, True
-
-    def raw_simulate(self, theta, rng):
-        params = DDMParams(*theta)
-        choice, rt, _ = self.trial(params, rng)
-        return np.array([float(choice), rt])
+        # censored trials: the choice is the side of the last position
+        x[live, 0] = z[live] > 0
+        for i in live[z[live] == 0.0]:
+            x[i, 0] = rngs[i].integers(0, 2)
+        x[live, 1] = nondecision[live] + self.max_decision_time
+        return x
 
     def row_flags(self, theta, x):
         censored = x[1] >= theta[3] + self.max_decision_time - 1e-12
@@ -306,12 +395,14 @@ def _attempt_rng(seed: int, row: int, attempt: int) -> np.random.Generator:
 def _run_rows(simulator: Simulator, n: int, seed: int, workers: int | None, propose,
               max_attempts: int, accept=None):
     """Fill rows 0..n-1, one contiguous chunk per worker thread (small
-    batches run in the calling thread).
+    batches run in the calling thread), ``_ROW_BLOCK`` rows per batch call.
 
-    Attempt ``a`` of row ``i`` draws from its own stream: ``propose(i, rng)``
-    gives the parameters, the simulator runs on the same stream, and the
-    attempt is kept when the output is finite and ``accept(theta, x)``, if
-    given, holds. Returns (theta, x, attempts per row, failed rows).
+    Attempt ``a`` of row ``i`` draws from its own stream: ``propose(rows,
+    rngs)`` gives the parameters of each row on its stream, the simulator
+    runs each row on the same stream, and the attempt is kept when the
+    output is finite and ``accept(theta, x)``, if given, holds. The rows of
+    a block that fail attempt ``a`` run again as one batch on attempt
+    ``a + 1``. Returns (theta, x, attempts per row, failed rows).
     """
     theta = np.empty((n, simulator.theta_dim))
     x = np.empty((n, simulator.x_dim))
@@ -319,25 +410,26 @@ def _run_rows(simulator: Simulator, n: int, seed: int, workers: int | None, prop
     failed = np.zeros(n, dtype=bool)
 
     def fill(rows):
-        for i in rows:
+        for lo in range(0, len(rows), _ROW_BLOCK):
+            pending = rows[lo:lo + _ROW_BLOCK]
             for attempt in range(max_attempts):
-                rng = _attempt_rng(seed, i, attempt)
-                t = propose(i, rng)
-                xi = simulator.simulate(t, rng)
-                attempts[i] += 1
-                ok = bool(np.all(np.isfinite(xi)))
-                if ok and accept is not None:
-                    ok = bool(accept(t, xi))
-                if ok:
-                    theta[i] = t
-                    x[i] = xi
+                if not pending.size:
                     break
-            else:
-                failed[i] = True
+                rngs = [_attempt_rng(seed, i, attempt) for i in pending]
+                t = propose(pending, rngs)
+                xs = simulator.simulate_batch(t, rngs)
+                attempts[pending] += 1
+                ok = np.all(np.isfinite(xs), axis=1)
+                if accept is not None:
+                    ok = np.array([bool(o and accept(ti, xi)) for o, ti, xi in zip(ok, t, xs)])
+                theta[pending[ok]] = t[ok]
+                x[pending[ok]] = xs[ok]
+                pending = pending[~ok]
+            failed[pending] = True
 
     n_workers = 1 if workers is None else max(1, int(workers))
     if n_workers == 1 or n < 2 * n_workers:
-        fill(range(n))
+        fill(np.arange(n))
     else:
         chunks = np.array_split(np.arange(n), n_workers)
         with ThreadPoolExecutor(n_workers) as pool:
@@ -353,7 +445,7 @@ def simulate_rows(simulator: Simulator, thetas: np.ndarray, seed: int) -> np.nda
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
     _, x, _, failed = _run_rows(simulator, thetas.shape[0], seed, None,
-                                lambda i, rng: thetas[i], max_attempts=16)
+                                lambda rows, rngs: thetas[rows], max_attempts=16)
     if failed.any():
         raise SimulationBudgetError(
             f"row {int(np.argmax(failed))}: simulator kept returning non-finite output"
@@ -372,7 +464,8 @@ def generate_dataset(prior: Distribution, simulator: Simulator, n: int, seed: in
     if n < 1:
         raise SimulatorError("need n >= 1")
     theta, x, attempts, failed = _run_rows(
-        simulator, n, seed, workers, lambda i, rng: prior.sample(rng, 1)[0],
+        simulator, n, seed, workers,
+        lambda rows, rngs: np.array([prior.sample(rng, 1)[0] for rng in rngs]),
         _MAX_ATTEMPTS_PER_ROW, validity_filter)
 
     total_attempts = int(attempts.sum())

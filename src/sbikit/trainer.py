@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ class TrainReport:
     val_losses: list = field(default_factory=list)
     best_epoch: int = -1
     stopped_early: bool = False
-    wall_time: float = 0.0
     aborted: str | None = None
 
     @property
@@ -65,7 +63,7 @@ class TrainReport:
         return len(self.val_losses)
 
     def content_digest(self) -> str:
-        """Digest of the loss trajectory; wall time deliberately excluded."""
+        """Digest of the loss trajectory and the stopping outcome."""
         h = hashlib.sha256()
         h.update(np.asarray(self.train_losses).tobytes())
         h.update(np.asarray(self.val_losses).tobytes())
@@ -115,12 +113,10 @@ def fit(model, dataset: Dataset, config: TrainConfig | None = None) -> TrainRepo
     best_values = store.values()
     best_val = float("inf")
     epochs_since_best = 0
-    started = time.perf_counter()
 
     def abort(message):
         store.load(best_values)
         report.aborted = message
-        report.wall_time = time.perf_counter() - started
         raise TrainingError(message, report=report)
 
     n_train = theta_tr.shape[0]
@@ -164,5 +160,4 @@ def fit(model, dataset: Dataset, config: TrainConfig | None = None) -> TrainRepo
                 break
 
     store.load(best_values)
-    report.wall_time = time.perf_counter() - started
     return report

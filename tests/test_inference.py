@@ -201,6 +201,21 @@ def test_tsnpe_round_record_rebuilds_the_region_after_save_and_load(tsnpe_run, t
     assert np.all(run.post.log_prob(record["x_o"], new_rows) >= record["cutoff"])
 
 
+def test_tsnpe_round_without_data_records_its_prior_and_simulator(tsnpe_run, tmp_path):
+    run = tsnpe_run
+    short = TrainConfig(max_epochs=3, seed=5)
+    _, fresh, _ = tsnpe_round(run.post, run.x_o, run.prior, run.sim, 100, SMALL_MDN, short,
+                              seed=5)
+    assert fresh.meta["simulator"] == run.sim.name
+    assert fresh.meta["prior"] == prior_to_config(run.prior)
+    fresh.save(tmp_path / "fresh.csv")
+    loaded = Dataset.load(tmp_path / "fresh.csv")
+    # npe_fit takes the prior from the metadata, both in memory and from the file
+    for dataset in (fresh, loaded):
+        post, _ = npe_fit(dataset, SMALL_MDN, short)
+        assert prior_to_config(post.prior) == prior_to_config(run.prior)
+
+
 def test_tsnpe_acceptance_error_names_the_bound_in_use(tsnpe_run):
     run = tsnpe_run
     # the region lies inside [-3, 3], so a prior 2000 times wider accepts

@@ -1,18 +1,19 @@
+import hashlib
 import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from sbikit.distributions import BoxUniform, DiagGaussian
+from sbikit.distributions import BoxUniform, DiagGaussian, prior_to_config
 from sbikit.simulators import (
     BallThrowConfig,
     BallThrowSimulator,
-    DDMParams,
     DDMSimulator,
     Dataset,
     LinearGaussianSimulator,
     SimulationBudgetError,
+    Simulator,
     SimulatorError,
     generate_dataset,
     simulate_rows,
@@ -98,19 +99,20 @@ class TestLinearGaussian:
             LinearGaussianSimulator(dim=1, noise_std=0.0)
 
 
+def trials(sim, theta, n, rng):
+    """n trials of one parameter row, all drawn from one generator."""
+    return sim.simulate_batch(np.tile(theta, (n, 1)), [rng] * n)
+
+
 class TestDDM:
     def test_extreme_drift_forces_choice_one(self):
-        sim = DDMSimulator()
-        params = DDMParams(50.0, 0.8, 0.0, 0.3, -0.5)
-        rng = np.random.default_rng(0)
-        outcomes = [sim.trial(params, rng)[0] for _ in range(3000)]
+        outcomes = trials(DDMSimulator(), [50.0, 0.8, 0.0, 0.3, -0.5], 3000,
+                          np.random.default_rng(0))[:, 0]
         assert np.mean(outcomes) > 0.999
 
     def test_symmetric_case_is_fair(self):
-        sim = DDMSimulator()
-        params = DDMParams(0.0, 0.8, 0.0, 0.3, -1e-9)
-        rng = np.random.default_rng(1)
-        outcomes = np.array([sim.trial(params, rng)[0] for _ in range(10_000)])
+        outcomes = trials(DDMSimulator(), [0.0, 0.8, 0.0, 0.3, -1e-9], 10_000,
+                          np.random.default_rng(1))[:, 0]
         p = outcomes.mean()
         # 4 sigma binomial band around 0.5 at n = 10^4
         assert abs(p - 0.5) < 4 * 0.5 / 100
@@ -118,50 +120,54 @@ class TestDDM:
     def test_rt_strictly_exceeds_nondecision_time(self):
         sim = DDMSimulator()
         rng = np.random.default_rng(2)
-        prior = sim.default_prior()
-        for theta in prior.sample(rng, 300):
-            params = DDMParams(*theta)
-            _, rt, _ = sim.trial(params, rng)
-            assert rt > params.nondecision
+        thetas = sim.default_prior().sample(rng, 300)
+        x = sim.simulate_batch(thetas, [rng] * 300)
+        assert np.all(x[:, 1] > thetas[:, 3])
 
     def test_production_step_matches_fine_step_oracle(self):
         # reference from 10^6 lockstep trials at dt = 1e-4 (tests/oracles.py,
         # ddm_reference(1.0, 0.8, 0.0, 0.3, -0.5, 1_000_000, 1e-4, 20240801))
         ref_p1, ref_rt = 0.681937, 0.437944
         sim = DDMSimulator()  # production dt = 1e-3
-        params = DDMParams(1.0, 0.8, 0.0, 0.3, -0.5)
-        rng = np.random.default_rng(99)
-        n = 200_000
-        choices = np.empty(n)
-        rts = np.empty(n)
-        for i in range(n):
-            c, rt, _ = sim.trial(params, rng)
-            choices[i] = c
-            rts[i] = rt
-        assert abs(choices.mean() - ref_p1) < 0.01
-        assert abs(rts.mean() - ref_rt) < 0.01
+        x = trials(sim, [1.0, 0.8, 0.0, 0.3, -0.5], 200_000, np.random.default_rng(99))
+        assert abs(x[:, 0].mean() - ref_p1) < 0.01
+        assert abs(x[:, 1].mean() - ref_rt) < 0.01
 
     def test_censoring_never_hangs_and_is_flagged(self):
         sim = DDMSimulator(max_decision_time=0.05)
-        params = DDMParams(0.0, 1.0, 0.0, 0.3, -0.1)
-        rng = np.random.default_rng(3)
-        seen_censored = False
-        for _ in range(50):
-            choice, rt, censored = sim.trial(params, rng)
-            assert rt <= params.nondecision + 0.05 + 1e-12
-            seen_censored |= censored
-        assert seen_censored
-        x = np.array([float(choice), params.nondecision + 0.05])
         theta = np.array([0.0, 1.0, 0.0, 0.3, -0.1])
-        assert sim.row_flags(theta, x)["censored"]
+        x = trials(sim, theta, 50, np.random.default_rng(3))
+        assert np.all(x[:, 1] <= theta[3] + 0.05 + 1e-12)
+        censored = [sim.row_flags(theta, row)["censored"] for row in x]
+        assert any(censored)
+        # a censored trial ends exactly at the cut, with a definite choice
+        cut = x[censored]
+        assert np.all(cut[:, 1] == theta[3] + 0.05)
+        assert set(cut[:, 0]) <= {0.0, 1.0}
+
+    def test_one_row_call_is_the_same_trial_as_in_a_batch(self):
+        sim = DDMSimulator()
+        thetas = sim.default_prior().sample(np.random.default_rng(4), 40)
+        batch = sim.simulate_batch(thetas, [np.random.default_rng(i) for i in range(40)])
+        one = [sim.simulate(t, np.random.default_rng(i)) for i, t in enumerate(thetas)]
+        np.testing.assert_array_equal(batch, one)
+
+    def test_invalid_row_in_a_batch_is_rejected(self):
+        sim = DDMSimulator()
+        thetas = np.tile([0.0, 1.0, 0.0, 0.3, -0.5], (5, 1))
+        thetas[3, 2] = 0.7
+        with pytest.raises(SimulatorError, match="start bias"):
+            sim.simulate_batch(thetas, [np.random.default_rng(0)] * 5)
 
     def test_parameter_validation(self):
-        with pytest.raises(SimulatorError):
-            DDMParams(0.0, -1.0, 0.0, 0.3, -0.5).validate()
-        with pytest.raises(SimulatorError):
-            DDMParams(0.0, 1.0, 0.7, 0.3, -0.5).validate()
-        with pytest.raises(SimulatorError):
-            DDMParams(0.0, 1.0, 0.0, -0.1, -0.5).validate()
+        sim = DDMSimulator()
+        rng = np.random.default_rng(0)
+        with pytest.raises(SimulatorError, match="boundary"):
+            sim.simulate(np.array([0.0, -1.0, 0.0, 0.3, -0.5]), rng)
+        with pytest.raises(SimulatorError, match="start bias"):
+            sim.simulate(np.array([0.0, 1.0, 0.7, 0.3, -0.5]), rng)
+        with pytest.raises(SimulatorError, match="non-decision"):
+            sim.simulate(np.array([0.0, 1.0, 0.0, -0.1, -0.5]), rng)
 
 
 class TestGenerateDataset:
@@ -179,10 +185,10 @@ class TestGenerateDataset:
 
     def test_nan_filter_discard_fraction(self):
         class Leaky(LinearGaussianSimulator):
-            def raw_simulate(self, theta, rng):
-                if theta[0] > 0.9:
-                    return np.array([np.nan])
-                return super().raw_simulate(theta, rng)
+            def raw_simulate_batch(self, thetas, rngs):
+                x = super().raw_simulate_batch(thetas, rngs)
+                x[thetas[:, 0] > 0.9] = np.nan
+                return x
 
         sim = Leaky(dim=1, noise_std=0.1)
         prior = BoxUniform([0.0], [1.0])
@@ -206,8 +212,8 @@ class TestGenerateDataset:
 
     def test_high_discard_rate_aborts_with_misspecification_warning(self):
         class Broken(LinearGaussianSimulator):
-            def raw_simulate(self, theta, rng):
-                return np.array([np.nan])
+            def raw_simulate_batch(self, thetas, rngs):
+                return np.full((thetas.shape[0], 1), np.nan)
 
         sim = Broken(dim=1, noise_std=0.1)
         with pytest.raises(SimulationBudgetError, match="misspecified"):
@@ -222,14 +228,14 @@ class TestGenerateDataset:
         calls = []
 
         class Counted(LinearGaussianSimulator):
-            def raw_simulate(self, theta, rng):
-                calls.append(theta)
-                return super().raw_simulate(theta, rng)
+            def raw_simulate_batch(self, thetas, rngs):
+                calls.extend(thetas)
+                return super().raw_simulate_batch(thetas, rngs)
 
         ds = generate_dataset(DiagGaussian([0.0], [0.0]), Counted(dim=1, noise_std=0.1), 200,
                               seed=3, validity_filter=lambda t, x: x[0] > -1.0)
         assert ds.meta["discards"] > 0
-        # the metadata's attempt count is the number of simulator calls
+        # the metadata's attempt count is the number of rows simulated
         assert len(calls) == ds.meta["n"] + ds.meta["discards"]
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -254,17 +260,19 @@ class TestSimulateRows:
     MARK = 5.0   # theta value of the rows the flaky simulator fails on
 
     class Flaky(LinearGaussianSimulator):
-        """Non-finite output on its first ``bad_calls`` calls at theta = MARK."""
+        """Non-finite output on its first ``bad_calls`` rows at theta = MARK."""
 
         def __init__(self, bad_calls):
             super().__init__(dim=1, noise_std=0.1)
             self.bad_calls = bad_calls
 
-        def raw_simulate(self, theta, rng):
-            if theta[0] == TestSimulateRows.MARK and self.bad_calls > 0:
-                self.bad_calls -= 1
-                return np.array([np.nan])
-            return super().raw_simulate(theta, rng)
+        def raw_simulate_batch(self, thetas, rngs):
+            x = super().raw_simulate_batch(thetas, rngs)
+            for i in np.flatnonzero(thetas[:, 0] == TestSimulateRows.MARK):
+                if self.bad_calls > 0:
+                    self.bad_calls -= 1
+                    x[i] = np.nan
+            return x
 
     def test_non_finite_row_is_retried_on_its_next_stream(self):
         thetas = np.linspace(0.0, 1.0, 10)[:, None]
@@ -295,12 +303,78 @@ def test_builtin_simulators_emit_only_finite_values_over_prior_draws():
     for sim, n in checks:
         rng = np.random.default_rng(123)
         thetas = sim.default_prior().sample(rng, n)
-        bad = 0
-        for theta in thetas:
-            x = sim.simulate(theta, rng)
-            if not np.all(np.isfinite(x)):
-                bad += 1
+        x = sim.simulate_batch(thetas, [rng] * n)
+        bad = int(np.sum(~np.all(np.isfinite(x), axis=1)))
         assert bad == 0, f"{sim.name} emitted {bad} non-finite outputs"
+
+
+def test_per_row_simulator_runs_through_the_base_batch_loop():
+    class Shifted(Simulator):
+        name = "shifted"
+        x_dim = 2
+
+        def raw_simulate(self, theta, rng):
+            return np.array([theta[0], theta[0] + rng.standard_normal()])
+
+    thetas = np.arange(6.0)[:, None]
+    got = simulate_rows(Shifted(), thetas, seed=9)
+    for i, t in enumerate(thetas[:, 0]):
+        rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(i, 0)))
+        assert got[i].tolist() == [t, t + rng.standard_normal()]
+
+
+def sha16(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+class TestStreamContract:
+    """Outputs pinned when each row was still simulated alone: row i's
+    attempt a draws its parameters and its simulation from stream
+    (seed, i, a), so batching rows must not move a bit of any output."""
+
+    DATASETS = {
+        # case: (simulator, rows, seed, validity filter, digest prefix, discards, flags)
+        "ddm": (DDMSimulator, 600, 2024, None, "36d2ea74f206f451", 0, None),
+        "ddm_filtered": (DDMSimulator, 600, 2024, lambda t, x: x[1] < 1.0,
+                         "072bd94c69128311", 40, None),
+        "ddm_censored": (lambda: DDMSimulator(max_decision_time=0.02), 300, 5, None,
+                         "893d755e8bc42207", 0, {"censored": 261}),
+        "ball": (BallThrowSimulator, 2000, 11, None, "ab2b1ebb02331234", 0, None),
+        "ball_filtered": (BallThrowSimulator, 2000, 11, lambda t, x: x[0] > 8.0,
+                          "896a49d84da228d9", 437, None),
+        "linear_gaussian_filtered": (lambda: LinearGaussianSimulator(dim=2, noise_std=0.1),
+                                     2000, 5, lambda t, x: x[0] > -0.5,
+                                     "88a18f1c480455e3", 905, None),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(DATASETS))
+    def test_generate_dataset_digest_and_meta(self, case, workers):
+        make, n, seed, keep, digest, discards, flags = self.DATASETS[case]
+        sim = make()
+        prior = (DiagGaussian(np.zeros(2), np.zeros(2)) if sim.name == "linear_gaussian"
+                 else sim.default_prior())
+        ds = generate_dataset(prior, sim, n, seed, validity_filter=keep, workers=workers)
+        assert ds.digest()[:16] == digest
+        expected = {"simulator": sim.name, "prior": prior_to_config(prior), "seed": seed,
+                    "n": n, "discards": discards}
+        if flags:
+            expected["flags"] = flags
+        assert ds.meta == expected
+
+    def test_ddm_simulate_rows(self):
+        sim = DDMSimulator()
+        thetas = sim.default_prior().sample(np.random.default_rng(17), 200)
+        assert sha16(simulate_rows(sim, thetas, seed=17)) == "c02940ed75570a52"
+
+    def test_censored_ddm_rows(self):
+        thetas = np.tile([0.0, 1.0, 0.0, 0.3, -0.1], (4, 1))
+        got = simulate_rows(DDMSimulator(max_decision_time=0.02), thetas, seed=8)
+        assert got.tolist() == [[0.0, 0.32], [0.0, 0.32], [1.0, 0.32], [0.0, 0.32]]
+        # below half a step no step is taken, so an unbiased start is still at
+        # z == 0 and the choice comes from the row's stream
+        got = simulate_rows(DDMSimulator(max_decision_time=1e-4), thetas, seed=8)
+        assert got.tolist() == [[1.0, 0.3001], [0.0, 0.3001], [1.0, 0.3001], [0.0, 0.3001]]
 
 
 class TestDatasetIO:
