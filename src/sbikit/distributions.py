@@ -1,9 +1,9 @@
 """Analytic distributions used as priors, flow bases, and mixture components.
 
-All distributions are immutable after construction and safe for concurrent
-reads; RNG streams are caller-owned. ``log_prob`` accepts a single point
-``(d,)`` -> float or a batch ``(n, d)`` -> ``(n,)``, and returns exactly
-``-inf`` (never NaN) outside the support. Boundary points count as inside.
+All distributions are immutable after construction; RNG streams are
+caller-owned. ``log_prob`` accepts a single point ``(d,)`` -> float or a
+batch ``(n, d)`` -> ``(n,)``, and returns exactly ``-inf`` (never NaN)
+outside the support. Boundary points count as inside.
 """
 
 from __future__ import annotations

@@ -333,11 +333,7 @@ EVALUATOR = Evaluator()
 
 
 class ParamStore:
-    """Named parameter tensors plus Adam moment accumulators.
-
-    Confined to one thread during a training step; distinct replicas may
-    train in parallel.
-    """
+    """Named parameter tensors plus Adam moment accumulators."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}

@@ -14,16 +14,14 @@ batch.
 drawn from a prior, optionally filtered) run one row loop that derives an RNG
 stream per (row, attempt) from the root seed, draws each row's parameters on
 it, simulates a block of rows in one batch call, and retries the rows with
-invalid output as a batch on their next attempt's streams. Only
-``generate_dataset`` takes a worker count; its results are bit-identical for
-any worker count.
+invalid output as a batch on their next attempt's streams. Rows run in the
+calling thread, and results are bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +40,8 @@ def _normals(rngs, m: int) -> np.ndarray:
     """(rows, m) standard normals, row i drawn from ``rngs[i]``. Rows that
     share one generator draw from it in row order, as a loop over rows would."""
     out = np.empty((len(rngs), m))
+    if not rngs:
+        return out
     first = rngs[0]
     if all(rng is first for rng in rngs):
         return first.standard_normal(out=out)
@@ -77,24 +77,20 @@ class Simulator:
     restarts its partial sum at every ``_DDM_BLOCK`` steps), so a row's
     output is the same bits in any batch.
 
-    An optional summary map is applied to each raw output row; declared
-    dimensions refer to the post-summary output. Simulators are pure
-    functions of (thetas, rngs) and safe to call from multiple threads.
+    A hand-written summary statistic belongs in the batch hook; the output
+    must have the declared ``x_dim`` columns.
     """
 
     name: str = "simulator"
     theta_dim: int = 1
     x_dim: int = 1
 
-    def __init__(self, summary=None):
-        self.summary = summary
-
     def raw_simulate(self, theta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
     def raw_simulate_batch(self, thetas: np.ndarray, rngs) -> np.ndarray:
-        return np.array([self.raw_simulate(theta, rng) for theta, rng in zip(thetas, rngs)],
-                        dtype=np.float64)
+        rows = [self.raw_simulate(theta, rng) for theta, rng in zip(thetas, rngs)]
+        return np.array(rows, dtype=np.float64) if rows else np.empty((0, self.x_dim))
 
     def simulate_batch(self, thetas, rngs) -> np.ndarray:
         """Simulate each parameter row on its own generator ``rngs[i]``."""
@@ -108,8 +104,6 @@ class Simulator:
                 f"{self.name}: {len(rngs)} generators for {thetas.shape[0]} parameter rows"
             )
         x = np.asarray(self.raw_simulate_batch(thetas, rngs), dtype=np.float64)
-        if self.summary is not None:
-            x = np.array([np.asarray(self.summary(row), dtype=np.float64) for row in x])
         if x.shape[1:] != (self.x_dim,):
             raise SimulatorError(
                 f"{self.name}: output shape {x.shape[1:]} != declared ({self.x_dim},)"
@@ -159,14 +153,8 @@ class BallThrowSimulator(Simulator):
     theta_dim = 1
     x_dim = 1
 
-    def __init__(self, config: BallThrowConfig | None = None, summary=None):
-        super().__init__(summary=summary)
+    def __init__(self, config: BallThrowConfig | None = None):
         self.config = config or BallThrowConfig()
-
-    def noise_free_range(self, angle_deg):
-        c = self.config
-        rad = np.deg2rad(np.asarray(angle_deg, dtype=np.float64))
-        return c.launch_speed ** 2 * np.sin(2.0 * rad) / c.gravity
 
     def range_given_wind(self, angle_deg, wind):
         c = self.config
@@ -197,8 +185,7 @@ class LinearGaussianSimulator(Simulator):
 
     name = "linear_gaussian"
 
-    def __init__(self, dim: int = 2, noise_std: float = 0.1, summary=None):
-        super().__init__(summary=summary)
+    def __init__(self, dim: int = 2, noise_std: float = 0.1):
         if noise_std <= 0:
             raise SimulatorError("noise std must be positive")
         self.theta_dim = dim
@@ -246,8 +233,7 @@ class DDMSimulator(Simulator):
     theta_dim = 5
     x_dim = 2
 
-    def __init__(self, dt: float = 1e-3, max_decision_time: float = 10.0, summary=None):
-        super().__init__(summary=summary)
+    def __init__(self, dt: float = 1e-3, max_decision_time: float = 10.0):
         self.dt = float(dt)
         self.max_decision_time = float(max_decision_time)
 
@@ -392,10 +378,10 @@ def _attempt_rng(seed: int, row: int, attempt: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _run_rows(simulator: Simulator, n: int, seed: int, workers: int | None, propose,
-              max_attempts: int, accept=None):
-    """Fill rows 0..n-1, one contiguous chunk per worker thread (small
-    batches run in the calling thread), ``_ROW_BLOCK`` rows per batch call.
+def _run_rows(simulator: Simulator, n: int, seed: int, propose, max_attempts: int,
+              accept=None):
+    """Fill rows 0..n-1 in blocks of ``_ROW_BLOCK`` rows, one batch call per
+    block and attempt.
 
     Attempt ``a`` of row ``i`` draws from its own stream: ``propose(rows,
     rngs)`` gives the parameters of each row on its stream, the simulator
@@ -408,32 +394,22 @@ def _run_rows(simulator: Simulator, n: int, seed: int, workers: int | None, prop
     x = np.empty((n, simulator.x_dim))
     attempts = np.zeros(n, dtype=np.int64)
     failed = np.zeros(n, dtype=bool)
-
-    def fill(rows):
-        for lo in range(0, len(rows), _ROW_BLOCK):
-            pending = rows[lo:lo + _ROW_BLOCK]
-            for attempt in range(max_attempts):
-                if not pending.size:
-                    break
-                rngs = [_attempt_rng(seed, i, attempt) for i in pending]
-                t = propose(pending, rngs)
-                xs = simulator.simulate_batch(t, rngs)
-                attempts[pending] += 1
-                ok = np.all(np.isfinite(xs), axis=1)
-                if accept is not None:
-                    ok = np.array([bool(o and accept(ti, xi)) for o, ti, xi in zip(ok, t, xs)])
-                theta[pending[ok]] = t[ok]
-                x[pending[ok]] = xs[ok]
-                pending = pending[~ok]
-            failed[pending] = True
-
-    n_workers = 1 if workers is None else max(1, int(workers))
-    if n_workers == 1 or n < 2 * n_workers:
-        fill(np.arange(n))
-    else:
-        chunks = np.array_split(np.arange(n), n_workers)
-        with ThreadPoolExecutor(n_workers) as pool:
-            list(pool.map(fill, chunks))
+    for lo in range(0, n, _ROW_BLOCK):
+        pending = np.arange(lo, min(lo + _ROW_BLOCK, n))
+        for attempt in range(max_attempts):
+            if not pending.size:
+                break
+            rngs = [_attempt_rng(seed, i, attempt) for i in pending]
+            t = propose(pending, rngs)
+            xs = simulator.simulate_batch(t, rngs)
+            attempts[pending] += 1
+            ok = np.all(np.isfinite(xs), axis=1)
+            if accept is not None:
+                ok = np.array([bool(o and accept(ti, xi)) for o, ti, xi in zip(ok, t, xs)])
+            theta[pending[ok]] = t[ok]
+            x[pending[ok]] = xs[ok]
+            pending = pending[~ok]
+        failed[pending] = True
     return theta, x, attempts, failed
 
 
@@ -444,7 +420,7 @@ def simulate_rows(simulator: Simulator, thetas: np.ndarray, seed: int) -> np.nda
     times before erroring.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
-    _, x, _, failed = _run_rows(simulator, thetas.shape[0], seed, None,
+    _, x, _, failed = _run_rows(simulator, thetas.shape[0], seed,
                                 lambda rows, rngs: thetas[rows], max_attempts=16)
     if failed.any():
         raise SimulationBudgetError(
@@ -460,11 +436,15 @@ def generate_dataset(prior: Distribution, simulator: Simulator, n: int, seed: in
     Invalid rows (non-finite outputs or filter rejections) are resampled
     with fresh per-row streams until valid; the discard count lands in the
     metadata. Aborts when more than half of all attempts are discarded.
+
+    ``workers`` is ignored: every row runs in the calling thread. The
+    keyword stays only until the benchmark's ddm_bank workload stops
+    passing it, and is then deleted (ROADMAP item 1).
     """
     if n < 1:
         raise SimulatorError("need n >= 1")
     theta, x, attempts, failed = _run_rows(
-        simulator, n, seed, workers,
+        simulator, n, seed,
         lambda rows, rngs: np.array([prior.sample(rng, 1)[0] for rng in rngs]),
         _MAX_ATTEMPTS_PER_ROW, validity_filter)
 

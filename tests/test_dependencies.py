@@ -64,3 +64,14 @@ def environment_reads(tree):
 def test_library_reads_no_environment_variables(path):
     reads = list(environment_reads(TREES[path]))
     assert not reads, f"{path.name} reads the environment ({reads}); pass settings as arguments"
+
+
+# the row loop runs in the calling thread: a pool comes back only with a
+# benchmark that shows it pays on this package's workloads
+CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_imports_no_thread_or_process_pool(path):
+    pools = set(imported_roots(TREES[path])) & CONCURRENCY
+    assert not pools, f"{path.name} imports {sorted(pools)}; the library runs in the calling thread"

@@ -9,10 +9,11 @@ from sbikit.inference import (EnsemblePosterior, InferenceError, LikelihoodModel
                               nle_fit, nle_posterior, npe_fit, nre_fit, nre_posterior,
                               tsnpe_round)
 from sbikit.samplers import SamplerConfig, map_estimate
-from sbikit.simulators import Dataset, LinearGaussianSimulator, generate_dataset, simulate_rows
+from sbikit.simulators import (BallThrowSimulator, Dataset, LinearGaussianSimulator,
+                               generate_dataset, simulate_rows)
 from sbikit.trainer import TrainConfig
 
-from .oracles import conjugate_posterior
+from .oracles import ball_throw_angle_posterior, conjugate_posterior, grid_modes
 
 
 def tiled_log_lik(estimator, observations, thetas):
@@ -127,6 +128,37 @@ def test_nre_linear_gaussian_matches_conjugate_posterior():
         model, _ = nre_fit(data, hidden=(20,), train_config=CONJUGATE_TRAIN)
         return nre_posterior(model, prior, X_OBS, CONJUGATE_SAMPLER)
     assert_draws_match_conjugate(make)
+
+
+def grid_side_median(grid, density, inside):
+    """Median of the grid density restricted to the points where ``inside`` holds."""
+    cdf = np.cumsum(density[inside])
+    return np.interp(0.5, cdf / cdf[-1], grid[inside])
+
+
+def test_nre_ball_throw_recovers_both_angle_modes():
+    # x_o = 13 m is reached from a low and a high angle. Seeds 0-15 gave side
+    # medians within 1.9 degrees of the grid's and a mass below 45 degrees of
+    # 0.46-0.57 (grid 0.53), about 1.5 s each.
+    x_o = 13.0
+    grid, density = ball_throw_angle_posterior(x_o)
+    modes = grid_modes(grid, density)
+    assert len(modes) == 2 and min(modes) < 45.0 < max(modes)
+    low = grid < 45.0
+    grid_mass_low = np.trapezoid(density[low], grid[low])
+
+    sim = BallThrowSimulator()
+    prior = sim.default_prior()
+    data = generate_dataset(prior, sim, 4000, seed=0)
+    model, _ = nre_fit(data, train_config=TrainConfig(max_epochs=40, learning_rate=2e-3, seed=0))
+    posterior = nre_posterior(model, prior, [x_o], SamplerConfig(chains=40, warmup=20))
+    draws = posterior.sample(1000, np.random.default_rng(0))[:, 0]
+
+    draws_low = draws < 45.0
+    assert 0.2 < draws_low.mean() < 0.8   # draws on both sides of 45 degrees
+    assert abs(np.median(draws[draws_low]) - grid_side_median(grid, density, low)) < 3.0
+    assert abs(np.median(draws[~draws_low]) - grid_side_median(grid, density, ~low)) < 3.0
+    assert abs(draws_low.mean() - grid_mass_low) < 0.1
 
 
 def box_gaussian_task(n, seed):
