@@ -329,13 +329,15 @@ class TestStreamContract:
                                      "88a18f1c480455e3", 905, None),
     }
 
+    # workers is ignored; both values must give the same pinned output.
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", sorted(DATASETS))
-    def test_generate_dataset_digest_and_meta(self, case):
+    def test_generate_dataset_digest_and_meta(self, case, workers):
         make, n, seed, keep, digest, discards, flags = self.DATASETS[case]
         sim = make()
         prior = (DiagGaussian(np.zeros(2), np.zeros(2)) if sim.name == "linear_gaussian"
                  else sim.default_prior())
-        ds = generate_dataset(prior, sim, n, seed, validity_filter=keep)
+        ds = generate_dataset(prior, sim, n, seed, validity_filter=keep, workers=workers)
         assert ds.digest()[:16] == digest
         expected = {"simulator": sim.name, "prior": prior_to_config(prior), "seed": seed,
                     "n": n, "discards": discards}
