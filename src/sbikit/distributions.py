@@ -14,8 +14,8 @@ import numpy as np
 
 from .ndiff import logsumexp
 
-# scipy.special is imported by the two distributions that use it: the import
-# alone holds about 25 MB of resident memory, which no other route needs.
+# scipy.special is imported only inside TruncatedNormal, which uses it: the
+# import alone holds about 25 MB of resident memory, which no other route needs.
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -243,8 +243,7 @@ class MixtureDiagGaussian(Distribution):
         if log_weights.size != self.means.shape[0]:
             raise DistributionError("one log-weight per component required")
         # normalize so exp(log_weights) sums to one
-        from scipy import special
-        self.log_weights = log_weights - special.logsumexp(log_weights)
+        self.log_weights = log_weights - logsumexp(log_weights, axis=0)
         self.n_components = log_weights.size
         self.dim = self.means.shape[1]
 

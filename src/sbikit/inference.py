@@ -303,6 +303,8 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
     """
     if not isinstance(posterior, DirectPosterior):
         raise InferenceError("truncated sequential refinement needs a direct posterior")
+    if n_new < 1:
+        raise InferenceError(f"a refinement round needs n_new >= 1, got {n_new}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
     bound = posterior.at(x_o)
     densities = bound.log_prob(bound.sample(_TSNPE_DENSITY_SAMPLES, rng))

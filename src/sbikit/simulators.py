@@ -16,24 +16,33 @@ stream per (row, attempt) from the root seed, draws each row's parameters on
 it, simulates a block of rows in one batch call, and retries the rows with
 invalid output as a batch on their next attempt's streams. Rows run in the
 calling thread, and results are bit-identical for a fixed seed.
+
+``Dataset.save``/``Dataset.load`` store a dataset as delimited text: a magic
+line, a ``# meta: `` line holding the JSON metadata record (with
+``theta_dim`` and ``x_dim``), one header row naming the columns, then one
+comma-separated row per simulation, decimal with 17 significant digits so
+doubles (``-0``, ``inf``, ``nan`` too) round-trip exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import Distribution, prior_to_config
-from .tableio import read_table, write_table
 
 
 # attempts per prior-drawn row in generate_dataset before the row fails
 _MAX_ATTEMPTS_PER_ROW = 64
 # rows whose streams the row loop builds and simulates in one batch call
 _ROW_BLOCK = 128
+# first line of a saved dataset, and the prefix of its metadata line
+_TABLE_MAGIC = "# sbikit-table 1"
+_TABLE_META = "# meta: "
 
 
 def _normals(rngs, m: int) -> np.ndarray:
@@ -79,6 +88,11 @@ class Simulator:
 
     A hand-written summary statistic belongs in the batch hook; the output
     must have the declared ``x_dim`` columns.
+
+    ``row_flags(thetas, xs)`` takes a block of parameter rows and their
+    outputs and returns ``{name: (rows,) bool array}``, recomputed from the
+    stored rows alone; ``generate_dataset`` counts the set rows of each
+    flag into ``meta["flags"]``.
     """
 
     name: str = "simulator"
@@ -118,8 +132,7 @@ class Simulator:
             )
         return self.simulate_batch(theta[None, :], [rng])[0]
 
-    def row_flags(self, theta: np.ndarray, x: np.ndarray) -> dict:
-        """Per-row metadata flags, recomputed from the stored row."""
+    def row_flags(self, thetas: np.ndarray, xs: np.ndarray) -> dict:
         return {}
 
     def default_prior(self) -> Distribution:
@@ -303,9 +316,8 @@ class DDMSimulator(Simulator):
         x[live, 1] = nondecision[live] + self.max_decision_time
         return x
 
-    def row_flags(self, theta, x):
-        censored = x[1] >= theta[3] + self.max_decision_time - 1e-12
-        return {"censored": bool(censored)}
+    def row_flags(self, thetas, xs):
+        return {"censored": xs[:, 1] >= thetas[:, 3] + self.max_decision_time - 1e-12}
 
     def default_prior(self):
         from .distributions import BoxUniform
@@ -358,18 +370,41 @@ class Dataset:
         return h.hexdigest()
 
     def save(self, path) -> None:
-        meta = dict(self.meta)
-        meta["theta_dim"] = self.theta_dim
-        meta["x_dim"] = self.x_dim
+        meta = dict(self.meta, theta_dim=self.theta_dim, x_dim=self.x_dim)
         cols = [f"theta_{i}" for i in range(self.theta_dim)] + [f"x_{j}" for j in range(self.x_dim)]
-        write_table(path, np.hstack([self.theta, self.x]), cols, meta)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{_TABLE_MAGIC}\n{_TABLE_META}{json.dumps(meta, sort_keys=True)}\n"
+                     f"{','.join(cols)}\n")
+            np.savetxt(fh, np.hstack([self.theta, self.x]), fmt="%.17g", delimiter=",")
 
     @classmethod
     def load(cls, path) -> "Dataset":
-        array, _cols, meta = read_table(path)
-        if "theta_dim" not in meta:
-            raise SimulatorError(f"{path}: table metadata has no 'theta_dim' field")
-        td = int(meta["theta_dim"])
+        with open(path, "r", encoding="utf-8") as fh:
+            magic = fh.readline().rstrip("\n")
+            if magic != _TABLE_MAGIC:
+                raise SimulatorError(f"{path}: not a sbikit table (got {magic!r})")
+            line = fh.readline()
+            try:
+                meta = json.loads(line[len(_TABLE_META):]) if line.startswith(_TABLE_META) else {}
+            except ValueError as exc:
+                raise SimulatorError(f"{path}: bad metadata line: {exc}") from exc
+            for key in ("theta_dim", "x_dim"):
+                if key not in meta:
+                    raise SimulatorError(f"{path}: table metadata has no {key!r} field")
+            td, xd = int(meta["theta_dim"]), int(meta["x_dim"])
+            fh.readline()   # the header row names the columns
+            start = fh.tell()
+            if not fh.readline():   # no data rows, where loadtxt would warn
+                array = np.empty((0, td + xd))
+            else:
+                fh.seek(start)
+                try:
+                    array = np.loadtxt(fh, delimiter=",", ndmin=2)
+                except ValueError as exc:
+                    raise SimulatorError(f"{path}: {exc}") from exc
+        if array.shape[1] != td + xd:
+            raise SimulatorError(f"{path}: {array.shape[1]} columns, but the metadata "
+                                 f"declares theta_dim {td} + x_dim {xd}")
         return cls(array[:, :td], array[:, td:], meta)
 
 
@@ -463,11 +498,8 @@ def generate_dataset(prior: Distribution, simulator: Simulator, n: int, seed: in
         "n": int(n),
         "discards": int(discards),
     }
-    flag_counts: dict[str, int] = {}
-    for i in range(n):
-        for key, val in simulator.row_flags(theta[i], x[i]).items():
-            if val:
-                flag_counts[key] = flag_counts.get(key, 0) + 1
-    if flag_counts:
-        meta["flags"] = flag_counts
+    flags = {key: int(hit.sum()) for key, hit in simulator.row_flags(theta, x).items()
+             if hit.any()}
+    if flags:
+        meta["flags"] = flags
     return Dataset(theta, x, meta)

@@ -75,3 +75,24 @@ CONCURRENCY = {"threading", "concurrent", "multiprocessing"}
 def test_library_imports_no_thread_or_process_pool(path):
     pools = set(imported_roots(TREES[path])) & CONCURRENCY
     assert not pools, f"{path.name} imports {sorted(pools)}; the library runs in the calling thread"
+
+
+def eager_imports(tree):
+    """Import statements that run when the module is imported: all of them
+    outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+# importing scipy holds about 25 MB of resident memory, so the library
+# imports it inside the functions that use it
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_imports_scipy_only_inside_functions(path):
+    eager = [f"line {node.lineno}: {ast.unparse(node)}" for node in eager_imports(TREES[path])
+             if "scipy" in imported_roots(node)]
+    assert not eager, f"{path.name} imports scipy at import time ({eager}); import it where used"

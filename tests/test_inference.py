@@ -248,6 +248,18 @@ def test_tsnpe_round_without_data_records_its_prior_and_simulator(tsnpe_run, tmp
         assert prior_to_config(post.prior) == prior_to_config(run.prior)
 
 
+def test_tsnpe_round_without_new_rows_fails_before_its_density_pass(tsnpe_run, monkeypatch):
+    run = tsnpe_run
+
+    def density_pass(*args):
+        raise AssertionError("the density pass ran")
+
+    monkeypatch.setattr(run.post, "at", density_pass)
+    for n_new in (0, -3):
+        with pytest.raises(InferenceError, match=rf"n_new >= 1, got {n_new}"):
+            tsnpe_round(run.post, run.x_o, run.prior, run.sim, n_new, seed=4)
+
+
 def test_tsnpe_acceptance_error_names_the_bound_in_use(tsnpe_run):
     run = tsnpe_run
     # the region lies inside [-3, 3], so a prior 2000 times wider accepts

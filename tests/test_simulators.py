@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from sbikit.simulators import (
     generate_dataset,
     simulate_rows,
 )
-from sbikit.tableio import write_table
 
 from .oracles import conjugate_posterior
 
@@ -137,8 +137,9 @@ class TestDDM:
         theta = np.array([0.0, 1.0, 0.0, 0.3, -0.1])
         x = trials(sim, theta, 50, np.random.default_rng(3))
         assert np.all(x[:, 1] <= theta[3] + 0.05 + 1e-12)
-        censored = [sim.row_flags(theta, row)["censored"] for row in x]
-        assert any(censored)
+        censored = sim.row_flags(np.tile(theta, (len(x), 1)), x)["censored"]
+        assert censored.shape == (50,) and censored.dtype == bool
+        assert censored.any()
         # a censored trial ends exactly at the cut, with a definite choice
         cut = x[censored]
         assert np.all(cut[:, 1] == theta[3] + 0.05)
@@ -374,8 +375,52 @@ class TestDatasetIO:
 
     def test_load_without_theta_dim_names_path_and_field(self, tmp_path):
         path = tmp_path / "bare.csv"
-        write_table(path, np.zeros((3, 2)), ["a", "b"], meta={})
+        path.write_text("# sbikit-table 1\n# meta: {}\na,b\n0,0\n0,0\n0,0\n")
         with pytest.raises(SimulatorError, match=r"bare\.csv.*'theta_dim'"):
+            Dataset.load(path)
+
+    def test_saved_file_is_the_pinned_text(self, tmp_path):
+        ds = Dataset([[0.1, -2.0], [1e-300, 3.0]], [[1.0 / 3.0], [-0.0]], {"seed": 7})
+        ds.save(tmp_path / "two.csv")
+        assert (tmp_path / "two.csv").read_bytes() == (
+            b"# sbikit-table 1\n"
+            b'# meta: {"seed": 7, "theta_dim": 2, "x_dim": 1}\n'
+            b"theta_0,theta_1,x_0\n"
+            b"0.10000000000000001,-2,0.33333333333333331\n"
+            b"1e-300,3,-0\n")
+
+    def test_signed_zero_infinities_and_nan_round_trip_exactly(self, tmp_path):
+        ds = Dataset([[-0.0, np.inf], [np.nan, 5e-324]], [[-np.inf], [0.1]])
+        ds.save(tmp_path / "special.csv")
+        loaded = Dataset.load(tmp_path / "special.csv")
+        assert loaded.digest() == ds.digest()
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_short_datasets_round_trip_without_warning(self, tmp_path, rows):
+        ds = Dataset(np.arange(rows * 5.0).reshape(rows, 5), np.ones((rows, 2)))
+        ds.save(tmp_path / "short.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = Dataset.load(tmp_path / "short.csv")
+        assert loaded.theta.shape == (rows, 5) and loaded.x.shape == (rows, 2)
+        assert loaded.digest() == ds.digest()
+
+    @pytest.mark.parametrize("body, message", [
+        ("1,2,3,4,5,6,7\n", r"7 columns, but the metadata declares theta_dim 5 \+ x_dim 3"),
+        ("1,2,3,4,5,6,7,8\n1,2,3,4,5,6,7\n", "number of columns changed"),
+        ("1,2,3,4,5,6,abc,8\n", "could not convert string 'abc'"),
+    ], ids=["column_count", "ragged", "not_numeric"])
+    def test_file_that_disagrees_with_its_metadata_names_path(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text('# sbikit-table 1\n# meta: {"theta_dim": 5, "x_dim": 3}\n'
+                        "theta_0,theta_1,theta_2,theta_3,theta_4,x_0,x_1,x_2\n" + body)
+        with pytest.raises(SimulatorError, match=rf"bad\.csv: .*{message}"):
+            Dataset.load(path)
+
+    def test_malformed_metadata_line_names_path(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text('# sbikit-table 1\n# meta: {"theta_dim": 5,\nx_0\n1\n')
+        with pytest.raises(SimulatorError, match=r"meta\.csv: bad metadata line"):
             Dataset.load(path)
 
     def test_row_count_mismatch_rejected(self):
