@@ -1,4 +1,4 @@
-"""The core inference algorithms behind one Posterior interface.
+"""The core inference algorithms and the two forms of posterior they return.
 
 Three routes to the posterior: train a conditional estimator of parameters
 given data and sample it directly (NPE, amortized); train an estimator of
@@ -7,6 +7,11 @@ train a classifier whose logit estimates the likelihood-to-evidence ratio
 and run MCMC on summed logits plus the prior (NRE). On top of these:
 truncated sequential refinement (multi-round NPE on a restricted prior)
 and posterior ensembles that average member densities.
+
+Direct posteriors (NPE, ensembles) are amortized: every call takes its
+observation, as in ``sample(x, n, rng)`` and ``log_prob(x, theta)``. MCMC
+posteriors (NLE, NRE) are built per observation set: ``sample(n, rng)``.
+``_observations`` checks the shape of every observation either receives.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .distributions import Distribution, prior_from_config, prior_to_config
 from .estimators import (ClassifierNet, EstimatorConfig, NllTask, build_estimator,
                          pairwise_iid_sum)
-from .ndiff import EVALUATOR, Tensor
+from .ndiff import EVALUATOR
 from .samplers import SamplerConfig, slice_sample
 from .simulators import Dataset, Simulator, simulate_rows
 from .trainer import TrainConfig, TrainReport, fit
@@ -47,41 +52,38 @@ def _resolve_prior(dataset: Dataset, prior: Distribution | None) -> Distribution
     raise InferenceError("no prior given and dataset metadata carries none")
 
 
-class BoundPosterior:
-    """A posterior pinned to one observation: sample()/log_prob() over theta."""
-
-    def __init__(self, parent, x):
-        self.parent = parent
-        self.x = np.asarray(x, dtype=np.float64).reshape(-1)
-        self.prior = parent.prior
-
-    def sample(self, n, rng):
-        return self.parent.sample(self.x, n, rng)
-
-    def log_prob(self, theta):
-        return self.parent.log_prob(self.x, theta)
-
-    def log_prob_tape(self, tape, theta: Tensor) -> Tensor:
-        return self.parent._log_prob(tape, self.x, theta)
+def _observations(x, x_dim: int, single: bool = False) -> np.ndarray:
+    """``x`` as a (rows, x_dim) float array with at least one row, or exactly
+    one row when ``single``; a 1-D ``x`` is one row."""
+    arr = np.asarray(x, dtype=np.float64)
+    rows = arr.reshape(1, -1) if arr.ndim == 1 else arr
+    if (rows.ndim != 2 or rows.shape[1] != x_dim or rows.shape[0] < 1
+            or (single and rows.shape[0] != 1)):
+        raise InferenceError(f"observation of shape {arr.shape} does not fit x_dim={x_dim}"
+                             + (" as one row" if single else ""))
+    return rows
 
 
 class DirectPosterior:
     """Amortized posterior: one trained estimator serves any observation.
 
-    Sampling rejects the estimator's leakage outside the prior support;
-    log_prob reports the estimator density inside the support and -inf
-    outside (not renormalized for leakage, which cancels in rank-based
-    diagnostics).
+    Every call takes one observation row ``x``. Sampling rejects the
+    estimator's leakage outside the prior support; log_prob reports the
+    estimator density inside the support and -inf outside (not renormalized
+    for leakage, which cancels in rank-based diagnostics).
     """
 
     def __init__(self, estimator, prior: Distribution):
         self.estimator = estimator
         self.prior = prior
 
-    def at(self, x) -> BoundPosterior:
-        return BoundPosterior(self, x)
+    def _row(self, x) -> np.ndarray:
+        return _observations(x, self.estimator.context_dim, single=True)
 
     def sample(self, x, n, rng):
+        if n < 1:
+            raise InferenceError(f"sample needs n >= 1, got {n}")
+        x = self._row(x)
         out = np.empty((n, self.prior.dim))
         filled = 0
         for _ in range(_MAX_LEAK_ROUNDS):
@@ -99,14 +101,12 @@ class DirectPosterior:
 
     def log_prob(self, x, theta):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-        ctx = np.tile(np.asarray(x, dtype=np.float64).reshape(1, -1), (theta.shape[0], 1))
-        lp = self.estimator.log_prob(theta, ctx)
+        lp = self.estimator.log_prob(theta, np.tile(self._row(x), (theta.shape[0], 1)))
         return np.where(self.prior.contains(theta), lp, -np.inf)
 
-    def _log_prob(self, ops, x, theta):
+    def log_prob_tape(self, ops, x, theta):
         """(n,1) estimator log-density at every theta row, support not masked."""
-        ctx = ops.const(np.tile(np.asarray(x, dtype=np.float64).reshape(1, -1),
-                                (theta.shape[0], 1)))
+        ctx = ops.const(np.tile(self._row(x), (theta.shape[0], 1)))
         return self.estimator.log_prob_tape(ops, theta, ctx)
 
 
@@ -151,12 +151,6 @@ class McmcPosterior:
         self.last_diagnostics = diag
         return samples
 
-    def log_prob(self, theta):
-        raise InferenceError(
-            "mcmc-backed posteriors expose no density; "
-            "draw from sample() instead"
-        )
-
 
 class EnsemblePosterior:
     """Uniform mixture of direct posteriors: density is the member average."""
@@ -171,10 +165,9 @@ class EnsemblePosterior:
         self.members = list(members)
         self.prior = members[0].prior
 
-    def at(self, x) -> BoundPosterior:
-        return BoundPosterior(self, x)
-
     def sample(self, x, n, rng):
+        if n < 1:
+            raise InferenceError(f"sample needs n >= 1, got {n}")
         which = rng.integers(0, len(self.members), size=n)
         out = np.empty((n, self.prior.dim))
         for k, member in enumerate(self.members):
@@ -185,11 +178,11 @@ class EnsemblePosterior:
 
     def log_prob(self, x, theta):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-        lp = self._log_prob(EVALUATOR, x, theta)[:, 0]
+        lp = self.log_prob_tape(EVALUATOR, x, theta)[:, 0]
         return np.where(self.prior.contains(theta), lp, -np.inf)
 
-    def _log_prob(self, ops, x, theta):
-        cols = [m._log_prob(ops, x, theta) for m in self.members]
+    def log_prob_tape(self, ops, x, theta):
+        cols = [m.log_prob_tape(ops, x, theta) for m in self.members]
         lse = ops.logsumexp(ops.concat(cols, axis=1), axis=1)
         return ops.add(lse, -math.log(len(self.members)))
 
@@ -239,14 +232,12 @@ def nre_fit(dataset: Dataset, hidden: tuple = (50, 50),
     return RatioModel(classifier), report
 
 
-def _mcmc_posterior(term, prior: Distribution, observations,
+def _mcmc_posterior(term, prior: Distribution, observations, x_dim: int,
                     sampler_config: SamplerConfig | None) -> McmcPosterior:
     """MCMC posterior whose log-target is the prior plus
     ``term(observations, thetas)``, short-circuited to -inf outside the prior
     support (the network is never queried there)."""
-    observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-    if observations.shape[0] < 1:
-        raise InferenceError("need at least one observation")
+    observations = _observations(observations, x_dim)
 
     def log_target(thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
@@ -270,13 +261,15 @@ def nle_posterior(model: LikelihoodModel, prior: Distribution, observations,
     rows in the call, not theta rows times trials; only the mixture density
     is evaluated per trial.
     """
-    return _mcmc_posterior(model.log_lik, prior, observations, sampler_config)
+    return _mcmc_posterior(model.log_lik, prior, observations, model.estimator.target_dim,
+                           sampler_config)
 
 
 def nre_posterior(model: RatioModel, prior: Distribution, observations,
                   sampler_config: SamplerConfig | None = None) -> McmcPosterior:
     """MCMC posterior over summed per-trial logits plus the prior."""
-    return _mcmc_posterior(model.log_ratio, prior, observations, sampler_config)
+    return _mcmc_posterior(model.log_ratio, prior, observations, model.classifier.x_dim,
+                           sampler_config)
 
 
 def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
@@ -305,16 +298,16 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
         raise InferenceError("truncated sequential refinement needs a direct posterior")
     if n_new < 1:
         raise InferenceError(f"a refinement round needs n_new >= 1, got {n_new}")
+    x_o = _observations(x_o, posterior.estimator.context_dim, single=True)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
-    bound = posterior.at(x_o)
-    densities = bound.log_prob(bound.sample(_TSNPE_DENSITY_SAMPLES, rng))
+    densities = posterior.log_prob(x_o, posterior.sample(x_o, _TSNPE_DENSITY_SAMPLES, rng))
     cutoff = float(np.quantile(densities, _TSNPE_EPSILON))
     kept = []
     n_kept = 0
     n_drawn = 0
     while n_kept < n_new:
         draw = prior.sample(rng, _TSNPE_BATCH)
-        ok = bound.log_prob(draw) >= cutoff
+        ok = posterior.log_prob(x_o, draw) >= cutoff
         kept.append(draw[ok])
         n_kept += int(ok.sum())
         n_drawn += _TSNPE_BATCH
@@ -329,7 +322,7 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
     merged = data.concat(new_data) if data is not None else new_data
     merged.meta["n"] = len(merged)
     merged.meta["rounds"] = merged.meta.get("rounds", []) + [{
-        "seed": int(seed), "n_new": int(n_new), "x_o": bound.x.tolist(),
+        "seed": int(seed), "n_new": int(n_new), "x_o": x_o[0].tolist(),
         "cutoff": cutoff, "acceptance_rate": n_kept / n_drawn}]
     new_posterior, report = npe_fit(merged, estimator_config, train_config, prior=prior)
     return new_posterior, merged, report
@@ -340,6 +333,8 @@ def fit_ensemble(dataset: Dataset, n_members: int = 5,
                  train_config: TrainConfig | None = None,
                  prior: Distribution | None = None) -> tuple[EnsemblePosterior, list]:
     """Train ensemble members differing only in seed (init and shuffling)."""
+    if n_members < 2:
+        raise InferenceError(f"an ensemble needs at least 2 members, got n_members={n_members}")
     train_config = train_config or TrainConfig()
     members, reports = [], []
     for k in range(n_members):

@@ -36,7 +36,7 @@ class SamplerConfig:
     def __post_init__(self):
         for name in ("chains", "warmup", "thin", "sir_pool"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -224,16 +224,17 @@ def slice_sample(log_target, prior: Distribution, config: SamplerConfig,
     return samples, diag
 
 
-def map_estimate(posterior, rng: np.random.Generator, restarts: int = 10,
+def map_estimate(posterior, x, rng: np.random.Generator, restarts: int = 10,
                  lr: float = 0.01, steps: int = 1000):
-    """Posterior mode by batched Adam ascent from posterior-sample starts.
-
-    ``posterior`` must be bound to an observation and expose differentiable
-    ``log_prob_tape`` plus ``sample``/``prior``. The best point ever visited
-    wins; the result is clamped to the prior support.
+    """Mode of a direct (amortized) posterior at observation ``x``: batched
+    Adam ascent on ``log_prob_tape(tape, x, theta)`` from ``sample(x, ...)``
+    starts. The best point ever visited wins, clamped to the prior support.
     """
+    for name, value in (("restarts", restarts), ("steps", steps)):
+        if value < 1:
+            raise SamplerError(f"{name} must be >= 1, got {value}")
     prior = posterior.prior
-    starts = posterior.sample(restarts, rng)
+    starts = posterior.sample(x, restarts, rng)
     store = ParamStore()
     theta = store.add("theta", np.clip(starts, prior.low, prior.high))
     best_logp = np.full(restarts, -np.inf)
@@ -242,7 +243,7 @@ def map_estimate(posterior, rng: np.random.Generator, restarts: int = 10,
 
     for _ in range(steps):
         tape = Tape()
-        lp = posterior.log_prob_tape(tape, theta)
+        lp = posterior.log_prob_tape(tape, x, theta)
         lp_np = lp.data[:, 0]
         better = lp_np > best_logp
         best_logp[better] = lp_np[better]

@@ -1,13 +1,15 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sbikit import inference
 from sbikit.distributions import BoxUniform, DiagGaussian, prior_to_config
-from sbikit.estimators import EstimatorConfig, build_estimator
-from sbikit.inference import (EnsemblePosterior, InferenceError, LikelihoodModel, fit_ensemble,
-                              nle_fit, nle_posterior, npe_fit, nre_fit, nre_posterior,
-                              tsnpe_round)
+from sbikit.estimators import ClassifierNet, EstimatorConfig, build_estimator
+from sbikit.inference import (DirectPosterior, EnsemblePosterior, InferenceError,
+                              LikelihoodModel, RatioModel, fit_ensemble, nle_fit, nle_posterior,
+                              npe_fit, nre_fit, nre_posterior, tsnpe_round)
 from sbikit.samplers import SamplerConfig, map_estimate
 from sbikit.simulators import (BallThrowSimulator, Dataset, LinearGaussianSimulator,
                                generate_dataset, simulate_rows)
@@ -94,7 +96,9 @@ def assert_draws_match_conjugate(make_posterior, x_obs=X_OBS, noise_std=0.3):
     prior = DiagGaussian([0.0], [0.0])
     data = generate_dataset(prior, sim, 2000, seed=5)
     posterior = make_posterior(data, prior)
-    draws = posterior.sample(400, np.random.default_rng(6))
+    # a direct posterior takes the observation per call; an MCMC one was built on it
+    at = (x_obs,) if isinstance(posterior, DirectPosterior) else ()
+    draws = posterior.sample(*at, 400, np.random.default_rng(6))
     mean, std = conjugate_posterior([0.0], [1.0], noise_std, x_obs)
     assert abs(draws.mean() - mean[0]) < 0.5 * std[0]
     assert 0.6 < draws.std() / std[0] < 1.5
@@ -107,11 +111,11 @@ def test_npe_linear_gaussian_matches_conjugate_posterior_and_mode():
     def make(data, prior):
         post, _ = npe_fit(data, EstimatorConfig(kind="mdn", n_components=2, hidden=(20,)),
                           CONJUGATE_TRAIN)
-        return post.at(x_o)
-    bound, mean, std = assert_draws_match_conjugate(make, x_o)
+        return post
+    post, mean, std = assert_draws_match_conjugate(make, x_o)
     # the conjugate posterior is Gaussian, so its mode is its mean; the
-    # search ascends the taped density, BoundPosterior.log_prob_tape
-    theta_map = map_estimate(bound, np.random.default_rng(7))
+    # search ascends the taped density, DirectPosterior.log_prob_tape
+    theta_map = map_estimate(post, x_o, np.random.default_rng(7))
     assert abs(theta_map[0] - mean) < 0.5 * std
 
 
@@ -184,6 +188,73 @@ def test_ensemble_density_normalizes_inside_the_support_and_averages_members():
     assert np.all(ens.log_prob(x_o, [[-3.5], [3.01], [10.0]]) == -np.inf)
 
 
+OBS_PRIOR = BoxUniform([-1.0, -1.0], [1.0, 1.0])
+TINY_SAMPLER = SamplerConfig(chains=2, warmup=1, thin=1, sir_pool=10)
+
+
+def untrained(kind, target_dim, context_dim):
+    cfg = EstimatorConfig(kind=kind, n_components=2, hidden=(8,), n_layers=2)
+    return build_estimator(cfg, target_dim, context_dim)
+
+
+def untrained_npe():
+    return DirectPosterior(untrained("mdn", 2, 2), OBS_PRIOR)
+
+
+def mcmc_draws(make_posterior, model, x):
+    return make_posterior(model, OBS_PRIOR, x, TINY_SAMPLER).sample(2, np.random.default_rng(0))
+
+
+# route: (x_dim, whether it takes exactly one row, a query at observation x)
+OBSERVATION_ROUTES = {
+    "npe_sample": (2, True, lambda x: untrained_npe().sample(x, 3, np.random.default_rng(0))),
+    "npe_log_prob": (2, True, lambda x: untrained_npe().log_prob(x, np.zeros((3, 2)))),
+    "nle_mdn": (2, False, lambda x: mcmc_draws(
+        nle_posterior, LikelihoodModel(untrained("mdn", 2, 2)), x)),
+    "nle_mixed": (2, False, lambda x: mcmc_draws(
+        nle_posterior, LikelihoodModel(untrained("mixed", 2, 2)), x)),
+    "nre": (1, False, lambda x: mcmc_draws(
+        nre_posterior, RatioModel(ClassifierNet(2, 1, hidden=(8,))), x)),
+}
+
+
+def bad_observations(x_dim, one_row):
+    cases = [[], np.zeros((0, x_dim)), np.zeros((3, x_dim + 1)), np.zeros(x_dim + 3)]
+    if x_dim > 1:
+        cases.append(np.zeros((3, x_dim - 1)))
+    if one_row:
+        cases.append(np.zeros((2, x_dim)))
+    return cases
+
+
+@pytest.mark.parametrize("route,x", [
+    pytest.param(route, x, id=f"{route}-{np.shape(x)}")
+    for route, (x_dim, one_row, _) in OBSERVATION_ROUTES.items()
+    for x in bad_observations(x_dim, one_row)])
+def test_observation_of_the_wrong_shape_raises_naming_it(route, x):
+    with pytest.raises(InferenceError, match=re.escape(f"shape {np.shape(x)}")):
+        OBSERVATION_ROUTES[route][2](x)
+
+
+def test_fit_ensemble_rejects_fewer_than_two_members_before_training(monkeypatch):
+    def train(*args, **kwargs):
+        raise AssertionError("a member was trained")
+
+    monkeypatch.setattr(inference, "npe_fit", train)
+    _, _, data = box_gaussian_task(50, seed=1)
+    for n_members in (1, 0):
+        with pytest.raises(InferenceError, match=rf"at least 2 members, got n_members={n_members}"):
+            fit_ensemble(data, n_members, SMALL_MDN)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_direct_sample_rejects_fewer_than_one_draw(n):
+    post = untrained_npe()
+    for posterior in (post, EnsemblePosterior([post, post])):
+        with pytest.raises(InferenceError, match=rf"n >= 1, got {n}"):
+            posterior.sample([0.0, 0.0], n, np.random.default_rng(0))
+
+
 @pytest.fixture(scope="module")
 def tsnpe_run():
     """One TSNPE round on 500 prior rows of the box task, adding 200 rows;
@@ -254,7 +325,7 @@ def test_tsnpe_round_without_new_rows_fails_before_its_density_pass(tsnpe_run, m
     def density_pass(*args):
         raise AssertionError("the density pass ran")
 
-    monkeypatch.setattr(run.post, "at", density_pass)
+    monkeypatch.setattr(run.post, "sample", density_pass)
     for n_new in (0, -3):
         with pytest.raises(InferenceError, match=rf"n_new >= 1, got {n_new}"):
             tsnpe_round(run.post, run.x_o, run.prior, run.sim, n_new, seed=4)
@@ -267,3 +338,4 @@ def test_tsnpe_acceptance_error_names_the_bound_in_use(tsnpe_run):
     wide = BoxUniform([-6000.0], [6000.0])
     with pytest.raises(InferenceError, match=r"below 0\.001; region and prior barely overlap"):
         tsnpe_round(run.post, run.x_o, wide, run.sim, 1000, SMALL_MDN, seed=4)
+

@@ -3,8 +3,8 @@ import pytest
 
 from sbikit.distributions import BoxUniform, DiagGaussian, MixtureDiagGaussian
 from sbikit.ndiff import Tensor
-from sbikit.samplers import (_MAX_SHRINK, _MAX_STEPOUTS, SamplerConfig, map_estimate,
-                              slice_sample)
+from sbikit.samplers import (_MAX_SHRINK, _MAX_STEPOUTS, SamplerConfig, SamplerError,
+                              map_estimate, slice_sample)
 
 CHAINS, DIM, SWEEPS = 3, 2, 3
 CONFIG = dict(chains=CHAINS, warmup=SWEEPS - 1, thin=1)
@@ -67,30 +67,43 @@ def test_slice_sampler_recovers_the_weights_and_modes_of_a_bimodal_mixture():
 
 
 class GaussianBoxPosterior:
-    """Bound-posterior stand-in: an isotropic Gaussian log-density with a
-    known mode on a box prior, sampled from the prior."""
+    """Direct-posterior stand-in: an isotropic Gaussian log-density whose
+    mode is the observation, on a box prior, sampled from the prior."""
 
-    def __init__(self, mode, scale=0.5):
+    def __init__(self, scale=0.5):
         self.prior = BoxUniform([-2.0, -1.0], [2.0, 3.0])
-        self.mode = np.asarray(mode, dtype=np.float64)
         self.scale = scale
 
-    def sample(self, n, rng):
+    def sample(self, x, n, rng):
         return self.prior.sample(rng, n)
 
-    def log_prob_tape(self, tape, theta):
-        diff = tape.add(theta, Tensor(np.tile(-self.mode, (theta.shape[0], 1))))
+    def log_prob_tape(self, tape, x, theta):
+        diff = tape.add(theta, Tensor(np.tile(-np.asarray(x, dtype=np.float64),
+                                              (theta.shape[0], 1))))
         quad = tape.multiply(tape.square(diff), -0.5 / self.scale ** 2)
         return tape.sum(quad, axis=1)
 
 
 def test_map_estimate_finds_a_mode_inside_the_box():
-    post = GaussianBoxPosterior([0.7, 1.4])
-    theta = map_estimate(post, np.random.default_rng(0), restarts=4)
+    theta = map_estimate(GaussianBoxPosterior(), [0.7, 1.4], np.random.default_rng(0), restarts=4)
     np.testing.assert_allclose(theta, [0.7, 1.4], atol=1e-3)
 
 
 def test_map_estimate_clamps_a_mode_outside_the_box_to_the_corner():
-    post = GaussianBoxPosterior([3.0, -2.0])
-    theta = map_estimate(post, np.random.default_rng(1), restarts=4, steps=300)
+    theta = map_estimate(GaussianBoxPosterior(), [3.0, -2.0], np.random.default_rng(1),
+                         restarts=4, steps=300)
     np.testing.assert_array_equal(theta, [2.0, -1.0])
+
+
+@pytest.mark.parametrize("name", ["restarts", "steps"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_map_estimate_rejects_fewer_than_one_restart_or_step(name, value):
+    with pytest.raises(SamplerError, match=rf"{name} must be >= 1, got {value}"):
+        map_estimate(GaussianBoxPosterior(), [0.7, 1.4], np.random.default_rng(0),
+                     **{name: value})
+
+
+@pytest.mark.parametrize("name", ["chains", "warmup", "thin", "sir_pool"])
+def test_sampler_config_names_the_value_it_rejects(name):
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got 0$"):
+        SamplerConfig(**{name: 0})
