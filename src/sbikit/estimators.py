@@ -1,12 +1,15 @@
 """Conditional density estimators and the ratio classifier, built on the tape engine.
 
 Every estimator is conditional: it models the target given a context of at
-least one column, theta given x for NPE and x given theta for NLE. The
-density estimators (MDN, coupling flow, mixed choice/reaction-time) train
-through one adapter, ``NllTask``: the mean negative log-density of the target
-given the context, with theta as the target for NPE and x for NLE.
-``ClassifierNet`` is the one classifier, the NRE head; its loss and the mixed
-estimator's choice term share one binary cross-entropy.
+least one column, theta given x for NPE and x given theta for NLE. All keep
+one contract, ``target_dim``, ``context_dim``, ``sample(context, n, rng)``,
+``log_prob(target, context)`` and ``log_prob_tape(ops, target, context)``,
+so ``inference.DirectPosterior`` serves any of them: the density estimators
+on one scaffold (MDN, coupling flow, mixed choice/reaction-time) and
+``EnsembleEstimator``, their uniform mixture. Training goes through one
+adapter, ``NllTask``: the mean negative log-density of the target given the
+context. ``ClassifierNet`` is the one classifier, the NRE head; its loss and
+the mixed estimator's choice term share one binary cross-entropy.
 
 Each model's math is written once, against an ``ops`` argument that is
 either an ``ndiff.Tape`` (Tensors in and out, recorded for gradients) or
@@ -22,8 +25,8 @@ This is the NLE likelihood of i.i.d. trials that MCMC evaluates many times
 per query, so the MDN and the mixed estimator run their networks once per
 context (the mixed estimator's reaction-time head once per context and
 choice) and broadcast only the mixture density over the targets, through
-``distributions.mixture_log_prob``, the one broadcast mixture density. The
-flow's conditioner mixes target and context, so it evaluates every
+``distributions.mixture_log_prob``. The flow's conditioner mixes target and
+context, so it keeps the scaffold's default, which evaluates every
 (context, target) pair. Tests pin each to that pairwise reference.
 
 Inputs and targets are z-scored with training-set statistics stored inside
@@ -229,10 +232,11 @@ class _MixtureHead:
 
 
 class _ConditionalDensity:
-    """Scaffold of the MDN and the flow: a parameter store, the context
+    """Scaffold of the density estimators: a parameter store, the context
     network, and the target standardizer whose Jacobian reports densities
-    in original coordinates. Subclasses register their layers in ``_build``
-    and give the log-density of the standardized target in ``_log_prob_z``."""
+    in original coordinates. Subclasses register their layers in ``_build``,
+    give the log-density of the standardized target in ``_log_prob_z`` and
+    draw targets from context features in ``_sample``."""
 
     def __init__(self, target_dim: int, context_dim: int, config: EstimatorConfig,
                  seed: int = 0):
@@ -240,10 +244,11 @@ class _ConditionalDensity:
         self.target_dim = target_dim
         self.context_dim = context_dim
         self.store = ParamStore()
+        # before _build, where the mixed estimator replaces it with one for log(rt)
+        self.target_standardizer = Standardizer.identity(target_dim)
         rng = np.random.default_rng(seed)
         self.context_net = _ContextNet(self.store, "ctx.", context_dim, config, rng)
         self._build(rng)
-        self.target_standardizer = Standardizer.identity(target_dim)
 
     def initialize_standardization(self, targets, contexts):
         self.target_standardizer = Standardizer.fit(targets)
@@ -258,6 +263,15 @@ class _ConditionalDensity:
         y_z = self.target_standardizer.transform_ops(ops, target)
         return ops.add(self._log_prob_z(ops, y_z, feats), self.target_standardizer.log_det)
 
+    def iid_log_lik(self, targets, contexts) -> np.ndarray:
+        """Summed log-density of all target rows, per context row, pair by pair."""
+        return pairwise_iid_sum(self.log_prob, targets, contexts)
+
+    def sample(self, context, n: int, rng) -> np.ndarray:
+        """(n, target_dim) draws at one context row."""
+        feats = self.context_net.forward(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
+        return self._sample(feats, rng)
+
 
 class ConditionalMDN(_ConditionalDensity):
     """Mixture density network: context -> Gaussian mixture over the target."""
@@ -269,23 +283,17 @@ class ConditionalMDN(_ConditionalDensity):
     def _log_prob_z(self, ops, y_z, feats):
         return self.head.log_prob(ops, feats, y_z)
 
-    def component_params(self, x):
-        """Mixture parameters (standardized space) for a batch of contexts."""
-        return self.head.components(self.context_net.forward(EVALUATOR, np.atleast_2d(x)))
-
     def iid_log_lik(self, targets, contexts) -> np.ndarray:
         """Summed log-density of all target rows, per context row; the
         mixture parameters are computed once per context."""
-        log_w, mu, log_std = self.component_params(contexts)
+        log_w, mu, log_std = self.head.components(self.context_net.forward(EVALUATOR, contexts))
         y_z = self.target_standardizer.transform(targets)
         lp = (mixture_log_prob(log_w[:, None], mu[:, None], log_std[:, None], y_z)
               + self.target_standardizer.log_det)
         return lp.sum(axis=1)
 
-    def sample(self, context, n: int, rng) -> np.ndarray:
-        feats = self.context_net.forward(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
-        z = self.head.sample(feats, rng)
-        return self.target_standardizer.inverse(z)
+    def _sample(self, feats, rng):
+        return self.target_standardizer.inverse(self.head.sample(feats, rng))
 
 
 class AffineCouplingFlow(_ConditionalDensity):
@@ -348,18 +356,12 @@ class AffineCouplingFlow(_ConditionalDensity):
             lp = ops.add(lp, col)
         return lp
 
-    def iid_log_lik(self, targets, contexts) -> np.ndarray:
-        """Summed log-density of all target rows, per context row. The
-        conditioner sees target and context together, so every pair runs."""
-        return pairwise_iid_sum(self.log_prob, targets, contexts)
-
-    def sample(self, context, n: int, rng) -> np.ndarray:
-        feats = self.context_net.forward(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
-        u = rng.standard_normal((n, self.target_dim))
+    def _sample(self, feats, rng):
+        u = rng.standard_normal((feats.shape[0], self.target_dim))
         return self.target_standardizer.inverse(self._to_target(u, feats))
 
 
-class MixedEstimator:
+class MixedEstimator(_ConditionalDensity):
     """Joint density over a binary choice and a positive reaction time.
 
     A categorical head models P(choice | context); a mixture head models
@@ -367,29 +369,23 @@ class MixedEstimator:
     variables from log(rt) to rt contributes -log(rt) to the joint density.
     Both heads read the context through ``_ContextNet``, so an embedding
     configured in ``EstimatorConfig`` trains with them. The target convention
-    is x = [choice, rt].
+    is x = [choice, rt]; the target standardizer z-scores log(rt).
     """
 
-    def __init__(self, context_dim: int, config: EstimatorConfig, seed: int = 0):
-        self.config = config
-        self.target_dim = 2
-        self.context_dim = context_dim
-        self.store = ParamStore()
-        rng = np.random.default_rng(seed)
-        self.context_net = _ContextNet(self.store, "ctx.", context_dim, self.config, rng)
+    def _build(self, rng):
+        if self.target_dim != 2:
+            raise EstimatorError("mixed estimator expects a (choice, rt) target")
         feat_dim = self.context_net.out_dim
         self.choice_net = Mlp(self.store, "choice.", [feat_dim, *self.config.hidden, 1], rng)
         self.rt_head = _MixtureHead(self.store, "rt.", feat_dim + 1, 1,
                                     self.config.n_components, self.config.hidden, rng)
-        self.logrt_standardizer = Standardizer.identity(1)
+        self.target_standardizer = Standardizer.identity(1)
 
     def initialize_standardization(self, targets, contexts):
-        targets = np.atleast_2d(targets)
-        rts = targets[:, 1:2]
+        rts = np.atleast_2d(targets)[:, 1:2]
         if np.any(rts <= 0):
             raise EstimatorError("reaction times must be positive")
-        self.logrt_standardizer = Standardizer.fit(np.log(rts))
-        self.context_net.fit_standardizer(contexts)
+        super().initialize_standardization(np.log(rts), contexts)
 
     def _choice_logit(self, ops, context):
         feats = self.context_net.forward(ops, context)
@@ -402,10 +398,10 @@ class MixedEstimator:
         log_rt = np.log(data[:, 1:2])
         ctx, logit = self._choice_logit(ops, context)
         logp_choice = ops.negate(_bce(ops, logit, choice))
-        y_z = ops.const(self.logrt_standardizer.transform(log_rt))
+        y_z = ops.const(self.target_standardizer.transform(log_rt))
         feats = ops.concat([ctx, ops.const(choice)], axis=1)
         logp_rt = self.rt_head.log_prob(ops, feats, y_z)
-        jac = ops.const(self.logrt_standardizer.log_det - log_rt)
+        jac = ops.const(self.target_standardizer.log_det - log_rt)
         return ops.add(ops.add(logp_choice, logp_rt), jac)
 
     def log_prob(self, target, context) -> np.ndarray:
@@ -438,9 +434,9 @@ class MixedEstimator:
         log_w = log_w.reshape(c, u, k)[:, which]
         mu = mu.reshape(c, u, k, 1)[:, which]
         log_std = log_std.reshape(c, u, k, 1)[:, which]
-        y_z = self.logrt_standardizer.transform(np.log(rt)[:, None])
+        y_z = self.target_standardizer.transform(np.log(rt)[:, None])
         logp_rt = (mixture_log_prob(log_w, mu, log_std, y_z)
-                   + self.logrt_standardizer.log_det - np.log(rt))
+                   + self.target_standardizer.log_det - np.log(rt))
         return (logp_choice + logp_rt).sum(axis=1)
 
     def log_prob_tape(self, ops, target, context):
@@ -455,14 +451,45 @@ class MixedEstimator:
         _, logit = self._choice_logit(EVALUATOR, np.atleast_2d(context))
         return sigmoid(logit)[:, 0]
 
-    def sample(self, context, n: int, rng) -> np.ndarray:
-        ctx, logit = self._choice_logit(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
-        p1 = sigmoid(logit)[:, 0]
-        choice = (rng.uniform(size=n) < p1).astype(np.float64)[:, None]
-        feats = np.concatenate([ctx, choice], axis=1)
-        y_z = self.rt_head.sample(feats, rng)
-        rt = np.exp(self.logrt_standardizer.inverse(y_z))
+    def _sample(self, feats, rng):
+        p1 = sigmoid(self.choice_net.forward(EVALUATOR, feats))[:, 0]
+        choice = (rng.uniform(size=feats.shape[0]) < p1).astype(np.float64)[:, None]
+        y_z = self.rt_head.sample(np.concatenate([feats, choice], axis=1), rng)
+        rt = np.exp(self.target_standardizer.inverse(y_z))
         return np.concatenate([choice, rt], axis=1)
+
+
+class EnsembleEstimator:
+    """Uniform mixture of trained conditional estimators that share
+    ``target_dim`` and ``context_dim``: the density is the member average,
+    and each draw comes from a member picked uniformly at random."""
+
+    def __init__(self, members):
+        self.members = list(members)
+        if len(self.members) < 2:
+            raise EstimatorError(f"an ensemble needs at least 2 members, got {len(self.members)}")
+        dims = {(m.target_dim, m.context_dim) for m in self.members}
+        if len(dims) != 1:
+            raise EstimatorError(
+                f"ensemble members disagree on (target_dim, context_dim): {sorted(dims)}")
+        ((self.target_dim, self.context_dim),) = dims
+
+    def log_prob(self, target, context) -> np.ndarray:
+        return self.log_prob_tape(EVALUATOR, np.atleast_2d(target), np.atleast_2d(context))[:, 0]
+
+    def log_prob_tape(self, ops, target, context):
+        cols = [m.log_prob_tape(ops, target, context) for m in self.members]
+        lse = ops.logsumexp(ops.concat(cols, axis=1), axis=1)
+        return ops.add(lse, -math.log(len(self.members)))
+
+    def sample(self, context, n: int, rng) -> np.ndarray:
+        which = rng.integers(0, len(self.members), size=n)
+        out = np.empty((n, self.target_dim))
+        for k, member in enumerate(self.members):
+            idx = np.flatnonzero(which == k)
+            if idx.size:
+                out[idx] = member.sample(context, idx.size, rng)
+        return out
 
 
 class ClassifierNet:
@@ -520,13 +547,10 @@ class NllTask:
         return ops.negate(ops.mean(lp))
 
 
+_KINDS = {"mdn": ConditionalMDN, "flow": AffineCouplingFlow, "mixed": MixedEstimator}
+
+
 def build_estimator(config: EstimatorConfig, target_dim: int, context_dim: int, seed: int = 0):
-    if config.kind == "mdn":
-        return ConditionalMDN(target_dim, context_dim, config, seed=seed)
-    if config.kind == "flow":
-        return AffineCouplingFlow(target_dim, context_dim, config, seed=seed)
-    if config.kind == "mixed":
-        if target_dim != 2:
-            raise EstimatorError("mixed estimator expects a (choice, rt) target")
-        return MixedEstimator(context_dim, config, seed=seed)
-    raise EstimatorError(f"unknown estimator kind {config.kind!r}")
+    if config.kind not in _KINDS:
+        raise EstimatorError(f"unknown estimator kind {config.kind!r}")
+    return _KINDS[config.kind](target_dim, context_dim, config, seed=seed)

@@ -8,23 +8,24 @@ and run MCMC on summed logits plus the prior (NRE). On top of these:
 truncated sequential refinement (multi-round NPE on a restricted prior)
 and posterior ensembles that average member densities.
 
-Direct posteriors (NPE, ensembles) are amortized: every call takes its
+Direct posteriors are one class, ``DirectPosterior``, over any estimator of
+the ``estimators`` contract; an ensemble is one such estimator,
+``EnsembleEstimator``. They are amortized: every call takes its
 observation, as in ``sample(x, n, rng)`` and ``log_prob(x, theta)``. MCMC
 posteriors (NLE, NRE) are built per observation set: ``sample(n, rng)``.
-``_observations`` checks the shape of every observation either receives.
+``_observations`` checks the shape of every observation that either one or
+the NLE and NRE models receive.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
 from .distributions import Distribution, prior_from_config, prior_to_config
-from .estimators import (ClassifierNet, EstimatorConfig, NllTask, build_estimator,
-                         pairwise_iid_sum)
-from .ndiff import EVALUATOR
+from .estimators import (ClassifierNet, EnsembleEstimator, EstimatorConfig, NllTask,
+                         build_estimator, pairwise_iid_sum)
 from .samplers import SamplerConfig, slice_sample
 from .simulators import Dataset, Simulator, simulate_rows
 from .trainer import TrainConfig, TrainReport, fit
@@ -65,12 +66,13 @@ def _observations(x, x_dim: int, single: bool = False) -> np.ndarray:
 
 
 class DirectPosterior:
-    """Amortized posterior: one trained estimator serves any observation.
+    """Amortized posterior: one trained estimator (or ensemble) serves any observation.
 
     Every call takes one observation row ``x``. Sampling rejects the
-    estimator's leakage outside the prior support; log_prob reports the
-    estimator density inside the support and -inf outside (not renormalized
-    for leakage, which cancels in rank-based diagnostics).
+    estimator's leakage outside the prior support, so draws follow the
+    density that log_prob reports: the estimator density inside the support
+    and -inf outside (not renormalized for leakage, which cancels in
+    rank-based diagnostics).
     """
 
     def __init__(self, estimator, prior: Distribution):
@@ -118,7 +120,7 @@ class LikelihoodModel:
 
     def log_lik(self, observations, thetas) -> np.ndarray:
         """Sum of log q(x_t | theta) over the observation rows, per theta row."""
-        observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
+        observations = _observations(observations, self.estimator.target_dim)
         thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
         return self.estimator.iid_log_lik(observations, thetas)
 
@@ -130,7 +132,7 @@ class RatioModel:
         self.classifier = classifier
 
     def log_ratio(self, observations, thetas) -> np.ndarray:
-        observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
+        observations = _observations(observations, self.classifier.x_dim)
         thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
         return pairwise_iid_sum(lambda x, theta: self.classifier.logit(theta, x),
                                 observations, thetas)
@@ -152,39 +154,19 @@ class McmcPosterior:
         return samples
 
 
-class EnsemblePosterior:
-    """Uniform mixture of direct posteriors: density is the member average."""
-
-    def __init__(self, members):
-        if len(members) < 2:
-            raise InferenceError("an ensemble needs at least 2 members")
-        # log_prob masks with the first member's prior, so all must share it
-        specs = [(prior_to_config(m.prior), m.estimator.context_dim) for m in members]
-        if any(spec != specs[0] for spec in specs):
-            raise InferenceError(f"ensemble members disagree on prior or context: {specs}")
-        self.members = list(members)
-        self.prior = members[0].prior
-
-    def sample(self, x, n, rng):
-        if n < 1:
-            raise InferenceError(f"sample needs n >= 1, got {n}")
-        which = rng.integers(0, len(self.members), size=n)
-        out = np.empty((n, self.prior.dim))
-        for k, member in enumerate(self.members):
-            idx = np.flatnonzero(which == k)
-            if idx.size:
-                out[idx] = member.sample(x, idx.size, rng)
-        return out
-
-    def log_prob(self, x, theta):
-        theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-        lp = self.log_prob_tape(EVALUATOR, x, theta)[:, 0]
-        return np.where(self.prior.contains(theta), lp, -np.inf)
-
-    def log_prob_tape(self, ops, x, theta):
-        cols = [m.log_prob_tape(ops, x, theta) for m in self.members]
-        lse = ops.logsumexp(ops.concat(cols, axis=1), axis=1)
-        return ops.add(lse, -math.log(len(self.members)))
+def _fit_density(dataset: Dataset, estimator_config: EstimatorConfig | None,
+                 train_config: TrainConfig | None, theta_is_target: bool):
+    """Build, standardize and train a density estimator of theta given x
+    (``theta_is_target``, NPE) or of x given theta (NLE)."""
+    if len(dataset) == 0:
+        raise InferenceError("cannot fit on an empty dataset")
+    estimator_config = estimator_config or EstimatorConfig(kind="mdn")
+    train_config = train_config or TrainConfig()
+    target, context = (dataset.theta, dataset.x) if theta_is_target else (dataset.x, dataset.theta)
+    estimator = build_estimator(estimator_config, target.shape[1], context.shape[1],
+                                seed=train_config.seed)
+    estimator.initialize_standardization(target, context)
+    return estimator, fit(NllTask(estimator, theta_is_target), dataset, train_config)
 
 
 def npe_fit(dataset: Dataset, estimator_config: EstimatorConfig | None = None,
@@ -192,27 +174,15 @@ def npe_fit(dataset: Dataset, estimator_config: EstimatorConfig | None = None,
             prior: Distribution | None = None) -> tuple[DirectPosterior, TrainReport]:
     """Train a conditional estimator of theta given x; inference at any new
     observation afterwards needs no further simulation."""
-    if len(dataset) == 0:
-        raise InferenceError("cannot fit on an empty dataset")
     prior = _resolve_prior(dataset, prior)
-    estimator_config = estimator_config or EstimatorConfig(kind="mdn")
-    train_config = train_config or TrainConfig()
-    estimator = build_estimator(estimator_config, dataset.theta_dim, dataset.x_dim,
-                                seed=train_config.seed)
-    estimator.initialize_standardization(dataset.theta, dataset.x)
-    report = fit(NllTask(estimator, theta_is_target=True), dataset, train_config)
+    estimator, report = _fit_density(dataset, estimator_config, train_config, theta_is_target=True)
     return DirectPosterior(estimator, prior), report
 
 
 def nle_fit(dataset: Dataset, estimator_config: EstimatorConfig | None = None,
             train_config: TrainConfig | None = None) -> tuple[LikelihoodModel, TrainReport]:
     """Train a conditional estimator of x given theta (the surrogate likelihood)."""
-    estimator_config = estimator_config or EstimatorConfig(kind="mdn")
-    train_config = train_config or TrainConfig()
-    estimator = build_estimator(estimator_config, dataset.x_dim, dataset.theta_dim,
-                                seed=train_config.seed)
-    estimator.initialize_standardization(dataset.x, dataset.theta)
-    report = fit(NllTask(estimator, theta_is_target=False), dataset, train_config)
+    estimator, report = _fit_density(dataset, estimator_config, train_config, theta_is_target=False)
     return LikelihoodModel(estimator), report
 
 
@@ -331,15 +301,20 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
 def fit_ensemble(dataset: Dataset, n_members: int = 5,
                  estimator_config: EstimatorConfig | None = None,
                  train_config: TrainConfig | None = None,
-                 prior: Distribution | None = None) -> tuple[EnsemblePosterior, list]:
-    """Train ensemble members differing only in seed (init and shuffling)."""
+                 prior: Distribution | None = None) -> tuple[DirectPosterior, list]:
+    """Train NPE members differing only in seed (init and shuffling); return
+    the direct posterior over their ``EnsembleEstimator`` and the members'
+    reports. Sampling rejects the mixture's leakage, not each member's, so
+    draws weight members by their mass inside the support, as log_prob does.
+    """
     if n_members < 2:
         raise InferenceError(f"an ensemble needs at least 2 members, got n_members={n_members}")
+    prior = _resolve_prior(dataset, prior)
     train_config = train_config or TrainConfig()
     members, reports = [], []
     for k in range(n_members):
         cfg_k = replace(train_config, seed=train_config.seed + k)
         post, report = npe_fit(dataset, estimator_config, cfg_k, prior=prior)
-        members.append(post)
+        members.append(post.estimator)
         reports.append(report)
-    return EnsemblePosterior(members), reports
+    return DirectPosterior(EnsembleEstimator(members), prior), reports

@@ -9,6 +9,7 @@ from sbikit.estimators import (
     AffineCouplingFlow,
     ClassifierNet,
     ConditionalMDN,
+    EnsembleEstimator,
     EstimatorConfig,
     EstimatorError,
     MixedEstimator,
@@ -75,7 +76,7 @@ def test_mdn_log_prob_matches_brute_force_mixture_formula():
     theta = rng.normal(size=(20, 2))
     x = rng.normal(size=(20, 3))
     m.initialize_standardization(theta, x)
-    log_w, mu, log_std = m.component_params(x)
+    log_w, mu, log_std = m.head.components(m.context_net.forward(EVALUATOR, x))
     y_z = m.target_standardizer.transform(theta)
     expected = np.empty(20)
     for i in range(20):
@@ -272,7 +273,7 @@ def test_embedding_trains_end_to_end_gradient_check():
 class TestMixedEstimator:
     def make(self, seed=61):
         cfg = EstimatorConfig(kind="mixed", n_components=2, hidden=(8,))
-        m = MixedEstimator(context_dim=3, config=cfg, seed=seed)
+        m = MixedEstimator(2, 3, cfg, seed=seed)
         rng = np.random.default_rng(seed + 1)
         m.store.load({n: rng.normal(scale=0.3, size=m.store[n].data.shape)
                       for n in m.store.names()})
@@ -292,15 +293,15 @@ class TestMixedEstimator:
         feats = np.concatenate([ctx, choice[:, None]], axis=1)
         log_w, mu, log_std = m.rt_head.components(feats)
         y = np.log(targets[:, 1:2])
-        y_z = m.logrt_standardizer.transform(y)
+        y_z = m.target_standardizer.transform(y)
         logp_rt = (mixture_log_prob(log_w, mu, log_std, y_z)
-                   + m.logrt_standardizer.log_det - np.log(targets[:, 1]))
+                   + m.target_standardizer.log_det - np.log(targets[:, 1]))
         np.testing.assert_allclose(lp, logp_choice + logp_rt, atol=1e-10)
 
     def test_embedding_parameters_train_with_the_heads(self):
         cfg = EstimatorConfig(kind="mixed", n_components=2, hidden=(6,),
                               embedding_dim=2, embedding_hidden=(4,))
-        m = MixedEstimator(context_dim=3, config=cfg, seed=63)
+        m = MixedEstimator(2, 3, cfg, seed=63)
         rng = np.random.default_rng(64)
         m.store.load({n: rng.normal(scale=0.3, size=m.store[n].data.shape)
                       for n in m.store.names()})
@@ -423,6 +424,14 @@ def test_tape_nodes_per_training_step_at_200_rows(kind, pinned):
     assert len(tape) == pinned
 
 
+def trained_like(kind, x, theta, seed):
+    """A small estimator of ``kind`` standardized on the (theta, x) rows, x
+    the target for the mixed estimator and theta for the others."""
+    est = build_estimator(EstimatorConfig(kind=kind, n_components=3, hidden=(8,)), 2, 2, seed)
+    est.initialize_standardization(*((x, theta) if kind == "mixed" else (theta, x)))
+    return est
+
+
 @pytest.mark.parametrize("kind", ["mdn", "flow", "mixed", "classifier"])
 def test_evaluator_loss_and_log_prob_equal_the_taped_ones_exactly(kind):
     rng = np.random.default_rng(81)
@@ -435,14 +444,33 @@ def test_evaluator_loss_and_log_prob_equal_the_taped_ones_exactly(kind):
         model = ClassifierNet(2, 2, hidden=(8,), seed=82)
         model.initialize_standardization(theta, x)
     else:
-        cfg = EstimatorConfig(kind=kind, n_components=3, hidden=(8,))
-        est = build_estimator(cfg, 2, 2, seed=82)
+        members = [trained_like(kind, x, theta, seed) for seed in (82, 83)]
         target, context = (x, theta) if kind == "mixed" else (theta, x)
-        est.initialize_standardization(target, context)
-        model = NllTask(est, theta_is_target=kind != "mixed")
-        taped = est.log_prob_tape(Tape(), Tensor(target), Tensor(context)).data[:, 0]
-        np.testing.assert_array_equal(est.log_prob(target, context), taped)
+        model = NllTask(members[0], theta_is_target=kind != "mixed")
+        for est in (members[0], EnsembleEstimator(members)):
+            taped = est.log_prob_tape(Tape(), Tensor(target), Tensor(context)).data[:, 0]
+            np.testing.assert_array_equal(est.log_prob(target, context), taped)
     assert float(model.loss(EVALUATOR, theta, x)) == float(model.loss(Tape(), theta, x).data)
+
+
+@pytest.mark.parametrize("kind", ["mdn", "flow", "mixed"])
+def test_sample_returns_n_rows_of_target_dim_for_every_estimator(kind):
+    rng = np.random.default_rng(84)
+    theta = rng.normal(size=(30, 2))
+    x = np.column_stack([rng.integers(0, 2, size=30), rng.uniform(0.2, 2.0, size=30)])
+    members = [trained_like(kind, x, theta, seed) for seed in (85, 86)]
+    context = theta[0] if kind == "mixed" else x[0]
+    for est in (*members, EnsembleEstimator(members)):
+        assert est.sample(context, 7, rng).shape == (7, 2)
+
+
+def test_ensemble_rejects_too_few_members_and_disagreeing_dims():
+    cfg = EstimatorConfig(kind="mdn", n_components=2, hidden=(4,))
+    with pytest.raises(EstimatorError, match="at least 2 members, got 1"):
+        EnsembleEstimator([ConditionalMDN(2, 2, cfg)])
+    for other in (ConditionalMDN(1, 2, cfg), ConditionalMDN(2, 3, cfg)):
+        with pytest.raises(EstimatorError, match="disagree on"):
+            EnsembleEstimator([ConditionalMDN(2, 2, cfg), other])
 
 
 def test_build_estimator_dispatch():

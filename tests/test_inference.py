@@ -1,4 +1,5 @@
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 
 from sbikit import inference
 from sbikit.distributions import BoxUniform, DiagGaussian, prior_to_config
-from sbikit.estimators import ClassifierNet, EstimatorConfig, build_estimator
-from sbikit.inference import (DirectPosterior, EnsemblePosterior, InferenceError,
-                              LikelihoodModel, RatioModel, fit_ensemble, nle_fit, nle_posterior,
-                              npe_fit, nre_fit, nre_posterior, tsnpe_round)
+from sbikit.estimators import (ClassifierNet, EnsembleEstimator, EstimatorConfig, Standardizer,
+                               build_estimator)
+from sbikit.inference import (DirectPosterior, InferenceError, LikelihoodModel, McmcPosterior,
+                              RatioModel, fit_ensemble, nle_fit, nle_posterior, npe_fit, nre_fit,
+                              nre_posterior, tsnpe_round)
 from sbikit.samplers import SamplerConfig, map_estimate
 from sbikit.simulators import (BallThrowSimulator, Dataset, LinearGaussianSimulator,
                                generate_dataset, simulate_rows)
@@ -179,13 +181,39 @@ def test_ensemble_density_normalizes_inside_the_support_and_averages_members():
     ens, reports = fit_ensemble(data, 3, SMALL_MDN,
                                 TrainConfig(max_epochs=80, learning_rate=5e-3, seed=1))
     assert len(reports) == 3
+    assert isinstance(ens, DirectPosterior)
     x_o = [0.5]
     grid = np.linspace(-3.0, 3.0, 4001)[:, None]
     lp = ens.log_prob(x_o, grid)
     assert abs(np.trapezoid(np.exp(lp), grid[:, 0]) - 1.0) < 1e-4
-    member_mean = np.mean([np.exp(m.log_prob(x_o, grid)) for m in ens.members], axis=0)
+    context = np.full_like(grid, 0.5)
+    member_mean = np.mean([np.exp(m.log_prob(grid, context)) for m in ens.estimator.members],
+                          axis=0)
     np.testing.assert_allclose(lp, np.log(member_mean), rtol=1e-12, atol=1e-12)
     assert np.all(ens.log_prob(x_o, [[-3.5], [3.01], [10.0]]) == -np.inf)
+
+
+def gaussian_mdn(mean, std):
+    """A one-component MDN whose density is N(mean, std^2) at every context."""
+    m = build_estimator(EstimatorConfig(kind="mdn", n_components=1, hidden=(4,)), 1, 1)
+    m.store.load({n: np.zeros_like(m.store[n].data) for n in m.store.names()
+                  if n.startswith(("mdn.weights", "mdn.means", "mdn.logstds"))})
+    m.target_standardizer = Standardizer([mean], [std])
+    return m
+
+
+def test_ensemble_draws_follow_the_density_it_reports_on_a_truncating_support():
+    # Member N(-1, 1) keeps 0.136 of its mass in [0, 1], member N(0.5, 0.1)
+    # nearly all of it; drawing each member inside the box on its own would
+    # put 16% of the draws below 0.2, where log_prob puts 4%.
+    post = DirectPosterior(EnsembleEstimator([gaussian_mdn(-1.0, 1.0), gaussian_mdn(0.5, 0.1)]),
+                           BoxUniform([0.0], [1.0]))
+    n = 100_000
+    share = np.mean(post.sample([0.0], n, np.random.default_rng(0))[:, 0] < 0.2)
+    grid = np.linspace(0.0, 1.0, 20_001)
+    dens = np.exp(post.log_prob([0.0], grid[:, None]))
+    mass = np.trapezoid(dens[grid <= 0.2], grid[grid <= 0.2]) / np.trapezoid(dens, grid)
+    assert abs(share - mass) < 4 * np.sqrt(mass * (1 - mass) / n)
 
 
 OBS_PRIOR = BoxUniform([-1.0, -1.0], [1.0, 1.0])
@@ -205,6 +233,10 @@ def mcmc_draws(make_posterior, model, x):
     return make_posterior(model, OBS_PRIOR, x, TINY_SAMPLER).sample(2, np.random.default_rng(0))
 
 
+def log_lik_at(kind, x):
+    return LikelihoodModel(untrained(kind, 2, 2)).log_lik(x, np.zeros((4, 2)))
+
+
 # route: (x_dim, whether it takes exactly one row, a query at observation x)
 OBSERVATION_ROUTES = {
     "npe_sample": (2, True, lambda x: untrained_npe().sample(x, 3, np.random.default_rng(0))),
@@ -215,6 +247,11 @@ OBSERVATION_ROUTES = {
         nle_posterior, LikelihoodModel(untrained("mixed", 2, 2)), x)),
     "nre": (1, False, lambda x: mcmc_draws(
         nre_posterior, RatioModel(ClassifierNet(2, 1, hidden=(8,))), x)),
+    "log_lik_mdn": (2, False, lambda x: log_lik_at("mdn", x)),
+    "log_lik_flow": (2, False, lambda x: log_lik_at("flow", x)),
+    "log_lik_mixed": (2, False, lambda x: log_lik_at("mixed", x)),
+    "log_ratio": (1, False, lambda x: RatioModel(ClassifierNet(2, 1, hidden=(8,))).log_ratio(
+        x, np.zeros((4, 2)))),
 }
 
 
@@ -249,10 +286,24 @@ def test_fit_ensemble_rejects_fewer_than_two_members_before_training(monkeypatch
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_direct_sample_rejects_fewer_than_one_draw(n):
-    post = untrained_npe()
-    for posterior in (post, EnsemblePosterior([post, post])):
+    ensemble = EnsembleEstimator([untrained("mdn", 2, 2), untrained("flow", 2, 2)])
+    for posterior in (untrained_npe(), DirectPosterior(ensemble, OBS_PRIOR)):
         with pytest.raises(InferenceError, match=rf"n >= 1, got {n}"):
             posterior.sample([0.0, 0.0], n, np.random.default_rng(0))
+
+
+def test_every_fit_route_rejects_an_empty_dataset_before_building_anything(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("an estimator was built")
+
+    monkeypatch.setattr(inference, "build_estimator", build)
+    data = Dataset(np.zeros((0, 2)), np.zeros((0, 2)), {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit_route in (lambda: npe_fit(data, prior=OBS_PRIOR), lambda: nle_fit(data),
+                          lambda: nre_fit(data)):
+            with pytest.raises(InferenceError, match=r"empty dataset|got 0"):
+                fit_route()
 
 
 @pytest.fixture(scope="module")
@@ -288,8 +339,21 @@ def test_tsnpe_round_accumulates_rows_drawn_inside_the_region(tsnpe_run):
     assert post.log_prob(x_o, run.theta_true)[0] >= record["cutoff"]
     assert np.all(post.log_prob(x_o, merged.theta[len(data):]) >= record["cutoff"])
     assert np.all(np.isfinite(run.new_post.log_prob(x_o, run.theta_true)))
+    mcmc = McmcPosterior(run.prior.log_prob, run.prior, TINY_SAMPLER)
     with pytest.raises(InferenceError, match="direct posterior"):
-        tsnpe_round(EnsemblePosterior([post, post]), x_o, run.prior, run.sim, 10, seed=4)
+        tsnpe_round(mcmc, x_o, run.prior, run.sim, 10, seed=4)
+
+
+def test_tsnpe_round_runs_from_an_ensemble_posterior(tsnpe_run):
+    run = tsnpe_run
+    short = TrainConfig(max_epochs=3, seed=6)
+    ens, _ = fit_ensemble(run.data, 2, SMALL_MDN, short)
+    new_post, merged, _ = tsnpe_round(ens, run.x_o, run.prior, run.sim, 50, SMALL_MDN, short,
+                                      seed=6, data=run.data)
+    assert len(merged) == len(run.data) + 50
+    (record,) = merged.meta["rounds"]
+    assert np.all(ens.log_prob(run.x_o, merged.theta[len(run.data):]) >= record["cutoff"])
+    assert isinstance(new_post, DirectPosterior)
 
 
 def test_tsnpe_round_record_rebuilds_the_region_after_save_and_load(tsnpe_run, tmp_path):
