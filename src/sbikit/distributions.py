@@ -1,9 +1,11 @@
-"""Analytic distributions used as priors, flow bases, and mixture components.
+"""Analytic distributions used as priors and as mixture components.
 
 All distributions are immutable after construction; RNG streams are
-caller-owned. ``log_prob`` accepts a single point ``(d,)`` -> float or a
-batch ``(n, d)`` -> ``(n,)``, and returns exactly ``-inf`` (never NaN)
-outside the support. Boundary points count as inside.
+caller-owned. ``Distribution`` owns the density contract: ``log_prob`` and
+``contains`` take a single point ``(d,)`` -> float or bool, or a batch
+``(n, d)`` -> ``(n,)``. The support is the box ``[low, high]``: boundary
+points count as inside, NaN coordinates as outside, and ``log_prob`` is
+exactly ``-inf`` (never NaN) outside.
 """
 
 from __future__ import annotations
@@ -27,18 +29,6 @@ class DistributionError(ValueError):
     pass
 
 
-def _as_batch(point, dim):
-    arr = np.asarray(point, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise DistributionError(
-            f"point dimension {arr.shape} does not match distribution dim {dim}"
-        )
-    return arr, single
-
-
 def _normal_logpdf(z):
     return -0.5 * z * z - 0.5 * LOG_2PI
 
@@ -56,28 +46,43 @@ def mixture_log_prob(log_w, mu, log_std, y):
 
 
 class Distribution:
-    """Common interface: dim, sample, log_prob, support bounds, moments."""
+    """A density with support ``[low, high]``. Subclasses set ``dim`` and
+    the float vectors ``low`` and ``high`` (infinite where unbounded), and
+    give ``sample`` and ``_log_density(arr)``: the log-density of the rows
+    of a ``(n, dim)`` batch, broadcastable to ``(n,)``, which is read only
+    at rows inside the support."""
 
     dim: int
+    low: np.ndarray
+    high: np.ndarray
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def log_prob(self, point):
+    def _log_density(self, arr: np.ndarray):
         raise NotImplementedError
 
-    @property
-    def low(self) -> np.ndarray:
-        return np.full(self.dim, -np.inf)
+    def _per_point(self, point, fn):
+        """``fn`` on ``point`` as a batch; a single point gives a scalar."""
+        arr = np.asarray(point, dtype=np.float64)
+        single = arr.ndim == 1
+        batch = arr[None, :] if single else arr
+        if batch.ndim != 2 or batch.shape[1] != self.dim:
+            raise DistributionError(
+                f"point dimension {batch.shape} does not match distribution dim {self.dim}"
+            )
+        out = fn(batch)
+        return out[0].item() if single else out
 
-    @property
-    def high(self) -> np.ndarray:
-        return np.full(self.dim, np.inf)
+    def _inside(self, arr):
+        return np.all((arr >= self.low) & (arr <= self.high), axis=1)
 
-    def contains(self, point) -> np.ndarray:
-        arr, single = _as_batch(point, self.dim)
-        ok = np.all((arr >= self.low) & (arr <= self.high), axis=1)
-        return bool(ok[0]) if single else ok
+    def log_prob(self, point):
+        return self._per_point(
+            point, lambda arr: np.where(self._inside(arr), self._log_density(arr), -np.inf))
+
+    def contains(self, point):
+        return self._per_point(point, self._inside)
 
     def mean(self) -> np.ndarray:
         raise NotImplementedError
@@ -88,41 +93,30 @@ class Distribution:
 
 class BoxUniform(Distribution):
     def __init__(self, lower, upper):
-        self.lower = np.atleast_1d(np.asarray(lower, dtype=np.float64))
-        self.upper = np.atleast_1d(np.asarray(upper, dtype=np.float64))
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
+        self.low = np.atleast_1d(np.asarray(lower, dtype=np.float64))
+        self.high = np.atleast_1d(np.asarray(upper, dtype=np.float64))
+        if self.low.shape != self.high.shape or self.low.ndim != 1:
             raise DistributionError("lower and upper must be vectors of equal length")
-        if not np.all(self.lower < self.upper):
+        if not np.all(self.low < self.high):
             raise DistributionError(
-                f"need lower < upper per dimension, got {self.lower} and {self.upper}"
+                f"need lower < upper per dimension, got {self.low} and {self.high}"
             )
-        self.dim = self.lower.size
-        self._span = self.upper - self.lower
-        self._log_density = -float(np.sum(np.log(self._span)))
+        self.dim = self.low.size
+        self._span = self.high - self.low
+        self._log_volume = float(np.sum(np.log(self._span)))
 
     def sample(self, rng, n):
         # the arithmetic of rng.uniform(lower, upper), without its broadcasting
-        return self.lower + self._span * rng.random((n, self.dim))
+        return self.low + self._span * rng.random((n, self.dim))
 
-    def log_prob(self, point):
-        arr, single = _as_batch(point, self.dim)
-        inside = np.all((arr >= self.lower) & (arr <= self.upper), axis=1)
-        out = np.where(inside, self._log_density, -np.inf)
-        return float(out[0]) if single else out
-
-    @property
-    def low(self):
-        return self.lower
-
-    @property
-    def high(self):
-        return self.upper
+    def _log_density(self, arr):
+        return -self._log_volume
 
     def mean(self):
-        return 0.5 * (self.lower + self.upper)
+        return 0.5 * (self.low + self.high)
 
     def std(self):
-        return (self.upper - self.lower) / math.sqrt(12.0)
+        return (self.high - self.low) / math.sqrt(12.0)
 
 
 class DiagGaussian(Distribution):
@@ -132,15 +126,15 @@ class DiagGaussian(Distribution):
         if self._mean.shape != self._log_std.shape or self._mean.ndim != 1:
             raise DistributionError("mean and log_std must be vectors of equal length")
         self.dim = self._mean.size
+        self.low = np.full(self.dim, -np.inf)
+        self.high = np.full(self.dim, np.inf)
 
     def sample(self, rng, n):
         return self._mean + np.exp(self._log_std) * rng.standard_normal((n, self.dim))
 
-    def log_prob(self, point):
-        arr, single = _as_batch(point, self.dim)
+    def _log_density(self, arr):
         z = (arr - self._mean) * np.exp(-self._log_std)
-        out = np.sum(_normal_logpdf(z) - self._log_std, axis=1)
-        return float(out[0]) if single else out
+        return np.sum(_normal_logpdf(z) - self._log_std, axis=1)
 
     def mean(self):
         return self._mean.copy()
@@ -160,11 +154,11 @@ class TruncatedNormal(Distribution):
             raise DistributionError(f"scale must be positive, got {scale}")
         self.loc = float(loc)
         self.scale = float(scale)
-        self._low = float(low)
-        self._high = float(high)
+        self.low = np.array([float(low)])
+        self.high = np.array([float(high)])
         self.dim = 1
-        a = (self._low - self.loc) / self.scale
-        b = (self._high - self.loc) / self.scale
+        a = (float(low) - self.loc) / self.scale
+        b = (float(high) - self.loc) / self.scale
         from scipy import special
         self._mass = float(special.ndtr(b) - special.ndtr(a))
         if self._mass <= 0:
@@ -184,7 +178,7 @@ class TruncatedNormal(Distribution):
         filled = 0
         while filled < n:
             draw = self.loc + self.scale * rng.standard_normal(max(n - filled, 16))
-            keep = draw[(draw >= self._low) & (draw <= self._high)]
+            keep = draw[(draw >= self.low[0]) & (draw <= self.high[0])]
             take = min(keep.size, n - filled)
             out[filled:filled + take] = keep[:take]
             filled += take
@@ -193,8 +187,8 @@ class TruncatedNormal(Distribution):
     def _sample_inverse_cdf(self, rng, n):
         # mirror the interval so its bulk lies in the lower tail, where
         # log_ndtr and ndtri_exp keep full relative precision
-        a = (self._low - self.loc) / self.scale
-        b = (self._high - self.loc) / self.scale
+        a = (self.low[0] - self.loc) / self.scale
+        b = (self.high[0] - self.loc) / self.scale
         sign = -1.0 if a + b > 0 else 1.0
         lo, hi = sorted((sign * a, sign * b))
         from scipy import special
@@ -202,27 +196,11 @@ class TruncatedNormal(Distribution):
         r = math.exp(special.log_ndtr(lo) - log_hi)   # Phi(lo) / Phi(hi)
         # log(Phi(lo) + u * (Phi(hi) - Phi(lo))) for u ~ U(0, 1)
         z = special.ndtri_exp(log_hi + np.log(r + rng.uniform(size=n) * (1.0 - r)))
-        return np.clip(self.loc + self.scale * sign * z, self._low, self._high)
+        return np.clip(self.loc + self.scale * sign * z, self.low[0], self.high[0])
 
-    def log_prob(self, point):
-        arr, single = _as_batch(point, self.dim)
-        x = arr[:, 0]
-        z = (x - self.loc) / self.scale
-        inside = (x >= self._low) & (x <= self._high)
-        out = np.where(
-            inside,
-            _normal_logpdf(z) - math.log(self.scale) - self._log_mass,
-            -np.inf,
-        )
-        return float(out[0]) if single else out
-
-    @property
-    def low(self):
-        return np.array([self._low])
-
-    @property
-    def high(self):
-        return np.array([self._high])
+    def _log_density(self, arr):
+        z = (arr[:, 0] - self.loc) / self.scale
+        return _normal_logpdf(z) - math.log(self.scale) - self._log_mass
 
     def mean(self):
         return np.array([self._mean_val])
@@ -246,16 +224,16 @@ class MixtureDiagGaussian(Distribution):
         self.log_weights = log_weights - logsumexp(log_weights, axis=0)
         self.n_components = log_weights.size
         self.dim = self.means.shape[1]
+        self.low = np.full(self.dim, -np.inf)
+        self.high = np.full(self.dim, np.inf)
 
     def sample(self, rng, n):
         comp = rng.choice(self.n_components, size=n, p=np.exp(self.log_weights))
         eps = rng.standard_normal((n, self.dim))
         return self.means[comp] + np.exp(self.log_stds[comp]) * eps
 
-    def log_prob(self, point):
-        arr, single = _as_batch(point, self.dim)
-        out = mixture_log_prob(self.log_weights, self.means, self.log_stds, arr)
-        return float(out[0]) if single else out
+    def _log_density(self, arr):
+        return mixture_log_prob(self.log_weights, self.means, self.log_stds, arr)
 
     def mean(self):
         w = np.exp(self.log_weights)
@@ -292,12 +270,12 @@ def prior_from_config(config: dict) -> Distribution:
 
 def prior_to_config(dist: Distribution) -> dict:
     if isinstance(dist, BoxUniform):
-        return {"kind": "box_uniform", "lower": dist.lower.tolist(), "upper": dist.upper.tolist()}
+        return {"kind": "box_uniform", "lower": dist.low.tolist(), "upper": dist.high.tolist()}
     if isinstance(dist, DiagGaussian):
         return {"kind": "diag_gaussian", "mean": dist._mean.tolist(), "log_std": dist._log_std.tolist()}
     if isinstance(dist, TruncatedNormal):
         return {"kind": "truncated_normal", "loc": dist.loc, "scale": dist.scale,
-                "low": dist._low, "high": dist._high}
+                "low": float(dist.low[0]), "high": float(dist.high[0])}
     if isinstance(dist, MixtureDiagGaussian):
         return {"kind": "mixture_diag_gaussian", "log_weights": dist.log_weights.tolist(),
                 "means": dist.means.tolist(), "log_stds": dist.log_stds.tolist()}

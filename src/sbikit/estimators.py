@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import LOG_2PI, mixture_log_prob
-from .ndiff import EVALUATOR, ParamStore, Tensor, sigmoid
+from .ndiff import EVALUATOR, ParamStore, Tensor, logsumexp, sigmoid
 
 # soft bound on emitted log-scales, preventing early-training divergence
 LOG_SCALE_BOUND = 5.0
@@ -462,7 +462,12 @@ class MixedEstimator(_ConditionalDensity):
 class EnsembleEstimator:
     """Uniform mixture of trained conditional estimators that share
     ``target_dim`` and ``context_dim``: the density is the member average,
-    and each draw comes from a member picked uniformly at random."""
+    and each draw comes from a member picked uniformly at random.
+
+    ``log_prob`` mixes the members' own ``log_prob``, so the ensemble's
+    support is its members': a row outside every member's support (an
+    rt <= 0 for mixed estimators) gets -inf. ``log_prob_tape`` mixes their
+    taped densities, the training and MAP path."""
 
     def __init__(self, members):
         self.members = list(members)
@@ -475,7 +480,8 @@ class EnsembleEstimator:
         ((self.target_dim, self.context_dim),) = dims
 
     def log_prob(self, target, context) -> np.ndarray:
-        return self.log_prob_tape(EVALUATOR, np.atleast_2d(target), np.atleast_2d(context))[:, 0]
+        cols = np.stack([m.log_prob(target, context) for m in self.members], axis=1)
+        return logsumexp(cols, axis=1)[:, 0] - math.log(len(self.members))
 
     def log_prob_tape(self, ops, target, context):
         cols = [m.log_prob_tape(ops, target, context) for m in self.members]

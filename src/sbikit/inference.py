@@ -28,7 +28,7 @@ from .estimators import (ClassifierNet, EnsembleEstimator, EstimatorConfig, NllT
                          build_estimator, pairwise_iid_sum)
 from .samplers import SamplerConfig, slice_sample
 from .simulators import Dataset, Simulator, simulate_rows
-from .trainer import TrainConfig, TrainReport, fit
+from .trainer import MIN_ROWS, TrainConfig, TrainReport, fit
 
 
 _MAX_LEAK_ROUNDS = 200   # estimator draws per direct sample before leakage is an error
@@ -158,8 +158,8 @@ def _fit_density(dataset: Dataset, estimator_config: EstimatorConfig | None,
                  train_config: TrainConfig | None, theta_is_target: bool):
     """Build, standardize and train a density estimator of theta given x
     (``theta_is_target``, NPE) or of x given theta (NLE)."""
-    if len(dataset) == 0:
-        raise InferenceError("cannot fit on an empty dataset")
+    if len(dataset) < MIN_ROWS:
+        raise InferenceError(f"fitting needs at least {MIN_ROWS} rows, got {len(dataset)}")
     estimator_config = estimator_config or EstimatorConfig(kind="mdn")
     train_config = train_config or TrainConfig()
     target, context = (dataset.theta, dataset.x) if theta_is_target else (dataset.x, dataset.theta)
@@ -190,10 +190,10 @@ def nre_fit(dataset: Dataset, hidden: tuple = (50, 50),
             train_config: TrainConfig | None = None) -> tuple[RatioModel, TrainReport]:
     """Train the ratio classifier on matched vs cyclically shuffled pairs."""
     train_config = train_config or TrainConfig()
-    if len(dataset) < 2 * train_config.batch_size:
+    if len(dataset) < max(MIN_ROWS, 2 * train_config.batch_size):
         raise InferenceError(
-            f"NRE needs at least 2*batch_size={2 * train_config.batch_size} rows, "
-            f"got {len(dataset)}"
+            f"NRE needs at least {MIN_ROWS} rows and 2*batch_size="
+            f"{2 * train_config.batch_size}, got {len(dataset)}"
         )
     classifier = ClassifierNet(dataset.theta_dim, dataset.x_dim, hidden=hidden,
                                seed=train_config.seed)

@@ -294,10 +294,12 @@ def sigmoid(x):
 
 
 def logsumexp(x, axis):
+    """log(sum(exp(x))) along ``axis``, keepdims; -inf where every entry is."""
     x = np.asarray(x, dtype=np.float64)
     m = np.max(x, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    return m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
 
 
 class Evaluator:

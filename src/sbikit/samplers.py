@@ -36,7 +36,7 @@ class SamplerConfig:
     def __post_init__(self):
         for name in ("chains", "warmup", "thin", "sir_pool"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise SamplerError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass

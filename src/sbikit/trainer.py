@@ -19,6 +19,7 @@ from .ndiff import EVALUATOR, NonFiniteGradientError, Tape
 from .simulators import Dataset
 
 _VAL_CHUNK = 4096
+MIN_ROWS = 10   # the fewest rows ``split`` accepts
 
 
 class TrainingError(RuntimeError):
@@ -38,12 +39,12 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (0.0 < self.val_fraction < 0.5):
-            raise ValueError(f"validation fraction must be in (0, 0.5), got {self.val_fraction}")
+            raise TrainingError(f"validation fraction must be in (0, 0.5), got {self.val_fraction}")
         for name in ("batch_size", "patience", "max_epochs"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+                raise TrainingError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+            raise TrainingError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass
@@ -74,11 +75,11 @@ class TrainReport:
 def split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled split into disjoint, exhaustive train/validation sets."""
     n = len(dataset)
-    if n < 10:
-        raise ValueError(f"need at least 10 rows to split, got {n}")
+    if n < MIN_ROWS:
+        raise TrainingError(f"need at least {MIN_ROWS} rows to split, got {n}")
     n_val = int(round(n * val_fraction))
     if n_val < 2:
-        raise ValueError(f"validation fraction {val_fraction} leaves {n_val} rows; need >= 2")
+        raise TrainingError(f"validation fraction {val_fraction} leaves {n_val} rows; need >= 2")
     perm = np.random.default_rng(seed).permutation(n)
     return dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
 

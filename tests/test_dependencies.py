@@ -96,3 +96,22 @@ def test_library_imports_scipy_only_inside_functions(path):
     eager = [f"line {node.lineno}: {ast.unparse(node)}" for node in eager_imports(TREES[path])
              if "scipy" in imported_roots(node)]
     assert not eager, f"{path.name} imports scipy at import time ({eager}); import it where used"
+
+
+# every error the library raises is one of its named classes, so callers can
+# catch sbikit failures apart from numpy's; NotImplementedError marks hooks
+BARE_ERRORS = {"ValueError", "RuntimeError", "TypeError", "Exception"}
+
+
+def bare_raises(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BARE_ERRORS:
+                yield f"line {node.lineno}: raise {exc.id}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_raises_only_its_named_errors(path):
+    bare = list(bare_raises(TREES[path]))
+    assert not bare, f"{path.name} raises builtin errors directly ({bare}); raise a named one"

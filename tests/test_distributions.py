@@ -113,24 +113,39 @@ def test_empirical_cdf_matches_analytic(name):
 
 
 def test_out_of_support_is_exactly_neg_inf_never_nan():
-    dists = [
-        BoxUniform([0.0], [1.0]),
+    """For every family, log_prob is exactly -inf at NaN points, points
+    beyond a bound and infinite points, and contains rejects the first two."""
+    for dist in [
+        BoxUniform([0.0, -1.0], [1.0, 2.0]),
+        DiagGaussian([0.5, -0.5], [0.1, -0.2]),
         TruncatedNormal(0.0, 1.0, -1.0, 1.0),
-    ]
-    points = np.array([[-0.5], [1.5], [100.0], [-1e6]])
-    for d in dists:
-        out = d.log_prob(points)
-        outside = ~d.contains(points)
-        assert np.all(out[outside] == -np.inf)
-        assert not np.any(np.isnan(out))
+        MixtureDiagGaussian([0.0, -0.5], [[0.0, 1.0], [3.0, -1.0]], [[0.0, 0.2], [-0.3, 0.0]]),
+    ]:
+        def moved(j, value):
+            point = dist.mean()
+            point[j] = value
+            return point
+
+        outside, infinite = [np.full(dist.dim, np.nan)], []
+        for j in range(dist.dim):
+            far = [moved(j, np.inf), moved(j, -np.inf)]
+            outside.append(moved(j, np.nan))
+            if np.isfinite(dist.low[j]):
+                outside += far + [moved(j, dist.low[j] - 1e-9), moved(j, dist.high[j] + 1e-9)]
+            else:
+                infinite += far
+        for point in outside + infinite:
+            assert dist.log_prob(point) == -np.inf, (dist, point)
+        assert np.all(dist.log_prob(np.array(outside + infinite)) == -np.inf), dist
+        assert not np.any(dist.contains(np.array(outside))), dist
+        for point in outside:
+            assert dist.contains(point) is False, (dist, point)
 
 
 def test_boundary_points_count_as_inside():
-    d = BoxUniform([0.0], [1.0])
-    assert np.isfinite(d.log_prob(np.array([0.0])))
-    assert np.isfinite(d.log_prob(np.array([1.0])))
-    t = TruncatedNormal(0.0, 1.0, -1.0, 1.0)
-    assert np.isfinite(t.log_prob(np.array([1.0])))
+    for dist in (BoxUniform([0.0, -1.0], [1.0, 2.0]), TruncatedNormal(0.0, 1.0, -1.0, 1.0)):
+        for corner in (dist.low, dist.high):
+            assert dist.contains(corner) is True and np.isfinite(dist.log_prob(corner)), corner
 
 
 def test_mixture_weights_normalized_and_log_prob_matches_brute_force():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,19 @@ def test_evaluator_loss_and_log_prob_equal_the_taped_ones_exactly(kind):
             taped = est.log_prob_tape(Tape(), Tensor(target), Tensor(context)).data[:, 0]
             np.testing.assert_array_equal(est.log_prob(target, context), taped)
     assert float(model.loss(EVALUATOR, theta, x)) == float(model.loss(Tape(), theta, x).data)
+
+
+def test_ensemble_of_mixed_estimators_keeps_their_rt_support():
+    members = [build_estimator(EstimatorConfig(kind="mixed", n_components=3, hidden=(8,)),
+                               2, 2, seed) for seed in (87, 88)]
+    target = np.array([[1.0, 0.5], [0.0, -0.1]])
+    context = np.zeros((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = np.stack([m.log_prob(target, context) for m in members], axis=1)
+        lp = EnsembleEstimator(members).log_prob(target, context)
+    assert np.isfinite(lp[0]) and lp[1] == -np.inf
+    np.testing.assert_allclose(lp, special.logsumexp(cols, axis=1) - math.log(2.0), rtol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["mdn", "flow", "mixed"])

@@ -306,6 +306,24 @@ def test_every_fit_route_rejects_an_empty_dataset_before_building_anything(monke
                 fit_route()
 
 
+@pytest.mark.parametrize("n", [1, 5, 9])
+def test_every_fit_route_rejects_fewer_rows_than_a_split_needs_before_building_anything(
+        monkeypatch, n):
+    def build(*args, **kwargs):
+        raise AssertionError("an estimator was built")
+
+    monkeypatch.setattr(inference, "build_estimator", build)
+    monkeypatch.setattr(inference, "ClassifierNet", build)
+    data = Dataset(np.zeros((n, 2)), np.zeros((n, 2)), {})
+    # a batch size small enough that NRE's 2*batch_size rule alone would pass
+    train = TrainConfig(batch_size=1)
+    for fit_route in (lambda: npe_fit(data, train_config=train, prior=OBS_PRIOR),
+                      lambda: nle_fit(data, train_config=train),
+                      lambda: nre_fit(data, train_config=train)):
+        with pytest.raises(InferenceError, match=rf"at least 10 rows.*got {n}$"):
+            fit_route()
+
+
 @pytest.fixture(scope="module")
 def tsnpe_run():
     """One TSNPE round on 500 prior rows of the box task, adding 200 rows;

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,17 @@ def test_logsumexp_no_overflow_at_1e300():
     assert out[0, 0] == pytest.approx(1e300)
     neg = logsumexp(np.array([[-1e300, -1e300]]), axis=1)
     assert not np.isnan(neg).any()
+
+
+def test_logsumexp_of_an_all_neg_inf_row_is_neg_inf_without_a_warning():
+    x = np.array([[-np.inf, -np.inf], [0.3, -1.2], [-np.inf, 2.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = logsumexp(x, axis=1)[:, 0]
+    assert out[0] == -np.inf
+    # finite rows keep the bits of the max-shifted formula
+    m = x[1:].max(axis=1)
+    np.testing.assert_array_equal(out[1:], m + np.log(np.exp(x[1:] - m[:, None]).sum(axis=1)))
 
 
 UNARY_OPS = ["tanh", "softplus", "exp", "square", "negate"]

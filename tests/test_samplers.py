@@ -105,5 +105,5 @@ def test_map_estimate_rejects_fewer_than_one_restart_or_step(name, value):
 
 @pytest.mark.parametrize("name", ["chains", "warmup", "thin", "sir_pool"])
 def test_sampler_config_names_the_value_it_rejects(name):
-    with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got 0$"):
+    with pytest.raises(SamplerError, match=rf"^{name} must be >= 1, got 0$"):
         SamplerConfig(**{name: 0})

@@ -66,11 +66,11 @@ class TestSplit:
         assert len(tr) + len(va) == 73
 
     def test_too_few_validation_rows_rejected(self):
-        with pytest.raises(ValueError, match="validation"):
+        with pytest.raises(TrainingError, match="validation"):
             split(toy_dataset(12), 0.1, seed=0)
 
     def test_tiny_dataset_rejected(self):
-        with pytest.raises(ValueError, match="at least 10"):
+        with pytest.raises(TrainingError, match="at least 10"):
             split(toy_dataset(8), 0.3, seed=0)
 
 
@@ -84,14 +84,14 @@ class TestConfig:
         assert cfg.max_epochs == 1000
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TrainingError):
             TrainConfig(val_fraction=0.7)
-        with pytest.raises(ValueError):
+        with pytest.raises(TrainingError):
             TrainConfig(patience=0)
         for field, value in [("batch_size", 0), ("max_epochs", 0), ("learning_rate", -1.0),
                              ("learning_rate", 0.0), ("learning_rate", float("nan")),
                              ("learning_rate", float("inf"))]:
-            with pytest.raises(ValueError, match=field):
+            with pytest.raises(TrainingError, match=field):
                 TrainConfig(**{field: value})
 
 
