@@ -6,7 +6,15 @@ one contract, ``target_dim``, ``context_dim``, ``sample(context, n, rng)``,
 ``log_prob(target, context)`` and ``log_prob_tape(ops, target, context)``,
 so ``inference.DirectPosterior`` serves any of them: the density estimators
 on one scaffold (MDN, coupling flow, mixed choice/reaction-time) and
-``EnsembleEstimator``, their uniform mixture. Training goes through one
+``EnsembleEstimator``, their uniform mixture.
+
+The context of ``log_prob`` is one row, which is broadcast over the target
+rows, or one row per target row; ``sample`` takes exactly one row. A
+one-row context runs the networks that read only the context once, so an
+amortized query at one observation costs one network pass for that part,
+whatever the number of targets. ``log_prob_tape`` needs one context row per
+target row, because the Tape does not broadcast. Other row counts raise an
+``EstimatorError`` naming both shapes. Training goes through one
 adapter, ``NllTask``: the mean negative log-density of the target given the
 context. ``ClassifierNet`` is the one classifier, the NRE head; its loss and
 the mixed estimator's choice term share one binary cross-entropy.
@@ -54,6 +62,26 @@ class EstimatorError(ValueError):
 
 def _bounded(ops, raw):
     return ops.multiply(ops.tanh(ops.multiply(raw, 1.0 / LOG_SCALE_BOUND)), LOG_SCALE_BOUND)
+
+
+def _context(context, context_dim: int, target=None) -> np.ndarray:
+    """``context`` as a 2-D array of ``context_dim`` columns: one row, or
+    one row per row of ``target`` when a target is given."""
+    arr = np.atleast_2d(context)
+    rows = 1 if target is None else target.shape[0]
+    if arr.ndim == 2 and arr.shape[1] == context_dim and arr.shape[0] in (1, rows):
+        return arr
+    if target is None:
+        raise EstimatorError(f"sample takes one context row of shape (1, {context_dim}), "
+                             f"got shape {np.shape(context)}")
+    raise EstimatorError(f"context of shape {np.shape(context)} does not fit target of shape "
+                         f"{target.shape}: expected (1, {context_dim}) or ({rows}, {context_dim})")
+
+
+def _broadcast_rows(feats, rows: int):
+    """One-row context features repeated to ``rows`` rows, for a concat
+    with per-target columns; on the Tape the rows already agree."""
+    return feats if feats.shape[0] == rows else np.broadcast_to(feats, (rows, feats.shape[1]))
 
 
 def _bce(ops, logit, labels: np.ndarray):
@@ -220,15 +248,16 @@ class _MixtureHead:
         comp = ops.concat(comp_cols, axis=1)
         return ops.logsumexp(ops.add(comp, log_w), axis=1)
 
-    def sample(self, feats, rng):
+    def sample(self, feats, which, rng):
+        """One standardized draw per entry of ``which``, from the mixture at
+        that row of ``feats``; the parameters are computed once per row."""
         log_w, mu, log_std = self.components(feats)
-        n = feats.shape[0]
+        n = which.shape[0]
         u = rng.uniform(size=(n, 1))
-        choice = (np.exp(log_w).cumsum(axis=1) < u).sum(axis=1)
+        choice = (np.exp(log_w).cumsum(axis=1)[which] < u).sum(axis=1)
         choice = np.minimum(choice, self.n_components - 1)
-        rows = np.arange(n)
         eps = rng.standard_normal((n, self.target_dim))
-        return mu[rows, choice] + np.exp(log_std[rows, choice]) * eps
+        return mu[which, choice] + np.exp(log_std[which, choice]) * eps
 
 
 class _ConditionalDensity:
@@ -236,7 +265,12 @@ class _ConditionalDensity:
     network, and the target standardizer whose Jacobian reports densities
     in original coordinates. Subclasses register their layers in ``_build``,
     give the log-density of the standardized target in ``_log_prob_z`` and
-    draw targets from context features in ``_sample``."""
+    draw n targets from one row of context features in ``_sample``.
+
+    ``log_prob`` takes one context row, broadcast over the targets, or one
+    row per target; ``sample`` takes one row; ``log_prob_tape`` needs one
+    row per target. The context network runs once on a one-row context,
+    and so does every network that reads only its features."""
 
     def __init__(self, target_dim: int, context_dim: int, config: EstimatorConfig,
                  seed: int = 0):
@@ -255,10 +289,13 @@ class _ConditionalDensity:
         self.context_net.fit_standardizer(contexts)
 
     def log_prob(self, target, context) -> np.ndarray:
-        return self.log_prob_tape(EVALUATOR, np.atleast_2d(target), np.atleast_2d(context))[:, 0]
+        target = np.atleast_2d(target)
+        context = _context(context, self.context_dim, target)
+        return self.log_prob_tape(EVALUATOR, target, context)[:, 0]
 
     def log_prob_tape(self, ops, target, context):
-        """(n,1) log-density of the target rows given the context rows."""
+        """(n,1) log-density of the target rows given the context rows; on
+        the evaluator a one-row context is broadcast over the targets."""
         feats = self.context_net.forward(ops, context)
         y_z = self.target_standardizer.transform_ops(ops, target)
         return ops.add(self._log_prob_z(ops, y_z, feats), self.target_standardizer.log_det)
@@ -269,8 +306,8 @@ class _ConditionalDensity:
 
     def sample(self, context, n: int, rng) -> np.ndarray:
         """(n, target_dim) draws at one context row."""
-        feats = self.context_net.forward(EVALUATOR, np.tile(np.atleast_2d(context), (n, 1)))
-        return self._sample(feats, rng)
+        feats = self.context_net.forward(EVALUATOR, _context(context, self.context_dim))
+        return self._sample(feats, n, rng)
 
 
 class ConditionalMDN(_ConditionalDensity):
@@ -292,8 +329,9 @@ class ConditionalMDN(_ConditionalDensity):
               + self.target_standardizer.log_det)
         return lp.sum(axis=1)
 
-    def _sample(self, feats, rng):
-        return self.target_standardizer.inverse(self.head.sample(feats, rng))
+    def _sample(self, feats, n, rng):
+        y_z = self.head.sample(feats, np.zeros(n, dtype=np.intp), rng)
+        return self.target_standardizer.inverse(y_z)
 
 
 class AffineCouplingFlow(_ConditionalDensity):
@@ -318,7 +356,10 @@ class AffineCouplingFlow(_ConditionalDensity):
 
     def _conditioner(self, ops, net, passthrough, feats):
         """Shift and bounded log-scale of one coupling layer."""
-        inp = ops.concat([passthrough, feats], axis=1) if self.n_pass else feats
+        if self.n_pass:
+            inp = ops.concat([passthrough, _broadcast_rows(feats, passthrough.shape[0])], axis=1)
+        else:
+            inp = feats
         out = net.forward(ops, inp)
         shift = ops.slice_cols(out, 0, self.n_trans)
         log_scale = _bounded(ops, ops.slice_cols(out, self.n_trans, 2 * self.n_trans))
@@ -356,8 +397,8 @@ class AffineCouplingFlow(_ConditionalDensity):
             lp = ops.add(lp, col)
         return lp
 
-    def _sample(self, feats, rng):
-        u = rng.standard_normal((feats.shape[0], self.target_dim))
+    def _sample(self, feats, n, rng):
+        u = rng.standard_normal((n, self.target_dim))
         return self.target_standardizer.inverse(self._to_target(u, feats))
 
 
@@ -399,18 +440,19 @@ class MixedEstimator(_ConditionalDensity):
         ctx, logit = self._choice_logit(ops, context)
         logp_choice = ops.negate(_bce(ops, logit, choice))
         y_z = ops.const(self.target_standardizer.transform(log_rt))
-        feats = ops.concat([ctx, ops.const(choice)], axis=1)
+        feats = ops.concat([_broadcast_rows(ctx, choice.shape[0]), ops.const(choice)], axis=1)
         logp_rt = self.rt_head.log_prob(ops, feats, y_z)
         jac = ops.const(self.target_standardizer.log_det - log_rt)
         return ops.add(ops.add(logp_choice, logp_rt), jac)
 
     def log_prob(self, target, context) -> np.ndarray:
         target = np.atleast_2d(target)
-        context = np.atleast_2d(context)
+        context = _context(context, self.context_dim, target)
         out = np.full(target.shape[0], -np.inf)
         ok = target[:, 1] > 0
         if ok.any():
-            out[ok] = self._log_prob(EVALUATOR, target[ok], context[ok])[:, 0]
+            ctx = context if context.shape[0] == 1 else context[ok]
+            out[ok] = self._log_prob(EVALUATOR, target[ok], ctx)[:, 0]
         return out
 
     def iid_log_lik(self, targets, contexts) -> np.ndarray:
@@ -451,12 +493,14 @@ class MixedEstimator(_ConditionalDensity):
         _, logit = self._choice_logit(EVALUATOR, np.atleast_2d(context))
         return sigmoid(logit)[:, 0]
 
-    def _sample(self, feats, rng):
+    def _sample(self, feats, n, rng):
         p1 = sigmoid(self.choice_net.forward(EVALUATOR, feats))[:, 0]
-        choice = (rng.uniform(size=feats.shape[0]) < p1).astype(np.float64)[:, None]
-        y_z = self.rt_head.sample(np.concatenate([feats, choice], axis=1), rng)
+        choice = (rng.uniform(size=n) < p1).astype(np.intp)
+        # the RT head's mixtures at choice 0 and at choice 1, row = choice
+        levels = np.concatenate([np.repeat(feats, 2, axis=0), [[0.0], [1.0]]], axis=1)
+        y_z = self.rt_head.sample(levels, choice, rng)
         rt = np.exp(self.target_standardizer.inverse(y_z))
-        return np.concatenate([choice, rt], axis=1)
+        return np.concatenate([choice[:, None].astype(np.float64), rt], axis=1)
 
 
 class EnsembleEstimator:
@@ -489,6 +533,7 @@ class EnsembleEstimator:
         return ops.add(lse, -math.log(len(self.members)))
 
     def sample(self, context, n: int, rng) -> np.ndarray:
+        context = _context(context, self.context_dim)
         which = rng.integers(0, len(self.members), size=n)
         out = np.empty((n, self.target_dim))
         for k, member in enumerate(self.members):

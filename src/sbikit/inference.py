@@ -68,7 +68,11 @@ def _observations(x, x_dim: int, single: bool = False) -> np.ndarray:
 class DirectPosterior:
     """Amortized posterior: one trained estimator (or ensemble) serves any observation.
 
-    Every call takes one observation row ``x``. Sampling rejects the
+    Every call takes one observation row ``x``. ``sample`` and ``log_prob``
+    hand the estimator that one row as the context, so the work that depends
+    only on the observation runs once per call, whatever the number of
+    draws or theta rows. ``log_prob_tape`` repeats the row once per theta
+    row, because the Tape does not broadcast. Sampling rejects the
     estimator's leakage outside the prior support, so draws follow the
     density that log_prob reports: the estimator density inside the support
     and -inf outside (not renormalized for leakage, which cancels in
@@ -103,7 +107,7 @@ class DirectPosterior:
 
     def log_prob(self, x, theta):
         theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
-        lp = self.estimator.log_prob(theta, np.tile(self._row(x), (theta.shape[0], 1)))
+        lp = self.estimator.log_prob(theta, self._row(x))
         return np.where(self.prior.contains(theta), lp, -np.inf)
 
     def log_prob_tape(self, ops, x, theta):

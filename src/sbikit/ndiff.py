@@ -198,7 +198,9 @@ class Tape:
         out = Tensor(y)
 
         def back(g, table):
-            _accumulate(table, a, g * np.exp(a.data - y))
+            # an all -inf row has no mass to share out: shifting it by +inf
+            # gives it a zero adjoint instead of exp(-inf - -inf) = NaN
+            _accumulate(table, a, g * np.exp(a.data - np.where(y == -np.inf, np.inf, y)))
 
         return self._record(out, back)
 
@@ -297,9 +299,11 @@ def logsumexp(x, axis):
     """log(sum(exp(x))) along ``axis``, keepdims; -inf where every entry is."""
     x = np.asarray(x, dtype=np.float64)
     m = np.max(x, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
+    finite = np.isfinite(m)
+    s = np.sum(np.exp(x - np.where(finite, m, 0.0)), axis=axis, keepdims=True)
+    # a row whose max is not finite is its max (-inf, +inf or NaN); skipping
+    # its log avoids log(0) on an all -inf row without entering np.errstate
+    return m + np.log(s, out=s, where=finite)
 
 
 class Evaluator:

@@ -478,6 +478,23 @@ def test_sample_returns_n_rows_of_target_dim_for_every_estimator(kind):
         assert est.sample(context, 7, rng).shape == (7, 2)
 
 
+@pytest.mark.parametrize("kind", ["mdn", "flow", "mixed", "ensemble"])
+def test_a_context_of_the_wrong_row_count_raises_naming_both_shapes(kind):
+    rng = np.random.default_rng(89)
+    theta = rng.normal(size=(30, 2))
+    x = np.column_stack([rng.integers(0, 2, size=30), rng.uniform(0.2, 2.0, size=30)])
+    base = "mdn" if kind == "ensemble" else kind
+    members = [trained_like(base, x, theta, seed) for seed in (90, 91)]
+    est = EnsembleEstimator(members) if kind == "ensemble" else members[0]
+    target, context = (x, theta) if base == "mixed" else (theta, x)
+    with pytest.raises(EstimatorError, match=r"row of shape \(1, 2\), got shape \(2, 2\)"):
+        est.sample(context[:2], 5, rng)
+    with pytest.raises(EstimatorError, match=r"\(3, 2\) does not fit target of shape \(5, 2\)"):
+        est.log_prob(target[:5], context[:3])
+    for rows in (1, 5):
+        assert est.log_prob(target[:5], context[:rows]).shape == (5,)
+
+
 def test_ensemble_rejects_too_few_members_and_disagreeing_dims():
     cfg = EstimatorConfig(kind="mdn", n_components=2, hidden=(4,))
     with pytest.raises(EstimatorError, match="at least 2 members, got 1"):

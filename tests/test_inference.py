@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 
 from sbikit import inference
 from sbikit.distributions import BoxUniform, DiagGaussian, prior_to_config
-from sbikit.estimators import (ClassifierNet, EnsembleEstimator, EstimatorConfig, Standardizer,
+from sbikit.estimators import (AffineCouplingFlow, ClassifierNet, ConditionalMDN,
+                               EnsembleEstimator, EstimatorConfig, Mlp, Standardizer,
                                build_estimator)
 from sbikit.inference import (DirectPosterior, InferenceError, LikelihoodModel, McmcPosterior,
                               RatioModel, fit_ensemble, nle_fit, nle_posterior, npe_fit, nre_fit,
                               nre_posterior, tsnpe_round)
+from sbikit.ndiff import EVALUATOR, sigmoid
 from sbikit.samplers import SamplerConfig, map_estimate
 from sbikit.simulators import (BallThrowSimulator, Dataset, LinearGaussianSimulator,
                                generate_dataset, simulate_rows)
@@ -28,8 +31,8 @@ def tiled_log_lik(estimator, observations, thetas):
     return lp.reshape(c, t).sum(axis=1)
 
 
-def randomized(kind, target_dim, context_dim, targets, contexts, seed=3):
-    cfg = EstimatorConfig(kind=kind, n_components=3, hidden=(8,), n_layers=3)
+def randomized(kind, target_dim, context_dim, targets, contexts, seed=3, **config):
+    cfg = replace(EstimatorConfig(kind=kind, n_components=3, hidden=(8,), n_layers=3), **config)
     est = build_estimator(cfg, target_dim, context_dim, seed=seed)
     rng = np.random.default_rng(seed + 1)
     est.store.load({n: rng.normal(scale=0.3, size=est.store[n].data.shape)
@@ -83,6 +86,91 @@ def test_log_lik_accepts_single_rows():
     obs, theta = mixed_trials(rng, 1), rng.normal(size=3)
     got = LikelihoodModel(est).log_lik(obs[0], theta)
     np.testing.assert_allclose(got, tiled_log_lik(est, obs, theta[None, :]), rtol=1e-12)
+
+
+def tiled_direct_log_prob(posterior, x, theta):
+    """Reference direct density: the estimator's log_prob with the
+    observation repeated once per theta row, masked to the prior support."""
+    lp = posterior.estimator.log_prob(theta, np.tile(np.atleast_2d(x), (theta.shape[0], 1)))
+    return np.where(posterior.prior.contains(theta), lp, -np.inf)
+
+
+def tiled_draws(est, x, n, rng):
+    """Reference draws from context features computed on n copies of ``x``,
+    one set of network outputs per draw, with the generator calls of
+    ``est.sample``."""
+    feats = est.context_net.forward(EVALUATOR, np.tile(np.atleast_2d(x), (n, 1)))
+    if isinstance(est, AffineCouplingFlow):
+        return est._sample(feats, n, rng)
+    if isinstance(est, ConditionalMDN):
+        return est.target_standardizer.inverse(est.head.sample(feats, np.arange(n), rng))
+    p1 = sigmoid(est.choice_net.forward(EVALUATOR, feats))[:, 0]
+    choice = (rng.uniform(size=n) < p1).astype(np.float64)[:, None]
+    y_z = est.rt_head.sample(np.concatenate([feats, choice], axis=1), np.arange(n), rng)
+    return np.concatenate([choice, np.exp(est.target_standardizer.inverse(y_z))], axis=1)
+
+
+def direct_query(kind, prior, **config):
+    """A DirectPosterior over a randomized estimator of a 2-column target
+    given 3-column observations (two MDNs for "ensemble"), the target
+    maker, and a generator."""
+    rng = np.random.default_rng(15)
+    base = "mdn" if kind == "ensemble" else kind
+    make = mixed_trials if base == "mixed" else continuous_trials
+    members = [randomized(base, 2, 3, make(rng, 200), rng.normal(size=(200, 3)), seed, **config)
+               for seed in (3, 5)]
+    est = EnsembleEstimator(members) if kind == "ensemble" else members[0]
+    return DirectPosterior(est, prior), make, rng
+
+
+@pytest.mark.parametrize("kind", ["mdn", "flow", "mixed", "ensemble"])
+def test_direct_log_prob_at_one_observation_matches_the_tiled_reference(kind):
+    prior = BoxUniform([-0.5, 0.1], [1.5, 1.9]) if kind == "mixed" else BoxUniform([-1, -6], [2, 4])
+    post, make, rng = direct_query(kind, prior)
+    x, theta = rng.normal(size=3), make(rng, 500)
+    got = post.log_prob(x, theta)
+    assert np.isfinite(got).sum() > 300 and np.any(got == -np.inf)
+    np.testing.assert_allclose(got, tiled_direct_log_prob(post, x, theta), rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["mdn", "flow", "mixed"])
+def test_direct_draws_at_one_observation_match_the_tiled_reference(kind):
+    post, _, rng = direct_query(kind, DiagGaussian([0.0, 0.0], [0.0, 0.0]))
+    x, n = rng.normal(size=3), 4000
+    got = post.sample(x, n, np.random.default_rng(16))
+    ref = tiled_draws(post.estimator, x, n, np.random.default_rng(16))
+    # a draw whose component (or choice) flips on a last-bit difference of
+    # the cumulative weights lands far from its reference; count those apart
+    flipped = ~np.all(np.isclose(got, ref, rtol=1e-12, atol=1e-12), axis=1)
+    assert np.count_nonzero(flipped) <= n // 1000
+    np.testing.assert_allclose(got[~flipped], ref[~flipped], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, context_only", [
+    ("mdn", ["ctx.embed.", "mdn.trunk.", "mdn.weights.", "mdn.means.", "mdn.logstds."]),
+    ("flow", ["ctx.embed."]),
+    ("mixed", ["ctx.embed.", "choice."]),
+])
+def test_a_direct_query_sends_one_row_through_each_context_only_network(kind, context_only,
+                                                                        monkeypatch):
+    rows = {}
+    forward = Mlp.forward
+
+    def counted(self, ops, x):
+        rows.setdefault(self.layer_names[0][0].rsplit("w", 1)[0], []).append(x.shape[0])
+        return forward(self, ops, x)
+
+    monkeypatch.setattr(Mlp, "forward", counted)
+    post, _, rng = direct_query(kind, DiagGaussian([0.0, 0.0], [0.0, 0.0]),
+                                embedding_dim=4, embedding_hidden=(8,))
+    x = rng.normal(size=3)
+    for n in (40, 4000):
+        rows.clear()
+        post.log_prob(x, post.sample(x, n, rng))
+        # one call in sample and one in log_prob, one row each, whatever n
+        assert {name: rows[name] for name in context_only} == dict.fromkeys(context_only, [1, 1])
+        if kind == "mixed":
+            assert rows["rt.trunk."][0] == 2    # the RT head at choice 0 and choice 1
 
 
 X_OBS = np.array([[0.9], [1.3], [0.7], [1.1], [1.0]])

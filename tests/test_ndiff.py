@@ -90,14 +90,28 @@ def test_logsumexp_no_overflow_at_1e300():
 
 
 def test_logsumexp_of_an_all_neg_inf_row_is_neg_inf_without_a_warning():
-    x = np.array([[-np.inf, -np.inf], [0.3, -1.2], [-np.inf, 2.5]])
+    x = np.array([[-np.inf, -np.inf], [np.nan, 1.0], [0.3, -1.2], [-np.inf, 2.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = logsumexp(x, axis=1)[:, 0]
     assert out[0] == -np.inf
+    assert np.isnan(out[1])
     # finite rows keep the bits of the max-shifted formula
-    m = x[1:].max(axis=1)
-    np.testing.assert_array_equal(out[1:], m + np.log(np.exp(x[1:] - m[:, None]).sum(axis=1)))
+    m = x[2:].max(axis=1)
+    np.testing.assert_array_equal(out[2:], m + np.log(np.exp(x[2:] - m[:, None]).sum(axis=1)))
+
+
+def test_logsumexp_backward_gives_an_all_neg_inf_row_a_zero_adjoint():
+    vals = np.array([[-np.inf, -np.inf], [0.0, 1.0]])
+    tape = Tape()
+    x = Tensor(vals)
+    y = tape.sum(tape.logsumexp(x, axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grads = tape.backward(y)[x]
+    np.testing.assert_array_equal(grads[0], [0.0, 0.0])
+    # the finite row keeps the bits of its softmax
+    np.testing.assert_array_equal(grads[1], np.exp(vals[1] - logsumexp(vals[1:], axis=1)[0]))
 
 
 UNARY_OPS = ["tanh", "softplus", "exp", "square", "negate"]
