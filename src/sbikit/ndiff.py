@@ -2,10 +2,15 @@
 
 Every trainable model in this package is a small MLP stack, so the engine
 favors explicit shapes and a flat replay tape over graph optimization.
-A fresh tape is built for each forward pass; ``Tape.backward`` replays the
-recorded primitives in exact reverse order and accumulates adjoints.
+A fresh tape is built for each forward pass; ``Tape`` records each
+primitive's output with one pullback per operand, and ``Tape.backward``
+replays the record in exact reverse order, summing adjoints in one place.
 ``EVALUATOR`` runs the same primitives on bare arrays without recording,
-for forward passes that need no gradients.
+for forward passes that need no gradients. Two invariants keep adjoints
+and parameters copy-free: a stored adjoint may share memory with another,
+so nothing writes into one in place; and a ``ParamStore`` parameter's
+``.data`` is a view into the store's one buffer, so code writes into it
+and never rebinds it.
 """
 
 from __future__ import annotations
@@ -55,7 +60,8 @@ class Tensor:
 
 
 class Gradients:
-    """Adjoint arrays keyed by the tensors they belong to."""
+    """Adjoint arrays keyed by the tensors they belong to. An adjoint may
+    share memory with another: copy it before writing into it."""
 
     def __init__(self, table):
         self._table = table
@@ -67,16 +73,17 @@ class Gradients:
         return g
 
 
-def _accumulate(table, tensor, delta):
-    key = id(tensor)
-    if key in table:
-        table[key] += delta
-    else:
-        table[key] = np.array(delta, dtype=np.float64)
+def _same(g):
+    return g
 
 
 class Tape:
-    """Ordered record of primitive operations, replayed backward for adjoints."""
+    """Ordered record of primitive operations, replayed backward for adjoints.
+
+    A node is a primitive's output and one ``(operand, pullback)`` pair per
+    operand. ``backward`` sums adjoints in reverse node order, operands in
+    order, out of place, so a pullback may return its input or a view of it.
+    """
 
     def __init__(self):
         self._nodes = []
@@ -84,8 +91,9 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def _record(self, out: Tensor, backward_fn) -> Tensor:
-        self._nodes.append((out, backward_fn))
+    def _record(self, value, *pullbacks) -> Tensor:
+        out = Tensor(value)
+        self._nodes.append((out, pullbacks))
         return out
 
     # -- primitives ------------------------------------------------------
@@ -96,40 +104,19 @@ class Tape:
 
     def add(self, a: Tensor, b) -> Tensor:
         if isinstance(b, (int, float)):
-            out = Tensor(a.data + float(b))
-
-            def back(g, table):
-                _accumulate(table, a, g)
-
-            return self._record(out, back)
+            return self._record(a.data + float(b), (a, _same))
         if a.shape != b.shape:
             raise NdiffError(f"add shapes differ: {a.shape} vs {b.shape}")
-        out = Tensor(a.data + b.data)
-
-        def back2(g, table):
-            _accumulate(table, a, g)
-            _accumulate(table, b, g)
-
-        return self._record(out, back2)
+        return self._record(a.data + b.data, (a, _same), (b, _same))
 
     def multiply(self, a: Tensor, b) -> Tensor:
         if isinstance(b, (int, float)):
             c = float(b)
-            out = Tensor(a.data * c)
-
-            def back(g, table):
-                _accumulate(table, a, g * c)
-
-            return self._record(out, back)
+            return self._record(a.data * c, (a, lambda g: g * c))
         if a.shape != b.shape:
             raise NdiffError(f"multiply shapes differ: {a.shape} vs {b.shape}")
-        out = Tensor(a.data * b.data)
-
-        def back2(g, table):
-            _accumulate(table, a, g * b.data)
-            _accumulate(table, b, g * a.data)
-
-        return self._record(out, back2)
+        return self._record(a.data * b.data,
+                            (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
     def affine(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         """x @ w + b with the bias broadcast across rows."""
@@ -137,56 +124,27 @@ class Tape:
             raise NdiffError(f"affine shapes do not conform: {x.shape} @ {w.shape}")
         if b.shape != (w.shape[1],):
             raise NdiffError(f"affine bias shape {b.shape} != ({w.shape[1]},)")
-        out = Tensor(x.data @ w.data + b.data)
-
-        def back(g, table):
-            _accumulate(table, x, g @ w.data.T)
-            _accumulate(table, w, x.data.T @ g)
-            _accumulate(table, b, g.sum(axis=0))
-
-        return self._record(out, back)
+        return self._record(x.data @ w.data + b.data,
+                            (x, lambda g: g @ w.data.T),
+                            (w, lambda g: x.data.T @ g),
+                            (b, lambda g: g.sum(axis=0)))
 
     def tanh(self, a: Tensor) -> Tensor:
         y = np.tanh(a.data)
-        out = Tensor(y)
-
-        def back(g, table):
-            _accumulate(table, a, g * (1.0 - y * y))
-
-        return self._record(out, back)
+        return self._record(y, (a, lambda g: g * (1.0 - y * y)))
 
     def softplus(self, a: Tensor) -> Tensor:
-        out = Tensor(softplus(a.data))
-
-        def back(g, table):
-            _accumulate(table, a, g * sigmoid(a.data))
-
-        return self._record(out, back)
+        return self._record(softplus(a.data), (a, lambda g: g * sigmoid(a.data)))
 
     def exp(self, a: Tensor) -> Tensor:
         y = np.exp(a.data)
-        out = Tensor(y)
-
-        def back(g, table):
-            _accumulate(table, a, g * y)
-
-        return self._record(out, back)
+        return self._record(y, (a, lambda g: g * y))
 
     def square(self, a: Tensor) -> Tensor:
-        out = Tensor(a.data * a.data)
-
-        def back(g, table):
-            _accumulate(table, a, g * (2.0 * a.data))
-
-        return self._record(out, back)
+        return self._record(a.data * a.data, (a, lambda g: g * (2.0 * a.data)))
 
     def negate(self, a: Tensor) -> Tensor:
-        out = Tensor(-a.data)
-
-        def back(g, table):
-            _accumulate(table, a, -g)
-
-        return self._record(out, back)
+        return self._record(-a.data, (a, operator.neg))
 
     def logsumexp(self, a: Tensor, axis: int) -> Tensor:
         """Stable log-sum-exp over one axis of a 2-D tensor, keepdims."""
@@ -195,40 +153,22 @@ class Tape:
         if axis not in (0, 1):
             raise NdiffError(f"logsumexp axis must be 0 or 1, got {axis}")
         y = logsumexp(a.data, axis=axis)
-        out = Tensor(y)
-
-        def back(g, table):
-            # an all -inf row has no mass to share out: shifting it by +inf
-            # gives it a zero adjoint instead of exp(-inf - -inf) = NaN
-            _accumulate(table, a, g * np.exp(a.data - np.where(y == -np.inf, np.inf, y)))
-
-        return self._record(out, back)
+        # an all -inf row has no mass to share out: shifting it by +inf
+        # gives it a zero adjoint instead of exp(-inf - -inf) = NaN
+        return self._record(
+            y, (a, lambda g: g * np.exp(a.data - np.where(y == -np.inf, np.inf, y))))
 
     def sum(self, a: Tensor, axis=None) -> Tensor:
         if axis is None:
-            out = Tensor(a.data.sum())
-
-            def back(g, table):
-                _accumulate(table, a, np.full_like(a.data, float(g)))
-
-            return self._record(out, back)
+            return self._record(a.data.sum(), (a, lambda g: np.full_like(a.data, float(g))))
         if a.ndim != 2 or axis != 1:
             raise NdiffError(f"axis sum supports 2-D tensors over axis 1, got {a.shape}")
-        out = Tensor(a.data.sum(axis=1, keepdims=True))
-
-        def back2(g, table):
-            _accumulate(table, a, np.broadcast_to(g, a.shape).copy())
-
-        return self._record(out, back2)
+        return self._record(a.data.sum(axis=1, keepdims=True),
+                            (a, lambda g: np.broadcast_to(g, a.shape).copy()))
 
     def mean(self, a: Tensor) -> Tensor:
-        out = Tensor(a.data.mean())
         n = a.size
-
-        def back(g, table):
-            _accumulate(table, a, np.full_like(a.data, float(g) / n))
-
-        return self._record(out, back)
+        return self._record(a.data.mean(), (a, lambda g: np.full_like(a.data, float(g) / n)))
 
     def concat(self, parts, axis: int = 1) -> Tensor:
         if axis != 1:
@@ -238,30 +178,25 @@ class Tape:
             raise NdiffError(
                 f"concat expects 2-D tensors with equal rows, got {[p.shape for p in parts]}"
             )
-        out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-        widths = [p.shape[1] for p in parts]
-
-        def back(g, table):
-            offset = 0
-            for p, w in zip(parts, widths):
-                _accumulate(table, p, g[:, offset:offset + w])
-                offset += w
-
-        return self._record(out, back)
+        pullbacks, start = [], 0
+        for p in parts:
+            stop = start + p.shape[1]
+            pullbacks.append((p, lambda g, start=start, stop=stop: g[:, start:stop]))
+            start = stop
+        return self._record(np.concatenate([p.data for p in parts], axis=1), *pullbacks)
 
     def slice_cols(self, a: Tensor, start: int, stop: int) -> Tensor:
         if a.ndim != 2:
             raise NdiffError(f"slice expects a 2-D tensor, got shape {a.shape}")
         if not (0 <= start <= stop <= a.shape[1]):
             raise NdiffError(f"slice [{start}:{stop}] out of range for shape {a.shape}")
-        out = Tensor(a.data[:, start:stop].copy())
 
-        def back(g, table):
+        def pullback(g):
             full = np.zeros_like(a.data)
             full[:, start:stop] = g
-            _accumulate(table, a, full)
+            return full
 
-        return self._record(out, back)
+        return self._record(a.data[:, start:stop].copy(), (a, pullback))
 
     # -- backward ----------------------------------------------------------
 
@@ -270,11 +205,14 @@ class Tape:
         if output.size != 1:
             raise NdiffError(f"backward seed must be scalar, got shape {output.shape}")
         table = {id(output): np.ones_like(output.data)}
-        for out, back in reversed(self._nodes):
+        for out, pullbacks in reversed(self._nodes):
             g = table.get(id(out))
             if g is None:
                 continue
-            back(g, table)
+            for operand, pullback in pullbacks:
+                delta = pullback(g)
+                key = id(operand)
+                table[key] = table[key] + delta if key in table else delta
         return Gradients(table)
 
 
@@ -339,21 +277,29 @@ EVALUATOR = Evaluator()
 
 
 class ParamStore:
-    """Named parameter tensors plus Adam moment accumulators."""
+    """Named parameters as reshaped views into one contiguous float64 buffer,
+    ``flat``, with Adam's two moment buffers in the same layout, so Adam moves
+    every parameter at once. Write into a parameter's ``.data``, as ``load``
+    does; never rebind it, which would detach it from the buffer."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self.flat = np.zeros(0)
+        self._m = np.zeros(0)
+        self._v = np.zeros(0)
         self.step_count = 0
 
     def add(self, name: str, values) -> Tensor:
         if name in self._params:
             raise NdiffError(f"parameter {name!r} already registered")
-        t = Tensor(np.array(values, dtype=np.float64))
-        self._params[name] = t
-        self._m[name] = np.zeros_like(t.data)
-        self._v[name] = np.zeros_like(t.data)
+        t = self._params[name] = Tensor(values)
+        self.flat = np.concatenate([self.flat, t.data.ravel()])
+        self._m = np.concatenate([self._m, np.zeros(t.size)])
+        self._v = np.concatenate([self._v, np.zeros(t.size)])
+        start = 0
+        for p in self._params.values():
+            p.data = self.flat[start:start + p.size].reshape(p.shape)
+            start += p.size
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -371,32 +317,33 @@ class ParamStore:
             if t is None:
                 raise NdiffError(f"unknown parameter {name!r}")
             arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise NdiffError(
-                    f"parameter {name!r} shape {arr.shape} != stored {t.data.shape}"
-                )
-            t.data = arr.copy()
+            if arr.shape != t.shape:
+                raise NdiffError(f"parameter {name!r} shape {arr.shape} != stored {t.shape}")
+            t.data[...] = arr
 
     def adam_step(self, grads: Gradients, lr: float) -> None:
-        """Bias-corrected Adam update on every registered parameter."""
+        """Bias-corrected Adam update on every registered parameter.
+
+        Every gradient is gathered and checked first, so a step that raises
+        leaves the parameters, both moments and ``step_count`` as they were.
+        """
         t = self.step_count + 1
-        bc1 = 1.0 - _ADAM_BETA1 ** t
-        bc2 = 1.0 - _ADAM_BETA2 ** t
+        g = np.empty_like(self.flat)
+        start = 0
         for name, p in self._params.items():
-            g = grads[p]
-            if g.shape != p.data.shape:
-                raise NdiffError(
-                    f"gradient shape {g.shape} != parameter {name!r} shape {p.data.shape}"
-                )
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(
-                    f"non-finite gradient for parameter {name!r} at step {t}"
-                )
-            m = self._m[name]
-            v = self._v[name]
-            m *= _ADAM_BETA1
-            m += (1.0 - _ADAM_BETA1) * g
-            v *= _ADAM_BETA2
-            v += (1.0 - _ADAM_BETA2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+            gp = grads[p]
+            if gp.shape != p.shape:
+                raise NdiffError(f"gradient shape {gp.shape} != parameter {name!r} shape {p.shape}")
+            g[start:start + p.size] = gp.ravel()
+            start += p.size
+        if not np.all(np.isfinite(g)):
+            name = next(n for n, p in self._params.items() if not np.all(np.isfinite(grads[p])))
+            raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r} at step {t}")
+        self._m *= _ADAM_BETA1
+        self._m += (1.0 - _ADAM_BETA1) * g
+        self._v *= _ADAM_BETA2
+        self._v += (1.0 - _ADAM_BETA2) * g * g
+        m_hat = self._m / (1.0 - _ADAM_BETA1 ** t)
+        v_hat = self._v / (1.0 - _ADAM_BETA2 ** t)
+        self.flat -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         self.step_count = t

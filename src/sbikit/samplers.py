@@ -250,9 +250,9 @@ def map_estimate(posterior, x, rng: np.random.Generator, restarts: int = 10,
         best_theta[better] = theta.data[better]
         trace.append(float(np.nanmax(lp_np)))
         g = tape.backward(tape.negate(tape.sum(lp)))[theta]
-        g[~np.isfinite(g)] = 0.0
+        g = np.where(np.isfinite(g), g, 0.0)
         store.adam_step(Gradients({id(theta): g}), lr=lr)
-        theta.data = np.clip(theta.data, prior.low, prior.high)
+        np.clip(theta.data, prior.low, prior.high, out=theta.data)
 
     if not np.any(np.isfinite(best_logp)):
         raise SamplerError(f"MAP search diverged in all restarts; trace tail {trace[-5:]}")

@@ -54,6 +54,8 @@ class TrainReport:
     best_epoch: int = -1
     stopped_early: bool = False
     aborted: str | None = None
+    # sha256 of the restored parameters, recorded by ``fit``
+    params_sha256: str = field(default="", init=False)
 
     @property
     def best_val_loss(self) -> float:
@@ -64,11 +66,12 @@ class TrainReport:
         return len(self.val_losses)
 
     def content_digest(self) -> str:
-        """Digest of the loss trajectory and the stopping outcome."""
+        """Digest of the loss trajectory, the stopping outcome and the
+        parameters ``fit`` left the model holding."""
         h = hashlib.sha256()
         h.update(np.asarray(self.train_losses).tobytes())
         h.update(np.asarray(self.val_losses).tobytes())
-        h.update(f"{self.best_epoch}|{self.stopped_early}".encode())
+        h.update(f"{self.best_epoch}|{self.stopped_early}|{self.params_sha256}".encode())
         return h.hexdigest()
 
 
@@ -115,8 +118,12 @@ def fit(model, dataset: Dataset, config: TrainConfig | None = None) -> TrainRepo
     best_val = float("inf")
     epochs_since_best = 0
 
-    def abort(message):
+    def restore_best():
         store.load(best_values)
+        report.params_sha256 = hashlib.sha256(store.flat.tobytes()).hexdigest()
+
+    def abort(message):
+        restore_best()
         report.aborted = message
         raise TrainingError(message, report=report)
 
@@ -160,5 +167,5 @@ def fit(model, dataset: Dataset, config: TrainConfig | None = None) -> TrainRepo
                 report.stopped_early = True
                 break
 
-    store.load(best_values)
+    restore_best()
     return report

@@ -40,13 +40,29 @@ def loss_gradient_fd(model, theta, x, h=1e-5):
     return out
 
 
+def randomize_parameters(store, rng):
+    """Draw every parameter of ``store`` from N(0, 0.3^2), in name order."""
+    store.load({n: rng.normal(scale=0.3, size=store[n].data.shape) for n in store.names()})
+
+
+def assert_gradients_match_fd(model, theta, x, names=None):
+    """Taped loss gradients agree with ``loss_gradient_fd`` for every named
+    parameter (all by default): relative error below 1e-4, with the finite
+    difference floored at 1e-3 in the denominator."""
+    tape = Tape()
+    grads = tape.backward(model.loss(tape, theta, x))
+    fd = loss_gradient_fd(model, theta, x)
+    for name in names or model.store.names():
+        numeric = fd[name]
+        denom = np.maximum(np.abs(numeric), 1e-3)
+        assert np.max(np.abs(grads[model.store[name]] - numeric) / denom) < 1e-4, name
+
+
 def small_mdn(target_dim=2, context_dim=2, k=3, seed=0, randomize=True):
     cfg = EstimatorConfig(kind="mdn", n_components=k, hidden=(8,))
     m = ConditionalMDN(target_dim, context_dim, cfg, seed=seed)
     if randomize:
-        rng = np.random.default_rng(seed + 1)
-        m.store.load({n: rng.normal(scale=0.3, size=m.store[n].data.shape)
-                      for n in m.store.names()})
+        randomize_parameters(m.store, np.random.default_rng(seed + 1))
     return m
 
 
@@ -54,9 +70,7 @@ def small_flow(target_dim=2, context_dim=2, layers=3, seed=0, randomize=True):
     cfg = EstimatorConfig(kind="flow", hidden=(8,), n_layers=layers)
     f = AffineCouplingFlow(target_dim, context_dim, cfg, seed=seed)
     if randomize:
-        rng = np.random.default_rng(seed + 1)
-        f.store.load({n: rng.normal(scale=0.3, size=f.store[n].data.shape)
-                      for n in f.store.names()})
+        randomize_parameters(f.store, np.random.default_rng(seed + 1))
     return f
 
 
@@ -113,16 +127,7 @@ def test_mdn_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     theta, x = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
     m.initialize_standardization(theta, x)
-    task = NllTask(m, theta_is_target=True)
-    tape = Tape()
-    loss = task.loss(tape, theta, x)
-    grads = tape.backward(loss)
-    fd = loss_gradient_fd(task, theta, x)
-    for name in m.store.names():
-        analytic = grads[m.store[name]]
-        numeric = fd[name]
-        denom = np.maximum(np.abs(numeric), 1e-3)
-        assert np.max(np.abs(analytic - numeric) / denom) < 1e-4, name
+    assert_gradients_match_fd(NllTask(m, theta_is_target=True), theta, x)
 
 
 def test_flow_zero_initialized_is_identity():
@@ -184,14 +189,7 @@ def test_flow_gradient_matches_finite_differences():
     rng = np.random.default_rng(14)
     theta, x = rng.normal(size=(5, 2)), rng.normal(size=(5, 1))
     f.initialize_standardization(theta, x)
-    task = NllTask(f, theta_is_target=True)
-    tape = Tape()
-    grads = tape.backward(task.loss(tape, theta, x))
-    fd = loss_gradient_fd(task, theta, x)
-    for name in f.store.names():
-        numeric = fd[name]
-        denom = np.maximum(np.abs(numeric), 1e-3)
-        assert np.max(np.abs(grads[f.store[name]] - numeric) / denom) < 1e-4, name
+    assert_gradients_match_fd(NllTask(f, theta_is_target=True), theta, x)
 
 
 @pytest.mark.parametrize("builder", [
@@ -255,20 +253,12 @@ def test_embedding_trains_end_to_end_gradient_check():
                           embedding_dim=3, embedding_hidden=(5,))
     m = ConditionalMDN(1, 4, cfg, seed=51)
     rng = np.random.default_rng(52)
-    m.store.load({n: rng.normal(scale=0.3, size=m.store[n].data.shape)
-                  for n in m.store.names()})
+    randomize_parameters(m.store, rng)
     theta, x = rng.normal(size=(6, 1)), rng.normal(size=(6, 4))
     m.initialize_standardization(theta, x)
     embed_names = [n for n in m.store.names() if n.startswith("ctx.embed")]
     assert embed_names, "embedding parameters should be registered"
-    task = NllTask(m, theta_is_target=True)
-    tape = Tape()
-    grads = tape.backward(task.loss(tape, theta, x))
-    fd = loss_gradient_fd(task, theta, x)
-    for name in embed_names:
-        numeric = fd[name]
-        denom = np.maximum(np.abs(numeric), 1e-3)
-        assert np.max(np.abs(grads[m.store[name]] - numeric) / denom) < 1e-4, name
+    assert_gradients_match_fd(NllTask(m, theta_is_target=True), theta, x, embed_names)
 
 
 class TestMixedEstimator:
@@ -276,8 +266,7 @@ class TestMixedEstimator:
         cfg = EstimatorConfig(kind="mixed", n_components=2, hidden=(8,))
         m = MixedEstimator(2, 3, cfg, seed=seed)
         rng = np.random.default_rng(seed + 1)
-        m.store.load({n: rng.normal(scale=0.3, size=m.store[n].data.shape)
-                      for n in m.store.names()})
+        randomize_parameters(m.store, rng)
         theta = rng.normal(size=(50, 3))
         targets = np.column_stack([rng.integers(0, 2, size=50),
                                    rng.uniform(0.2, 2.0, size=50)])
@@ -304,8 +293,7 @@ class TestMixedEstimator:
                               embedding_dim=2, embedding_hidden=(4,))
         m = MixedEstimator(2, 3, cfg, seed=63)
         rng = np.random.default_rng(64)
-        m.store.load({n: rng.normal(scale=0.3, size=m.store[n].data.shape)
-                      for n in m.store.names()})
+        randomize_parameters(m.store, rng)
         theta = rng.normal(size=(6, 3))
         targets = np.column_stack([rng.integers(0, 2, size=6), rng.uniform(0.2, 2.0, size=6)])
         m.initialize_standardization(targets, theta)
@@ -314,14 +302,7 @@ class TestMixedEstimator:
         # both heads read the 2-d embedding, not the 3-d context
         assert m.store["choice.w0"].data.shape[0] == 2
         assert m.store["rt.trunk.w0"].data.shape[0] == 3
-        task = NllTask(m, theta_is_target=False)
-        tape = Tape()
-        grads = tape.backward(task.loss(tape, theta, targets))
-        fd = loss_gradient_fd(task, theta, targets)
-        for name in embed_names:
-            numeric = fd[name]
-            denom = np.maximum(np.abs(numeric), 1e-3)
-            assert np.max(np.abs(grads[m.store[name]] - numeric) / denom) < 1e-4, name
+        assert_gradients_match_fd(NllTask(m, theta_is_target=False), theta, targets, embed_names)
 
     def test_choice_probabilities_sum_to_one(self):
         m, theta, _ = self.make()
@@ -364,15 +345,7 @@ class TestMixedEstimator:
 
     def test_gradient_matches_finite_differences(self):
         m, theta, targets = self.make(seed=71)
-        theta, targets = theta[:5], targets[:5]
-        task = NllTask(m, theta_is_target=False)
-        tape = Tape()
-        grads = tape.backward(task.loss(tape, theta, targets))
-        fd = loss_gradient_fd(task, theta, targets)
-        for name in m.store.names():
-            numeric = fd[name]
-            denom = np.maximum(np.abs(numeric), 1e-3)
-            assert np.max(np.abs(grads[m.store[name]] - numeric) / denom) < 1e-4, name
+        assert_gradients_match_fd(NllTask(m, theta_is_target=False), theta[:5], targets[:5])
 
 
 class TestClassifier:
@@ -403,13 +376,7 @@ class TestClassifier:
         rng = np.random.default_rng(5)
         theta, x = rng.normal(size=(4, 1)), rng.normal(size=(4, 1))
         c.initialize_standardization(theta, x)
-        tape = Tape()
-        grads = tape.backward(c.loss(tape, theta, x))
-        fd = loss_gradient_fd(c, theta, x)
-        for name in c.store.names():
-            numeric = fd[name]
-            denom = np.maximum(np.abs(numeric), 1e-3)
-            assert np.max(np.abs(grads[c.store[name]] - numeric) / denom) < 1e-4, name
+        assert_gradients_match_fd(c, theta, x)
 
 
 @pytest.mark.parametrize("kind, pinned", [("mdn", 152), ("flow", 119), ("mixed", 165)])

@@ -285,11 +285,46 @@ class TestAdam:
         with pytest.raises(NonFiniteGradientError, match="w"):
             store.adam_step(Gradients({id(p): np.array([np.nan])}), lr=0.1)
 
+    def test_a_rejected_step_leaves_parameters_moments_and_count_as_they_were(self):
+        def twin():
+            store = ParamStore()
+            a, b = store.add("a", [1.0]), store.add("b", [[2.0, -3.0]])
+            return store, lambda ga, gb: Gradients({id(a): np.array(ga), id(b): np.array(gb)})
+
+        (store, grads), (ref, ref_grads) = twin(), twin()
+        for s, g in ((store, grads), (ref, ref_grads)):
+            s.adam_step(g([0.5], [[0.1, -0.2]]), lr=0.1)
+        # the bad gradient is the second parameter's: the first must not move
+        with pytest.raises(NonFiniteGradientError, match="'b' at step 2"):
+            store.adam_step(grads([0.5], [[np.nan, 0.3]]), lr=0.1)
+        assert store.step_count == 1
+        # the moments did not move either: the next step lands where the
+        # reference's does, which never saw the rejected one
+        for s, g in ((store, grads), (ref, ref_grads)):
+            for name in ("a", "b"):
+                np.testing.assert_array_equal(s[name].data, ref[name].data)
+            s.adam_step(g([-0.3], [[0.2, 0.4]]), lr=0.1)
+        for name in ("a", "b"):
+            np.testing.assert_array_equal(store[name].data, ref[name].data)
+        assert store.step_count == ref.step_count == 2
+
     def test_gradient_shape_mismatch_rejected(self):
         store = ParamStore()
         p = store.add("w", [1.0, 2.0])
         with pytest.raises(NdiffError, match="shape"):
             store.adam_step(Gradients({id(p): np.zeros((3,))}), lr=0.1)
+
+
+def test_parameters_stay_views_into_the_one_buffer_across_add_and_load():
+    store = ParamStore()
+    a = store.add("a", [[1.0, 2.0]])
+    b = store.add("b", [3.0])
+    store.load({"a": [[4.0, 5.0]]})
+    store.adam_step(Gradients({id(a): np.ones((1, 2)), id(b): np.ones(1)}), lr=0.5)
+    assert np.shares_memory(a.data, store.flat) and np.shares_memory(b.data, store.flat)
+    # a first step moves each entry by lr * g / (|g| + eps)
+    np.testing.assert_allclose(store.flat, np.array([4.0, 5.0, 3.0]) - 0.5 / (1.0 + 1e-8),
+                               rtol=1e-15)
 
 
 def test_paramstore_rejects_duplicate_and_bad_names():

@@ -23,8 +23,9 @@ class ScriptedModel:
 
     CYCLE = 5
 
-    def __init__(self, schedule):
+    def __init__(self, schedule, offset=0.0):
         self.schedule = schedule
+        self.offset = offset
         self.store = ParamStore()
         self.param = self.store.add("p", [0.0])
         self.epoch = -1
@@ -38,7 +39,7 @@ class ScriptedModel:
         self.calls += 1
         if is_validation:
             self.epoch += 1
-            self.param.data[:] = self.epoch
+            self.param.data[:] = self.epoch + self.offset
             value = self.schedule[min(self.epoch, len(self.schedule) - 1)]
         else:
             value = self.train_value()
@@ -123,6 +124,17 @@ def test_fixed_seed_gives_bit_identical_reports_and_parameters():
     assert r1.content_digest() == r2.content_digest()
     for name in p1:
         assert np.array_equal(p1[name], p2[name])
+
+
+def test_digest_tells_apart_equal_losses_that_leave_different_parameters():
+    schedule = [1.0 - 0.1 * e for e in range(6)] + [0.5] * 100
+    cfg = TrainConfig(batch_size=5, val_fraction=0.2, patience=4, max_epochs=200, seed=0)
+    models = [ScriptedModel(schedule, offset) for offset in (0.0, 0.5)]
+    r1, r2 = (fit(model, toy_dataset(25), cfg) for model in models)
+    assert (r1.train_losses, r1.val_losses) == (r2.train_losses, r2.val_losses)
+    assert (r1.best_epoch, r1.stopped_early) == (r2.best_epoch, r2.stopped_early)
+    assert models[0].param.data[0] != models[1].param.data[0]
+    assert r1.content_digest() != r2.content_digest()
 
 
 def test_returned_model_has_min_validation_loss_exactly():
