@@ -20,12 +20,12 @@ context. ``ClassifierNet`` is the one classifier, the NRE head; its loss and
 the mixed estimator's choice term share one binary cross-entropy.
 
 Each model's math is written once, against an ``ops`` argument that is
-either an ``ndiff.Tape`` (Tensors in and out, recorded for gradients) or
-``ndiff.EVALUATOR``, which runs the same primitives on bare arrays and
-records nothing. ``log_prob_tape`` and the training losses receive a Tape;
-``log_prob``, ``iid_log_lik``, ``sample``, ``logit`` and the validation loss
-run the same code on the evaluator, so the two agree bit for bit on the
-same inputs.
+either an ``ndiff.Tape``, which records for gradients, or
+``ndiff.EVALUATOR``, which records nothing; both take and return plain
+arrays, so data enters either one as it is. ``log_prob_tape`` and the
+training losses receive a Tape; ``log_prob``, ``iid_log_lik``, ``sample``,
+``logit`` and the validation loss run the same code on the evaluator, so
+the two agree bit for bit on the same inputs.
 
 The density estimators also expose ``iid_log_lik(targets, contexts)``: the
 sum of the log-density over all target rows, one value per context row.
@@ -88,8 +88,8 @@ def _bce(ops, logit, labels: np.ndarray):
     """Binary cross-entropy of logits against constant 0/1 labels, (n,1) on
     a Tape; on the evaluator the labels may broadcast against the logits."""
     return ops.add(
-        ops.multiply(ops.softplus(ops.negate(logit)), ops.const(labels)),
-        ops.multiply(ops.softplus(logit), ops.const(1.0 - labels)),
+        ops.multiply(ops.softplus(ops.negate(logit)), labels),
+        ops.multiply(ops.softplus(logit), 1.0 - labels),
     )
 
 
@@ -439,10 +439,10 @@ class MixedEstimator(_ConditionalDensity):
         log_rt = np.log(data[:, 1:2])
         ctx, logit = self._choice_logit(ops, context)
         logp_choice = ops.negate(_bce(ops, logit, choice))
-        y_z = ops.const(self.target_standardizer.transform(log_rt))
-        feats = ops.concat([_broadcast_rows(ctx, choice.shape[0]), ops.const(choice)], axis=1)
+        y_z = self.target_standardizer.transform(log_rt)
+        feats = ops.concat([_broadcast_rows(ctx, choice.shape[0]), choice], axis=1)
         logp_rt = self.rt_head.log_prob(ops, feats, y_z)
-        jac = ops.const(self.target_standardizer.log_det - log_rt)
+        jac = self.target_standardizer.log_det - log_rt
         return ops.add(ops.add(logp_choice, logp_rt), jac)
 
     def log_prob(self, target, context) -> np.ndarray:
@@ -483,8 +483,7 @@ class MixedEstimator(_ConditionalDensity):
 
     def log_prob_tape(self, ops, target, context):
         """(n,1) joint log-density as training sees it; any rt <= 0 is an error."""
-        # the target is data, never a parameter, so its values are read directly
-        data = target.data if isinstance(target, Tensor) else target
+        data = np.asarray(target)
         if np.any(data[:, 1] <= 0):
             raise EstimatorError("reaction times must be positive for training")
         return self._log_prob(ops, data, context)
@@ -579,7 +578,7 @@ class ClassifierNet:
         shuffled = np.roll(theta, -1, axis=0)
         pairs = np.vstack([np.hstack([theta, x]), np.hstack([shuffled, x])])
         labels = np.concatenate([np.ones(theta.shape[0]), np.zeros(theta.shape[0])])[:, None]
-        return ops.mean(_bce(ops, self._logit(ops, ops.const(pairs)), labels))
+        return ops.mean(_bce(ops, self._logit(ops, pairs), labels))
 
 
 class NllTask:
@@ -594,7 +593,7 @@ class NllTask:
 
     def loss(self, ops, theta, x):
         target, context = (theta, x) if self.theta_is_target else (x, theta)
-        lp = self.estimator.log_prob_tape(ops, ops.const(target), ops.const(context))
+        lp = self.estimator.log_prob_tape(ops, target, context)
         return ops.negate(ops.mean(lp))
 
 

@@ -112,7 +112,7 @@ class DirectPosterior:
 
     def log_prob_tape(self, ops, x, theta):
         """(n,1) estimator log-density at every theta row, support not masked."""
-        ctx = ops.const(np.tile(self._row(x), (theta.shape[0], 1)))
+        ctx = np.tile(self._row(x), (theta.shape[0], 1))
         return self.estimator.log_prob_tape(ops, theta, ctx)
 
 

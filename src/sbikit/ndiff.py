@@ -2,15 +2,14 @@
 
 Every trainable model in this package is a small MLP stack, so the engine
 favors explicit shapes and a flat replay tape over graph optimization.
-A fresh tape is built for each forward pass; ``Tape`` records each
-primitive's output with one pullback per operand, and ``Tape.backward``
-replays the record in exact reverse order, summing adjoints in one place.
-``EVALUATOR`` runs the same primitives on bare arrays without recording,
-for forward passes that need no gradients. Two invariants keep adjoints
-and parameters copy-free: a stored adjoint may share memory with another,
-so nothing writes into one in place; and a ``ParamStore`` parameter's
-``.data`` is a view into the store's one buffer, so code writes into it
-and never rebinds it.
+A fresh ``Tape`` is built for each forward pass. It takes and returns plain
+ndarrays and records each output, known by its identity, with one pullback
+per operand; ``Tape.backward`` replays the record in exact reverse order,
+summing adjoints in one place. ``EVALUATOR`` runs the same primitives on
+the same arrays and records nothing. A ``Tensor`` is only a parameter's
+handle, whose ``.data`` is a view into its ``ParamStore``'s one buffer:
+code writes into it and never rebinds it. Nothing writes into a recorded
+value or an adjoint in place, since either may share memory with another.
 """
 
 from __future__ import annotations
@@ -36,40 +35,30 @@ class NonFiniteGradientError(RuntimeError):
 
 
 class Tensor:
-    """Dense float64 array produced by or fed into tape primitives."""
+    """A parameter's handle: a stable identity for its adjoint, and its
+    float64 values in ``data``, a view into the owning ``ParamStore``."""
 
     __slots__ = ("data",)
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
+    def __array__(self, dtype=None, copy=None):
+        return self.data.copy() if copy else self.data
 
 
 class Gradients:
-    """Adjoint arrays keyed by the tensors they belong to. An adjoint may
+    """Adjoint arrays keyed by the values they belong to: a parameter's
+    ``Tensor`` or an array the Tape recorded or took in. An adjoint may
     share memory with another: copy it before writing into it."""
 
     def __init__(self, table):
         self._table = table
 
-    def __getitem__(self, tensor: Tensor) -> np.ndarray:
-        g = self._table.get(id(tensor))
+    def __getitem__(self, value) -> np.ndarray:
+        g = self._table.get(id(value))
         if g is None:
-            return np.zeros_like(tensor.data)
+            return np.zeros_like(value)
         return g
 
 
@@ -80,9 +69,12 @@ def _same(g):
 class Tape:
     """Ordered record of primitive operations, replayed backward for adjoints.
 
-    A node is a primitive's output and one ``(operand, pullback)`` pair per
-    operand. ``backward`` sums adjoints in reverse node order, operands in
-    order, out of place, so a pullback may return its input or a view of it.
+    Primitives take and return ndarrays; ``affine`` also takes parameter
+    Tensors. A node is a primitive's output and one ``(operand, pullback)``
+    pair per operand; an operand no node produced is a constant. ``backward``
+    sums adjoints in reverse node order, operands in order, out of place, so
+    a pullback may return its input or a view of it. Full reductions return
+    0-d arrays: ``add`` and ``multiply`` take a ``float`` for a constant.
     """
 
     def __init__(self):
@@ -91,120 +83,115 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def _record(self, value, *pullbacks) -> Tensor:
-        out = Tensor(value)
-        self._nodes.append((out, pullbacks))
-        return out
+    def _record(self, value, *pullbacks) -> np.ndarray:
+        self._nodes.append((value, pullbacks))
+        return value
 
     # -- primitives ------------------------------------------------------
 
-    def const(self, arr) -> Tensor:
-        """A constant input: wrapped, not recorded, and given no adjoint."""
-        return Tensor(arr)
-
-    def add(self, a: Tensor, b) -> Tensor:
+    def add(self, a, b):
         if isinstance(b, (int, float)):
-            return self._record(a.data + float(b), (a, _same))
+            return self._record(a + float(b), (a, _same))
         if a.shape != b.shape:
             raise NdiffError(f"add shapes differ: {a.shape} vs {b.shape}")
-        return self._record(a.data + b.data, (a, _same), (b, _same))
+        return self._record(a + b, (a, _same), (b, _same))
 
-    def multiply(self, a: Tensor, b) -> Tensor:
+    def multiply(self, a, b):
         if isinstance(b, (int, float)):
             c = float(b)
-            return self._record(a.data * c, (a, lambda g: g * c))
+            return self._record(a * c, (a, lambda g: g * c))
         if a.shape != b.shape:
             raise NdiffError(f"multiply shapes differ: {a.shape} vs {b.shape}")
-        return self._record(a.data * b.data,
-                            (a, lambda g: g * b.data), (b, lambda g: g * a.data))
+        return self._record(a * b, (a, lambda g: g * b), (b, lambda g: g * a))
 
-    def affine(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    def affine(self, x, w: Tensor, b: Tensor):
         """x @ w + b with the bias broadcast across rows."""
-        if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-            raise NdiffError(f"affine shapes do not conform: {x.shape} @ {w.shape}")
-        if b.shape != (w.shape[1],):
-            raise NdiffError(f"affine bias shape {b.shape} != ({w.shape[1]},)")
-        return self._record(x.data @ w.data + b.data,
+        x = np.asarray(x)
+        if x.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.data.shape[0]:
+            raise NdiffError(f"affine shapes do not conform: {x.shape} @ {w.data.shape}")
+        if b.data.shape != (w.data.shape[1],):
+            raise NdiffError(f"affine bias shape {b.data.shape} != ({w.data.shape[1]},)")
+        return self._record(x @ w.data + b.data,
                             (x, lambda g: g @ w.data.T),
-                            (w, lambda g: x.data.T @ g),
+                            (w, lambda g: x.T @ g),
                             (b, lambda g: g.sum(axis=0)))
 
-    def tanh(self, a: Tensor) -> Tensor:
-        y = np.tanh(a.data)
+    def tanh(self, a):
+        y = np.tanh(a)
         return self._record(y, (a, lambda g: g * (1.0 - y * y)))
 
-    def softplus(self, a: Tensor) -> Tensor:
-        return self._record(softplus(a.data), (a, lambda g: g * sigmoid(a.data)))
+    def softplus(self, a):
+        return self._record(softplus(a), (a, lambda g: g * sigmoid(a)))
 
-    def exp(self, a: Tensor) -> Tensor:
-        y = np.exp(a.data)
+    def exp(self, a):
+        y = np.exp(a)
         return self._record(y, (a, lambda g: g * y))
 
-    def square(self, a: Tensor) -> Tensor:
-        return self._record(a.data * a.data, (a, lambda g: g * (2.0 * a.data)))
+    def square(self, a):
+        return self._record(a * a, (a, lambda g: g * (2.0 * a)))
 
-    def negate(self, a: Tensor) -> Tensor:
-        return self._record(-a.data, (a, operator.neg))
+    def negate(self, a):
+        return self._record(-a, (a, operator.neg))
 
-    def logsumexp(self, a: Tensor, axis: int) -> Tensor:
-        """Stable log-sum-exp over one axis of a 2-D tensor, keepdims."""
+    def logsumexp(self, a, axis: int):
+        """Stable log-sum-exp over one axis of a 2-D array, keepdims."""
         if a.ndim != 2:
-            raise NdiffError(f"logsumexp expects a 2-D tensor, got shape {a.shape}")
+            raise NdiffError(f"logsumexp expects a 2-D array, got shape {a.shape}")
         if axis not in (0, 1):
             raise NdiffError(f"logsumexp axis must be 0 or 1, got {axis}")
-        y = logsumexp(a.data, axis=axis)
+        y = logsumexp(a, axis=axis)
         # an all -inf row has no mass to share out: shifting it by +inf
         # gives it a zero adjoint instead of exp(-inf - -inf) = NaN
         return self._record(
-            y, (a, lambda g: g * np.exp(a.data - np.where(y == -np.inf, np.inf, y))))
+            y, (a, lambda g: g * np.exp(a - np.where(y == -np.inf, np.inf, y))))
 
-    def sum(self, a: Tensor, axis=None) -> Tensor:
+    def sum(self, a, axis=None):
         if axis is None:
-            return self._record(a.data.sum(), (a, lambda g: np.full_like(a.data, float(g))))
+            return self._record(np.array(a.sum()), (a, lambda g: np.full_like(a, float(g))))
         if a.ndim != 2 or axis != 1:
-            raise NdiffError(f"axis sum supports 2-D tensors over axis 1, got {a.shape}")
-        return self._record(a.data.sum(axis=1, keepdims=True),
-                            (a, lambda g: np.broadcast_to(g, a.shape).copy()))
+            raise NdiffError(f"axis sum supports 2-D arrays over axis 1, got {a.shape}")
+        return self._record(a.sum(axis=1, keepdims=True),
+                            (a, lambda g: np.broadcast_to(g, a.shape)))
 
-    def mean(self, a: Tensor) -> Tensor:
+    def mean(self, a):
         n = a.size
-        return self._record(a.data.mean(), (a, lambda g: np.full_like(a.data, float(g) / n)))
+        return self._record(np.array(a.mean()), (a, lambda g: np.full_like(a, float(g) / n)))
 
-    def concat(self, parts, axis: int = 1) -> Tensor:
+    def concat(self, parts, axis: int = 1):
         if axis != 1:
             raise NdiffError("concat supports axis 1 only")
         rows = {p.shape[0] for p in parts}
         if any(p.ndim != 2 for p in parts) or len(rows) != 1:
             raise NdiffError(
-                f"concat expects 2-D tensors with equal rows, got {[p.shape for p in parts]}"
+                f"concat expects 2-D arrays with equal rows, got {[p.shape for p in parts]}"
             )
         pullbacks, start = [], 0
         for p in parts:
             stop = start + p.shape[1]
             pullbacks.append((p, lambda g, start=start, stop=stop: g[:, start:stop]))
             start = stop
-        return self._record(np.concatenate([p.data for p in parts], axis=1), *pullbacks)
+        return self._record(np.concatenate(parts, axis=1), *pullbacks)
 
-    def slice_cols(self, a: Tensor, start: int, stop: int) -> Tensor:
+    def slice_cols(self, a, start: int, stop: int):
         if a.ndim != 2:
-            raise NdiffError(f"slice expects a 2-D tensor, got shape {a.shape}")
+            raise NdiffError(f"slice expects a 2-D array, got shape {a.shape}")
         if not (0 <= start <= stop <= a.shape[1]):
             raise NdiffError(f"slice [{start}:{stop}] out of range for shape {a.shape}")
 
         def pullback(g):
-            full = np.zeros_like(a.data)
+            full = np.zeros_like(a)
             full[:, start:stop] = g
             return full
 
-        return self._record(a.data[:, start:stop].copy(), (a, pullback))
+        return self._record(a[:, start:stop], (a, pullback))
 
     # -- backward ----------------------------------------------------------
 
-    def backward(self, output: Tensor) -> Gradients:
-        """Adjoints of a scalar output w.r.t. every tensor on the tape."""
+    def backward(self, output) -> Gradients:
+        """Adjoints of a scalar output w.r.t. every value on the tape."""
         if output.size != 1:
             raise NdiffError(f"backward seed must be scalar, got shape {output.shape}")
-        table = {id(output): np.ones_like(output.data)}
+        table = {id(output): np.ones_like(output)}
         for out, pullbacks in reversed(self._nodes):
             g = table.get(id(out))
             if g is None:
@@ -245,18 +232,16 @@ def logsumexp(x, axis):
 
 
 class Evaluator:
-    """The Tape's primitives on bare arrays, recording nothing.
+    """The Tape's primitives, recording nothing.
 
     Models write their math once against an ``ops`` argument: a ``Tape``
-    when gradients are needed, ``EVALUATOR`` otherwise. Each primitive
-    computes the same numpy expression as the Tape's primitive of the same
-    name, so results match the taped forward bit for bit. Inputs and outputs
-    are ndarrays; parameters (the ``w`` and ``b`` of ``affine``) stay Tensors
-    and are read through ``.data``. Shapes are not checked, so operands may
-    broadcast where the Tape would reject them.
+    when gradients are needed, ``EVALUATOR`` otherwise. Both take and
+    return the same ndarrays, parameters aside, and each primitive computes
+    the same numpy expression as the Tape's primitive of the same name, so
+    results match the taped forward bit for bit. Shapes are not checked, so
+    operands may broadcast where the Tape would reject them.
     """
 
-    const = staticmethod(lambda arr: np.asarray(arr, dtype=np.float64))
     add = staticmethod(operator.add)
     multiply = staticmethod(operator.mul)
     affine = staticmethod(lambda x, w, b: x @ w.data + b.data)
@@ -294,12 +279,12 @@ class ParamStore:
             raise NdiffError(f"parameter {name!r} already registered")
         t = self._params[name] = Tensor(values)
         self.flat = np.concatenate([self.flat, t.data.ravel()])
-        self._m = np.concatenate([self._m, np.zeros(t.size)])
-        self._v = np.concatenate([self._v, np.zeros(t.size)])
+        self._m = np.concatenate([self._m, np.zeros(t.data.size)])
+        self._v = np.concatenate([self._v, np.zeros(t.data.size)])
         start = 0
         for p in self._params.values():
-            p.data = self.flat[start:start + p.size].reshape(p.shape)
-            start += p.size
+            p.data = self.flat[start:start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -317,8 +302,8 @@ class ParamStore:
             if t is None:
                 raise NdiffError(f"unknown parameter {name!r}")
             arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != t.shape:
-                raise NdiffError(f"parameter {name!r} shape {arr.shape} != stored {t.shape}")
+            if arr.shape != t.data.shape:
+                raise NdiffError(f"parameter {name!r} shape {arr.shape} != stored {t.data.shape}")
             t.data[...] = arr
 
     def adam_step(self, grads: Gradients, lr: float) -> None:
@@ -331,11 +316,11 @@ class ParamStore:
         g = np.empty_like(self.flat)
         start = 0
         for name, p in self._params.items():
-            gp = grads[p]
-            if gp.shape != p.shape:
-                raise NdiffError(f"gradient shape {gp.shape} != parameter {name!r} shape {p.shape}")
-            g[start:start + p.size] = gp.ravel()
-            start += p.size
+            gp, shape = grads[p], p.data.shape
+            if gp.shape != shape:
+                raise NdiffError(f"gradient shape {gp.shape} != parameter {name!r} shape {shape}")
+            g[start:start + gp.size] = gp.ravel()
+            start += gp.size
         if not np.all(np.isfinite(g)):
             name = next(n for n, p in self._params.items() if not np.all(np.isfinite(grads[p])))
             raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r} at step {t}")

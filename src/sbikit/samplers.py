@@ -164,26 +164,29 @@ def _split_r_hat(draws: np.ndarray) -> np.ndarray:
 
 
 def _ess(draws: np.ndarray) -> np.ndarray:
-    """Effective sample size per dimension; the autocorrelation sum stops
-    at the first negative lag."""
+    """Effective sample size per dimension from (chains, draws, dim) output
+    (Vehtari et al. 2021, arXiv:1903.08008): autocorrelations taken against
+    the pooled variance, which counts the spread between chains, summed
+    over Geyer's initial monotone sequence of lag pairs."""
     c, q, d = draws.shape
     total = c * q
-    out = np.empty(d)
-    for k in range(d):
-        series = draws[:, :, k]
-        centered = series - series.mean(axis=1, keepdims=True)
-        denom = (centered * centered).sum(axis=1).mean()
-        if denom == 0 or q < 4:
-            out[k] = total
-            continue
-        rho_sum = 0.0
-        for lag in range(1, q):
-            rho = (centered[:, :-lag] * centered[:, lag:]).sum(axis=1).mean() / denom
-            if rho < 0.0:
-                break
-            rho_sum += rho
-        out[k] = min(total, total / (1.0 + 2.0 * rho_sum))
-    return np.maximum(out, 1.0)
+    out = np.full(d, float(total))
+    if q < 4:
+        return out
+    centered = draws - draws.mean(axis=1, keepdims=True)
+    spec = np.fft.rfft(centered, n=2 * q, axis=1)
+    # autocovariance at lags 0..q-1, averaged over the chains: (q, d)
+    acov = np.fft.irfft(spec * spec.conj(), n=2 * q, axis=1)[:, :q].mean(axis=0) / q
+    within = acov[0] * q / (q - 1)
+    var_plus = acov[0] + (draws.mean(axis=1).var(axis=0, ddof=1) if c > 1 else 0.0)
+    ok = var_plus > 0
+    rho = 1.0 - (within[ok] - acov[:, ok]) / var_plus[ok]
+    rho[0] = 1.0
+    pairs = rho[0:q - 1:2] + rho[1:q:2]
+    initial = np.logical_and.accumulate(pairs > 0, axis=0)
+    tau = 2.0 * np.where(initial, np.minimum.accumulate(pairs, axis=0), 0.0).sum(axis=0) - 1.0
+    out[ok] = total / np.maximum(tau, 1.0 / math.log10(total))
+    return out
 
 
 def slice_sample(log_target, prior: Distribution, config: SamplerConfig,
@@ -210,9 +213,8 @@ def slice_sample(log_target, prior: Distribution, config: SamplerConfig,
         retained[:, k] = state.x
 
     samples = retained.reshape(config.chains * per_chain, prior.dim)[:n_samples]
-    with np.errstate(invalid="ignore"):
-        acceptance = np.where(state.chain_proposed > 0,
-                              state.chain_accepted / np.maximum(state.chain_proposed, 1), 1.0)
+    acceptance = np.where(state.chain_proposed > 0,
+                          state.chain_accepted / np.maximum(state.chain_proposed, 1), 1.0)
     diag = ChainDiagnostics(
         r_hat=_split_r_hat(retained),
         ess=_ess(retained),
@@ -243,13 +245,13 @@ def map_estimate(posterior, x, rng: np.random.Generator, restarts: int = 10,
 
     for _ in range(steps):
         tape = Tape()
-        lp = posterior.log_prob_tape(tape, x, theta)
-        lp_np = lp.data[:, 0]
+        lp = posterior.log_prob_tape(tape, x, theta.data)
+        lp_np = lp[:, 0]
         better = lp_np > best_logp
         best_logp[better] = lp_np[better]
         best_theta[better] = theta.data[better]
         trace.append(float(np.nanmax(lp_np)))
-        g = tape.backward(tape.negate(tape.sum(lp)))[theta]
+        g = tape.backward(tape.negate(tape.sum(lp)))[theta.data]
         g = np.where(np.isfinite(g), g, 0.0)
         store.adam_step(Gradients({id(theta): g}), lr=lr)
         np.clip(theta.data, prior.low, prior.high, out=theta.data)

@@ -46,14 +46,9 @@ _TABLE_META = "# meta: "
 
 
 def _normals(rngs, m: int) -> np.ndarray:
-    """(rows, m) standard normals, row i drawn from ``rngs[i]``. Rows that
-    share one generator draw from it in row order, as a loop over rows would."""
+    """(rows, m) standard normals, row i drawn from ``rngs[i]``; rows that
+    share one generator draw from it in row order."""
     out = np.empty((len(rngs), m))
-    if not rngs:
-        return out
-    first = rngs[0]
-    if all(rng is first for rng in rngs):
-        return first.standard_normal(out=out)
     for rng, row in zip(rngs, out):
         rng.standard_normal(out=row)
     return out

@@ -1,10 +1,9 @@
 """Dataset splitting, minibatch training, early stopping, checkpointing.
 
 ``fit`` drives any model exposing ``store`` (a ParamStore) and
-``loss(ops, theta, x)``: a scalar Tensor when ``ops`` is a Tape (training
-steps), a scalar array when it is ``ndiff.EVALUATOR`` (the validation
-loss). The model is left holding the parameters of the epoch with minimal
-validation loss.
+``loss(ops, theta, x)``, a scalar array computed on a Tape for training
+steps and on ``ndiff.EVALUATOR`` for the validation loss. The model is
+left holding the parameters of the epoch with minimal validation loss.
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ def fit(model, dataset: Dataset, config: TrainConfig | None = None) -> TrainRepo
             idx = perm[start:stop]
             tape = Tape()
             loss = model.loss(tape, theta_tr[idx], x_tr[idx])
-            value = float(loss.data)
+            value = float(loss)
             if not np.isfinite(value):
                 abort(f"non-finite training loss at epoch {epoch}")
             grads = tape.backward(loss)

@@ -127,3 +127,51 @@ def ddm_reference(drift, boundary, start_bias, nondecision, collapse,
     censored = alive
     choice[censored] = (z[censored] > 0).astype(np.int64)
     return float(choice.mean()), float(rt.mean()), int(censored.sum())
+
+
+# -zeta(1/2) / sqrt(2 pi): how far a barrier checked every dt sits, in effect,
+# beyond the continuously monitored one, in units of sqrt(dt) (Broadie,
+# Glasserman & Kou 1997, "A continuity correction for discrete barrier
+# options", Math. Finance 7:325)
+DISCRETE_BARRIER_SHIFT = 0.5826
+
+
+def wiener_first_passage_density(t, upper, drift, boundary, start_bias, dt=0.0, n_terms=12):
+    """Density of the decision time ``t`` (seconds) of a constant-bound DDM
+    trial ending at the upper bound (``upper``) or the lower one.
+
+    Unit-diffusion Wiener process with drift ``drift`` between bounds at
+    +-boundary/2, from start_bias * boundary, as the library's DDM at
+    collapse = 0. Each bound is moved out by DISCRETE_BARRIER_SHIFT *
+    sqrt(dt), the continuity correction for Euler steps of length ``dt``.
+    Navarro & Fuss 2009 (J. Math. Psych. 53:222) series for the lower
+    bound, in normalized time u = t / a^2: the small-time series below
+    u = 1 and the large-time series above it, each with ``n_terms`` terms on
+    a side. The upper bound is the lower bound of the mirrored process.
+    """
+    shift = DISCRETE_BARRIER_SHIFT * math.sqrt(dt)
+    a = boundary + 2.0 * shift
+    w = ((0.5 + start_bias) * boundary + shift) / a   # start, from the lower bound
+    v, w = (-drift, 1.0 - w) if upper else (drift, w)
+    t = np.asarray(t, dtype=np.float64)
+    u = t / (a * a)
+    k = np.arange(1, n_terms + 1)[:, None]
+    large = math.pi * np.sum(k * np.exp(-0.5 * (k * math.pi) ** 2 * u)
+                             * np.sin(k * math.pi * w), axis=0)
+    r = w + 2.0 * np.arange(-n_terms, n_terms + 1)[:, None]
+    small_u = np.minimum(u, 1.0)
+    small = (np.sum(r * np.exp(-r * r / (2.0 * small_u)), axis=0)
+             / np.sqrt(2.0 * math.pi * small_u ** 3))
+    f = np.where(u < 1.0, small, large)
+    return f * np.exp(-v * a * w - 0.5 * v * v * t) / (a * a)
+
+
+def wiener_upper_probability(drift, boundary, start_bias, dt=0.0):
+    """Closed-form probability that the trial of
+    ``wiener_first_passage_density`` ends at the upper bound."""
+    shift = DISCRETE_BARRIER_SHIFT * math.sqrt(dt)
+    a = boundary + 2.0 * shift
+    z = (0.5 + start_bias) * boundary + shift
+    if drift == 0.0:
+        return z / a
+    return math.expm1(-2.0 * drift * z) / math.expm1(-2.0 * drift * a)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from sbikit.distributions import BoxUniform, DiagGaussian, MixtureDiagGaussian
-from sbikit.ndiff import Tensor
-from sbikit.samplers import (_MAX_SHRINK, _MAX_STEPOUTS, SamplerConfig, SamplerError,
-                              map_estimate, slice_sample)
+from sbikit.samplers import (_MAX_SHRINK, _MAX_STEPOUTS, SamplerConfig, SamplerError, _ess,
+                              _split_r_hat, map_estimate, slice_sample)
 
 CHAINS, DIM, SWEEPS = 3, 2, 3
 CONFIG = dict(chains=CHAINS, warmup=SWEEPS - 1, thin=1)
@@ -66,6 +65,29 @@ def test_slice_sampler_recovers_the_weights_and_modes_of_a_bimodal_mixture():
     assert theta[~upper].mean() == pytest.approx(-2.0, abs=4 * 0.5 / np.sqrt(0.3 * ess))
 
 
+def test_ess_counts_the_disagreement_between_chains():
+    # 4 chains of iid draws, each centred on its own mode: within-chain
+    # autocorrelation alone would call all 8000 draws independent
+    draws = np.random.default_rng(0).standard_normal((4, 2000, 1))
+    shifted = draws + np.array([-3.0, -1.0, 1.0, 3.0])[:, None, None]
+    assert _split_r_hat(shifted)[0] > 2.5
+    assert _ess(shifted)[0] < 0.01 * 8000
+
+
+def test_ess_matches_the_analytic_value_of_ar1_chains_and_of_iid_draws():
+    # 8 dimensions, each 4 independent stationary AR(1) chains with phi = 0.5,
+    # whose ESS is N (1 - phi) / (1 + phi) = 8000 / 3
+    rng = np.random.default_rng(1)
+    phi, eps = 0.5, rng.standard_normal((4, 2000, 8))
+    ar = np.empty_like(eps)
+    ar[:, 0] = eps[:, 0] / np.sqrt(1.0 - phi ** 2)
+    for t in range(1, eps.shape[1]):
+        ar[:, t] = phi * ar[:, t - 1] + eps[:, t]
+    assert np.mean(_ess(ar)) == pytest.approx(8000 / 3, rel=0.05)
+    assert np.mean(_ess(eps)) == pytest.approx(8000, rel=0.05)
+    assert np.all(np.abs(_ess(ar) / (8000 / 3) - 1.0) < 0.2)
+
+
 class GaussianBoxPosterior:
     """Direct-posterior stand-in: an isotropic Gaussian log-density whose
     mode is the observation, on a box prior, sampled from the prior."""
@@ -78,8 +100,7 @@ class GaussianBoxPosterior:
         return self.prior.sample(rng, n)
 
     def log_prob_tape(self, tape, x, theta):
-        diff = tape.add(theta, Tensor(np.tile(-np.asarray(x, dtype=np.float64),
-                                              (theta.shape[0], 1))))
+        diff = tape.add(theta, np.tile(-np.asarray(x, dtype=np.float64), (theta.shape[0], 1)))
         quad = tape.multiply(tape.square(diff), -0.5 / self.scale ** 2)
         return tape.sum(quad, axis=1)
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from sbikit.simulators import (
     simulate_rows,
 )
 
-from .oracles import conjugate_posterior
+from .oracles import conjugate_posterior, wiener_first_passage_density, wiener_upper_probability
 
 
 class TestBallThrow:
@@ -131,6 +132,38 @@ class TestDDM:
         x = trials(sim, [1.0, 0.8, 0.0, 0.3, -0.5], 200_000, np.random.default_rng(99))
         assert abs(x[:, 0].mean() - ref_p1) < 0.01
         assert abs(x[:, 1].mean() - ref_rt) < 0.01
+
+    @pytest.mark.parametrize("drift, boundary, start_bias",
+                             [(1.0, 0.8, 0.0), (-0.5, 1.2, 0.1), (2.0, 0.6, -0.15)])
+    def test_constant_bounds_follow_the_exact_first_passage_density(self, drift, boundary,
+                                                                     start_bias):
+        sim = DDMSimulator()
+        n, dt, nondecision = 30_000, sim.dt, 0.3
+        x = trials(sim, [drift, boundary, start_bias, nondecision, 0.0], n,
+                   np.random.default_rng(17))
+        step = np.rint((x[:, 1] - nondecision) / dt).astype(np.int64)
+        # the oracle's mass of a hit at step k is its density over ((k-1) dt, k dt]
+        k = np.arange(1, int(round(sim.max_decision_time / dt)) + 1)
+        p_upper = wiener_upper_probability(drift, boundary, start_bias, dt)
+        upper = x[:, 0] == 1.0
+        assert abs(upper.mean() - p_upper) < 4 * math.sqrt(p_upper * (1 - p_upper) / n)
+        observed, expected = [], []
+        for side, p_side in ((True, p_upper), (False, 1.0 - p_upper)):
+            mass = wiener_first_passage_density((k - 0.5) * dt, side, drift, boundary,
+                                                start_bias, dt) * dt
+            assert mass.sum() == pytest.approx(p_side, abs=1e-6)
+            hits = step[upper == side]
+            mean_steps = np.sum(k * mass) / p_side
+            assert abs(hits.mean() - mean_steps) < 4 * hits.std() / math.sqrt(hits.size)
+            # ten bins of equal oracle mass per side, edges on the step lattice
+            cdf = np.cumsum(mass)
+            edges = np.concatenate([[0], np.searchsorted(cdf, p_side * np.arange(1, 10) / 10),
+                                    [k[-1]]])
+            observed.append(np.histogram(hits, bins=edges + 0.5)[0])
+            expected.append(n * np.add.reduceat(mass, edges[:-1]))
+        observed, expected = np.concatenate(observed), np.concatenate(expected)
+        chi2 = np.sum((observed - expected) ** 2 / expected)
+        assert stats.chi2.sf(chi2, observed.size - 1) > 1e-3
 
     def test_censoring_never_hangs_and_is_flagged(self):
         sim = DDMSimulator(max_decision_time=0.05)
