@@ -27,15 +27,21 @@ training losses receive a Tape; ``log_prob``, ``iid_log_lik``, ``sample``,
 ``logit`` and the validation loss run the same code on the evaluator, so
 the two agree bit for bit on the same inputs.
 
-The density estimators also expose ``iid_log_lik(targets, contexts)``: the
-sum of the log-density over all target rows, one value per context row.
-This is the NLE likelihood of i.i.d. trials that MCMC evaluates many times
-per query, so the MDN and the mixed estimator run their networks once per
-context (the mixed estimator's reaction-time head once per context and
-choice) and broadcast only the mixture density over the targets, through
-``distributions.mixture_log_prob``. The flow's conditioner mixes target and
-context, so it keeps the scaffold's default, which evaluates every
-(context, target) pair. Tests pin each to that pairwise reference.
+The density estimators also expose ``iid_log_lik(trials, contexts)``: the
+sum of the log-density over an i.i.d. trial set, one value per context
+row. This is the NLE likelihood that MCMC evaluates hundreds of times per
+query at a few contexts each, so it is split in two. ``iid_trials(targets)``
+does, once per trial set, the work that reads only the trials and returns
+it as an ``IidTrials``; each ``iid_log_lik`` call then does only the work
+that depends on the contexts. For the MDN and the mixed estimator that
+means the networks once per context (the mixed estimator's reaction-time
+head once per context and choice level), and ``_MixtureHead.iid_log_lik``,
+the one routine that evaluates a mixture density over the trials for
+both: it forms each component's constants before gathering them to the
+trials and takes one log-sum-exp over components laid out (K, contexts,
+trials). The flow's conditioner mixes target and context, so it keeps the
+scaffold's default, which evaluates every (context, target) pair. Tests
+pin each to that pairwise reference.
 
 Inputs and targets are z-scored with training-set statistics stored inside
 the model; densities are reported in original coordinates through the
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import LOG_2PI, mixture_log_prob
+from .distributions import LOG_2PI
 from .ndiff import EVALUATOR, ParamStore, Tensor, logsumexp, sigmoid
 
 # soft bound on emitted log-scales, preventing early-training divergence
@@ -201,6 +207,28 @@ def pairwise_iid_sum(row_fn, targets, contexts) -> np.ndarray:
     return out.reshape(c, t).sum(axis=1)
 
 
+@dataclass(frozen=True)
+class IidTrials:
+    """An i.i.d. trial set with the work that reads only the trials done
+    once, by ``iid_trials`` of the estimator that scores it.
+
+    ``rows`` are the trials as given, all that the pairwise default reads.
+    The mixture estimators add the values of the discrete columns that
+    their head reads besides the context (``levels``; none for the MDN,
+    whose trials share one level), each trial's level, the trial count
+    per level, the standardized continuous values ``y_z``, and ``const``,
+    the Jacobian terms summed over the trials: -inf when a trial lies
+    outside the support.
+    """
+
+    rows: np.ndarray
+    levels: np.ndarray | None = None     # (levels, discrete columns)
+    level: np.ndarray | None = None      # (trials,) index into counts
+    counts: np.ndarray | None = None     # (levels,) float trial counts
+    y_z: np.ndarray | None = None        # (D, trials)
+    const: float = 0.0
+
+
 class _MixtureHead:
     """Per-context component weights, means, and log-stds for a diagonal
     Gaussian mixture over a standardized target."""
@@ -247,6 +275,27 @@ class _MixtureHead:
             comp_cols.append(ops.sum(terms, axis=1))
         comp = ops.concat(comp_cols, axis=1)
         return ops.logsumexp(ops.add(comp, log_w), axis=1)
+
+    def iid_log_lik(self, feats, trials: IidTrials) -> np.ndarray:
+        """Summed mixture log-density of the trials plus ``trials.const``, per
+        row of the context features. Each trial is scored by the mixture at
+        its level, which the head reads as the features followed by the
+        level's ``trials.levels`` columns, if there are any."""
+        k, d, c, u = self.n_components, self.target_dim, feats.shape[0], trials.counts.size
+        if trials.levels is not None:
+            feats = np.concatenate([np.repeat(feats, u, axis=0),
+                                    np.concatenate([trials.levels] * c)], axis=1)
+        log_w, mu, log_std = self.params(EVALUATOR, feats)
+        # per-component terms, formed on (context, level) rows before the
+        # gather to the trials; inv carries the 1/sqrt(2) of exp(-z^2 / 2)
+        const = log_w - log_std.reshape(-1, k, d).sum(axis=2) - 0.5 * d * LOG_2PI
+        inv = np.exp(-log_std) * math.sqrt(0.5)
+        const = const.T.reshape(k, c, u).take(trials.level, axis=2)
+        mu = mu.T.reshape(k, d, c, u).take(trials.level, axis=3)
+        inv = inv.T.reshape(k, d, c, u).take(trials.level, axis=3)
+        z = (trials.y_z[:, None] - mu) * inv
+        comp = const - (z * z).sum(axis=1)                        # (K, contexts, trials)
+        return logsumexp(comp, axis=0)[0].sum(axis=1) + trials.const
 
     def sample(self, feats, which, rng):
         """One standardized draw per entry of ``which``, from the mixture at
@@ -300,9 +349,13 @@ class _ConditionalDensity:
         y_z = self.target_standardizer.transform_ops(ops, target)
         return ops.add(self._log_prob_z(ops, y_z, feats), self.target_standardizer.log_det)
 
-    def iid_log_lik(self, targets, contexts) -> np.ndarray:
-        """Summed log-density of all target rows, per context row, pair by pair."""
-        return pairwise_iid_sum(self.log_prob, targets, contexts)
+    def iid_trials(self, targets) -> IidTrials:
+        """The (trials, target_dim) rows as ``iid_log_lik`` takes them."""
+        return IidTrials(targets)
+
+    def iid_log_lik(self, trials: IidTrials, contexts) -> np.ndarray:
+        """Summed log-density of all trials, per context row, pair by pair."""
+        return pairwise_iid_sum(self.log_prob, trials.rows, contexts)
 
     def sample(self, context, n: int, rng) -> np.ndarray:
         """(n, target_dim) draws at one context row."""
@@ -320,14 +373,18 @@ class ConditionalMDN(_ConditionalDensity):
     def _log_prob_z(self, ops, y_z, feats):
         return self.head.log_prob(ops, feats, y_z)
 
-    def iid_log_lik(self, targets, contexts) -> np.ndarray:
-        """Summed log-density of all target rows, per context row; the
-        mixture parameters are computed once per context."""
-        log_w, mu, log_std = self.head.components(self.context_net.forward(EVALUATOR, contexts))
-        y_z = self.target_standardizer.transform(targets)
-        lp = (mixture_log_prob(log_w[:, None], mu[:, None], log_std[:, None], y_z)
-              + self.target_standardizer.log_det)
-        return lp.sum(axis=1)
+    def iid_trials(self, targets) -> IidTrials:
+        """The trials standardized, all at the one level of a head that reads
+        only the context."""
+        t = targets.shape[0]
+        return IidTrials(targets, None, np.zeros(t, dtype=np.intp), np.array([float(t)]),
+                         self.target_standardizer.transform(targets).T,
+                         t * self.target_standardizer.log_det)
+
+    def iid_log_lik(self, trials: IidTrials, contexts) -> np.ndarray:
+        """Summed log-density of all trials, per context row; the mixture
+        parameters are computed once per context."""
+        return self.head.iid_log_lik(self.context_net.forward(EVALUATOR, contexts), trials)
 
     def _sample(self, feats, n, rng):
         y_z = self.head.sample(feats, np.zeros(n, dtype=np.intp), rng)
@@ -455,31 +512,31 @@ class MixedEstimator(_ConditionalDensity):
             out[ok] = self._log_prob(EVALUATOR, target[ok], ctx)[:, 0]
         return out
 
-    def iid_log_lik(self, targets, contexts) -> np.ndarray:
-        """Summed log-density of all (choice, rt) trials, per context row.
-
-        The choice net runs once per context and the RT head once per
-        (context, distinct choice); only the mixture density, the choice
-        term and the -log(rt) Jacobian are broadcast over the trials. A
-        trial with rt <= 0 makes every sum -inf.
-        """
+    def iid_trials(self, targets) -> IidTrials:
+        """The trials' choice levels with their counts, standardized log(rt)
+        and summed Jacobian; an rt <= 0 (or NaN) makes ``const`` -inf."""
         choice, rt = targets[:, 0], targets[:, 1]
         if not np.all(rt > 0):
+            return IidTrials(targets, const=-np.inf)
+        levels, level, counts = np.unique(choice, return_inverse=True, return_counts=True)
+        log_rt = np.log(rt)[:, None]
+        return IidTrials(targets, levels[:, None], level, counts.astype(np.float64),
+                         self.target_standardizer.transform(log_rt).T,
+                         rt.size * self.target_standardizer.log_det - log_rt.sum())
+
+    def iid_log_lik(self, trials: IidTrials, contexts) -> np.ndarray:
+        """Summed log-density of all (choice, rt) trials, per context row.
+
+        The choice net runs once per context and its term once per
+        (context, level), weighted by the level's trial count; the RT head
+        runs once per (context, level). A trial with rt <= 0 makes every
+        sum -inf.
+        """
+        if trials.const == -np.inf:
             return np.full(contexts.shape[0], -np.inf)
         ctx, logit = self._choice_logit(EVALUATOR, contexts)
-        logp_choice = -_bce(EVALUATOR, logit, choice[None, :])
-        levels, which = np.unique(choice, return_inverse=True)
-        c, u = ctx.shape[0], levels.size
-        feats = np.concatenate([np.repeat(ctx, u, axis=0), np.tile(levels, c)[:, None]], axis=1)
-        log_w, mu, log_std = self.rt_head.components(feats)
-        k = log_w.shape[1]
-        log_w = log_w.reshape(c, u, k)[:, which]
-        mu = mu.reshape(c, u, k, 1)[:, which]
-        log_std = log_std.reshape(c, u, k, 1)[:, which]
-        y_z = self.target_standardizer.transform(np.log(rt)[:, None])
-        logp_rt = (mixture_log_prob(log_w, mu, log_std, y_z)
-                   + self.target_standardizer.log_det - np.log(rt))
-        return (logp_choice + logp_rt).sum(axis=1)
+        logp_choice = -_bce(EVALUATOR, logit, trials.levels.T) @ trials.counts
+        return logp_choice + self.rt_head.iid_log_lik(ctx, trials)
 
     def log_prob_tape(self, ops, target, context):
         """(n,1) joint log-density as training sees it; any rt <= 0 is an error."""

@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from .distributions import Distribution, prior_from_config, prior_to_config
-from .estimators import (ClassifierNet, EnsembleEstimator, EstimatorConfig, NllTask,
+from .estimators import (ClassifierNet, EnsembleEstimator, EstimatorConfig, IidTrials, NllTask,
                          build_estimator, pairwise_iid_sum)
 from .samplers import SamplerConfig, slice_sample
 from .simulators import Dataset, Simulator, simulate_rows
@@ -122,9 +122,21 @@ class LikelihoodModel:
     def __init__(self, estimator):
         self.estimator = estimator
 
+    def trials(self, observations) -> IidTrials:
+        """The observation rows, checked against the estimator's
+        ``target_dim``, with the work that reads only them done once."""
+        return self.estimator.iid_trials(_observations(observations, self.estimator.target_dim))
+
     def log_lik(self, observations, thetas) -> np.ndarray:
-        """Sum of log q(x_t | theta) over the observation rows, per theta row."""
-        observations = _observations(observations, self.estimator.target_dim)
+        """Sum of log q(x_t | theta) over the observation rows, per theta row.
+
+        ``observations`` is a (trials, x_dim) array, or the ``IidTrials``
+        that ``trials`` made of one. An array is prepared on every call; a
+        prepared set leaves each call only the work that depends on theta,
+        so a caller that scores one trial set many times prepares it once.
+        """
+        if not isinstance(observations, IidTrials):
+            observations = self.trials(observations)
         thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
         return self.estimator.iid_log_lik(observations, thetas)
 
@@ -206,18 +218,20 @@ def nre_fit(dataset: Dataset, hidden: tuple = (50, 50),
     return RatioModel(classifier), report
 
 
-def _mcmc_posterior(term, prior: Distribution, observations, x_dim: int,
+def _mcmc_posterior(term, prior: Distribution, observations,
                     sampler_config: SamplerConfig | None) -> McmcPosterior:
     """MCMC posterior whose log-target is the prior plus
     ``term(observations, thetas)``, short-circuited to -inf outside the prior
-    support (the network is never queried there)."""
-    observations = _observations(observations, x_dim)
+    support (the network is never queried there). ``observations`` reach
+    ``term`` as given: the caller checks or prepares them once."""
 
     def log_target(thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=np.float64))
         lp = prior.log_prob(thetas)
-        out = np.full(thetas.shape[0], -np.inf)
         ok = np.isfinite(lp)
+        if ok.all():
+            return lp + term(observations, thetas)
+        out = np.full(thetas.shape[0], -np.inf)
         if ok.any():
             out[ok] = lp[ok] + term(observations, thetas[ok])
         return out
@@ -230,20 +244,21 @@ def nle_posterior(model: LikelihoodModel, prior: Distribution, observations,
     """MCMC posterior over the summed single-trial log-likelihoods, valid for
     any number of i.i.d. observations.
 
-    Each target call evaluates the estimator's ``iid_log_lik``: for the MDN
-    and the mixed estimator the network cost scales with the number of theta
-    rows in the call, not theta rows times trials; only the mixture density
-    is evaluated per trial.
+    The observation set is checked and prepared once, here, by
+    ``model.trials``; every target call passes that prepared set to
+    ``model.log_lik``, so it does only the work that depends on theta. For
+    the MDN and the mixed estimator that is the networks once per theta row
+    (the mixed estimator's RT head once per theta row and choice level) and
+    the mixture density per trial.
     """
-    return _mcmc_posterior(model.log_lik, prior, observations, model.estimator.target_dim,
-                           sampler_config)
+    return _mcmc_posterior(model.log_lik, prior, model.trials(observations), sampler_config)
 
 
 def nre_posterior(model: RatioModel, prior: Distribution, observations,
                   sampler_config: SamplerConfig | None = None) -> McmcPosterior:
     """MCMC posterior over summed per-trial logits plus the prior."""
-    return _mcmc_posterior(model.log_ratio, prior, observations, model.classifier.x_dim,
-                           sampler_config)
+    return _mcmc_posterior(model.log_ratio, prior,
+                           _observations(observations, model.classifier.x_dim), sampler_config)
 
 
 def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,

@@ -92,7 +92,7 @@ class _SliceState:
         self.shrink_capped = 0
 
     def _eval_coord(self, idx, coord, values):
-        probe = self.x[idx].copy()
+        probe = self.x[idx]
         probe[:, coord] = values
         self.n_evals += idx.size
         return _sanitize(np.asarray(self.log_target(probe), dtype=np.float64))

@@ -418,8 +418,11 @@ def _run_rows(simulator: Simulator, n: int, seed: int, propose, max_attempts: in
     runs each row on the same stream, and the attempt is kept when the
     output is finite and ``accept(theta, x)``, if given, holds. The rows of
     a block that fail attempt ``a`` run again as one batch on attempt
-    ``a + 1``. Returns (theta, x, attempts per row, failed rows).
+    ``a + 1``. Returns (theta, x, attempts per row, failed rows). The seed
+    must be an integer >= 0; anything else raises before any row runs.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise SimulatorError(f"seed must be an integer >= 0, got {seed!r}")
     theta = np.empty((n, simulator.theta_dim))
     x = np.empty((n, simulator.x_dim))
     attempts = np.zeros(n, dtype=np.int64)

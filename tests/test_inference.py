@@ -65,18 +65,21 @@ def test_log_lik_matches_tiled_reference(kind, n_theta):
         got = model.log_lik(obs, thetas)
         assert got.shape == (n_theta,)
         assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(model.log_lik(model.trials(obs), thetas), got)
         np.testing.assert_allclose(got, tiled_log_lik(est, obs, thetas), rtol=1e-12)
 
 
-@pytest.mark.parametrize("bad_rt", [0.0, -0.3])
+@pytest.mark.parametrize("bad_rt", [0.0, -0.3, np.nan])
 def test_mixed_log_lik_nonpositive_rt_is_neg_inf(bad_rt):
     rng = np.random.default_rng(12)
     est = randomized("mixed", 2, 3, mixed_trials(rng, 200), rng.normal(size=(200, 3)))
+    model = LikelihoodModel(est)
     obs = mixed_trials(rng, 25)
     obs[7, 1] = bad_rt
     thetas = rng.normal(size=(4, 3))
-    got = LikelihoodModel(est).log_lik(obs, thetas)
+    got = model.log_lik(obs, thetas)
     assert np.all(got == -np.inf)
+    np.testing.assert_array_equal(model.log_lik(model.trials(obs), thetas), got)
     np.testing.assert_array_equal(got, tiled_log_lik(est, obs, thetas))
 
 
@@ -86,6 +89,37 @@ def test_log_lik_accepts_single_rows():
     obs, theta = mixed_trials(rng, 1), rng.normal(size=3)
     got = LikelihoodModel(est).log_lik(obs[0], theta)
     np.testing.assert_allclose(got, tiled_log_lik(est, obs, theta[None, :]), rtol=1e-12)
+
+
+def nle_task(kind, seed):
+    """A randomized estimator of a 2-column target given 2-column theta,
+    and 30 trials to condition on."""
+    rng = np.random.default_rng(seed)
+    make = mixed_trials if kind == "mixed" else continuous_trials
+    est = randomized(kind, 2, 2, make(rng, 200), rng.uniform(-1, 1, size=(200, 2)))
+    return est, make(rng, 30)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "mdn"])
+def test_nle_posterior_prepares_the_trials_once_per_posterior(kind):
+    est, obs = nle_task(kind, 17)
+    transform, calls = est.target_standardizer.transform, []
+    est.target_standardizer.transform = lambda x: calls.append(1) or transform(x)
+    post = nle_posterior(LikelihoodModel(est), OBS_PRIOR, obs, TINY_SAMPLER)
+    post.sample(4, np.random.default_rng(0))
+    assert post.last_diagnostics.n_target_evals > 10
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["mixed", "mdn"])
+def test_nle_draws_equal_those_of_a_target_that_prepares_the_trials_on_every_call(kind):
+    est, obs = nle_task(kind, 18)
+    model, config = LikelihoodModel(est), SamplerConfig(chains=4, warmup=3, thin=1, sir_pool=50)
+    raw = inference._mcmc_posterior(model.log_lik, OBS_PRIOR, obs, config)
+    post = nle_posterior(model, OBS_PRIOR, obs, config)
+    got, ref = (p.sample(12, np.random.default_rng(4)) for p in (post, raw))
+    np.testing.assert_array_equal(got, ref)
+    assert post.last_diagnostics.n_target_evals == raw.last_diagnostics.n_target_evals
 
 
 def tiled_direct_log_prob(posterior, x, theta):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -337,6 +338,26 @@ def test_per_row_simulator_runs_through_the_base_batch_loop():
     for i, t in enumerate(thetas[:, 0]):
         rng = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(i, 0)))
         assert got[i].tolist() == [t, t + rng.standard_normal()]
+
+
+@pytest.mark.parametrize("seed", [1.7, "5", -1, None, True, np.float64(2.0)])
+def test_a_seed_that_is_not_an_integer_at_least_zero_raises_naming_it(seed):
+    sim = LinearGaussianSimulator(dim=1, noise_std=0.1)
+    for run in (lambda: generate_dataset(sim.default_prior(), sim, 5, seed),
+                lambda: simulate_rows(sim, np.zeros((3, 1)), seed)):
+        with pytest.raises(SimulatorError, match=f"got {re.escape(repr(seed))}$"):
+            run()
+
+
+def test_a_numpy_integer_seed_gives_the_rows_of_the_same_int():
+    sim = DDMSimulator()
+    ds, ds_np = (generate_dataset(sim.default_prior(), sim, 50, s) for s in (3, np.int64(3)))
+    np.testing.assert_array_equal(ds_np.theta, ds.theta)
+    np.testing.assert_array_equal(ds_np.x, ds.x)
+    assert ds_np.meta == ds.meta
+    thetas = ds.theta[:7]
+    np.testing.assert_array_equal(simulate_rows(sim, thetas, np.int64(3)),
+                                  simulate_rows(sim, thetas, 3))
 
 
 def sha16(array):
