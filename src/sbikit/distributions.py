@@ -14,12 +14,10 @@ import math
 
 import numpy as np
 
-from .ndiff import logsumexp
+from .ndiff import LOG_2PI, logsumexp
 
 # scipy.special is imported only inside TruncatedNormal, which uses it: the
 # import alone holds about 25 MB of resident memory, which no other route needs.
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 # TruncatedNormal intervals of smaller mass are sampled by inverse CDF, not rejection
 _INVERSE_CDF_MASS = 0.1

@@ -25,7 +25,11 @@ either an ``ndiff.Tape``, which records for gradients, or
 arrays, so data enters either one as it is. ``log_prob_tape`` and the
 training losses receive a Tape; ``log_prob``, ``iid_log_lik``, ``sample``,
 ``logit`` and the validation loss run the same code on the evaluator, so
-the two agree bit for bit on the same inputs.
+the two agree bit for bit on the same inputs. The mixture density,
+``ops.mixture_log_prob``, is the one primitive whose evaluator computes the
+Tape's values in another layout, reducing along the long target axis
+instead of the short component and dimension axes; a test keeps the two
+equal bit for bit.
 
 The density estimators also expose ``iid_log_lik(trials, contexts)``: the
 sum of the log-density over an i.i.d. trial set, one value per context
@@ -55,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import LOG_2PI
-from .ndiff import EVALUATOR, ParamStore, Tensor, logsumexp, sigmoid
+from .ndiff import (EVALUATOR, LOG_2PI, ParamStore, Tensor, logsumexp, sigmoid,
+                    slice_logsumexp)
 
 # soft bound on emitted log-scales, preventing early-training divergence
 LOG_SCALE_BOUND = 5.0
@@ -261,20 +265,7 @@ class _MixtureHead:
 
     def log_prob(self, ops, feats, y_z):
         """(n,1) mixture log-density of the standardized target."""
-        k, d = self.n_components, self.target_dim
-        log_w, mu, log_std = self.params(ops, feats)
-        # a loop, not mixture_log_prob: the benchmark pins its tape node count
-        comp_cols = []
-        for j in range(k):
-            mu_j = ops.slice_cols(mu, j * d, (j + 1) * d)
-            ls_j = ops.slice_cols(log_std, j * d, (j + 1) * d)
-            diff = ops.add(y_z, ops.negate(mu_j))
-            z = ops.multiply(diff, ops.exp(ops.negate(ls_j)))
-            quad = ops.multiply(ops.square(z), -0.5)
-            terms = ops.add(ops.add(quad, ops.negate(ls_j)), -0.5 * LOG_2PI)
-            comp_cols.append(ops.sum(terms, axis=1))
-        comp = ops.concat(comp_cols, axis=1)
-        return ops.logsumexp(ops.add(comp, log_w), axis=1)
+        return ops.mixture_log_prob(*self.params(ops, feats), y_z)
 
     def iid_log_lik(self, feats, trials: IidTrials) -> np.ndarray:
         """Summed mixture log-density of the trials plus ``trials.const``, per
@@ -302,8 +293,13 @@ class _MixtureHead:
         that row of ``feats``; the parameters are computed once per row."""
         log_w, mu, log_std = self.components(feats)
         n = which.shape[0]
-        u = rng.uniform(size=(n, 1))
-        choice = (np.exp(log_w).cumsum(axis=1)[which] < u).sum(axis=1)
+        u = rng.uniform(size=n)
+        # the count of cdf entries below u: a cumsum of weights never
+        # decreases, and a NaN sorts last as it compares False
+        choice = np.empty(n, dtype=np.intp)
+        for row, cdf in enumerate(np.exp(log_w).cumsum(axis=1)):
+            hit = which == row
+            choice[hit] = np.searchsorted(cdf, u[hit], side="left")
         choice = np.minimum(choice, self.n_components - 1)
         eps = rng.standard_normal((n, self.target_dim))
         return mu[which, choice] + np.exp(log_std[which, choice]) * eps
@@ -580,8 +576,8 @@ class EnsembleEstimator:
         ((self.target_dim, self.context_dim),) = dims
 
     def log_prob(self, target, context) -> np.ndarray:
-        cols = np.stack([m.log_prob(target, context) for m in self.members], axis=1)
-        return logsumexp(cols, axis=1)[:, 0] - math.log(len(self.members))
+        lps = np.stack([m.log_prob(target, context) for m in self.members])
+        return slice_logsumexp(lps) - math.log(len(self.members))
 
     def log_prob_tape(self, ops, target, context):
         cols = [m.log_prob_tape(ops, target, context) for m in self.members]

@@ -6,7 +6,10 @@ A fresh ``Tape`` is built for each forward pass. It takes and returns plain
 ndarrays and records each output, known by its identity, with one pullback
 per operand; ``Tape.backward`` replays the record in exact reverse order,
 summing adjoints in one place. ``EVALUATOR`` runs the same primitives on
-the same arrays and records nothing. A ``Tensor`` is only a parameter's
+the same arrays and records nothing, each with the Tape's numpy
+expression, except ``mixture_log_prob``, which computes the Tape's values
+in a layout that reduces along the long target axis; a test keeps the two
+equal bit for bit. A ``Tensor`` is only a parameter's
 handle, whose ``.data`` is a view into its ``ParamStore``'s one buffer:
 code writes into it and never rebinds it. Nothing writes into a recorded
 value or an adjoint in place, since either may share memory with another.
@@ -14,10 +17,16 @@ value or an adjoint in place, since either may share memory with another.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
 
+LOG_2PI = math.log(2.0 * math.pi)
+# numpy's pairwise sum: sequential below this many terms, then this many
+# accumulators up to _PW_BLOCK terms, and halves above that
+_PW_UNROLL = 8
+_PW_BLOCK = 128
 # softplus(x) = x for x above this threshold, avoiding exp overflow
 _SOFTPLUS_CUTOFF = 33.0
 # Adam moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -185,6 +194,28 @@ class Tape:
 
         return self._record(a[:, start:stop], (a, pullback))
 
+    # -- composite ---------------------------------------------------------
+
+    def mixture_log_prob(self, log_w, mu, log_std, y_z):
+        """(n,1) log-density of the rows of ``y_z`` (n, D) under diagonal
+        Gaussian mixtures: log-weights (n, K), means and log-stds (n, K*D),
+        component-major, one mixture per row."""
+        k, d = log_w.shape[1], y_z.shape[1]
+        # a loop of primitives, not one node: the benchmark pins its tape
+        # node count. ROADMAP item 3 replaces it with one node whose forward
+        # is the evaluator's kernel, with a hand-written backward.
+        comp_cols = []
+        for j in range(k):
+            mu_j = self.slice_cols(mu, j * d, (j + 1) * d)
+            ls_j = self.slice_cols(log_std, j * d, (j + 1) * d)
+            diff = self.add(y_z, self.negate(mu_j))
+            z = self.multiply(diff, self.exp(self.negate(ls_j)))
+            quad = self.multiply(self.square(z), -0.5)
+            terms = self.add(self.add(quad, self.negate(ls_j)), -0.5 * LOG_2PI)
+            comp_cols.append(self.sum(terms, axis=1))
+        comp = self.concat(comp_cols, axis=1)
+        return self.logsumexp(self.add(comp, log_w), axis=1)
+
     # -- backward ----------------------------------------------------------
 
     def backward(self, output) -> Gradients:
@@ -231,6 +262,52 @@ def logsumexp(x, axis):
     return m + np.log(s, out=s, where=finite)
 
 
+def slice_sum(a):
+    """Sum over the leading axis, adding whole slices in the order numpy's
+    pairwise sum adds the terms of one contiguous axis, so ``slice_sum(a.T)``
+    equals ``np.sum(a, axis=1)`` of a 2-D C-ordered ``a`` bit for bit; fast
+    when the leading axis is short and the slices long."""
+    n = a.shape[0]
+    if n > _PW_BLOCK:
+        half = n // 2
+        half -= half % _PW_UNROLL
+        res = slice_sum(a[:half])
+        res += slice_sum(a[half:])
+        return res
+    # starting from a + 0.0, as numpy starts from its identity, gives a
+    # zero sum numpy's sign
+    if n < _PW_UNROLL:
+        res = a[0] + 0.0
+        rest = 1
+    else:
+        acc = a[:_PW_UNROLL] + 0.0
+        rest = n - n % _PW_UNROLL
+        for i in range(_PW_UNROLL, rest, _PW_UNROLL):
+            acc += a[i:i + _PW_UNROLL]
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        res = acc[0]
+        res += acc[4]
+    for i in range(rest, n):
+        res += a[i]
+    return res
+
+
+def slice_logsumexp(a):
+    """``logsumexp`` over the leading axis, without keepdims, equal bit for
+    bit to ``logsumexp(a.T, axis=1)[:, 0]`` of a 2-D ``a``: the max is a
+    running maximum, which keeps a NaN as ``np.max`` does, and the sum is
+    ``slice_sum``."""
+    m = a[0].copy()
+    for row in a[1:]:
+        np.maximum(m, row, out=m)
+    finite = np.isfinite(m)
+    e = a - np.where(finite, m, 0.0)
+    s = slice_sum(np.exp(e, out=e))
+    return m + np.log(s, out=s, where=finite)
+
+
 class Evaluator:
     """The Tape's primitives, recording nothing.
 
@@ -238,7 +315,9 @@ class Evaluator:
     when gradients are needed, ``EVALUATOR`` otherwise. Both take and
     return the same ndarrays, parameters aside, and each primitive computes
     the same numpy expression as the Tape's primitive of the same name, so
-    results match the taped forward bit for bit. Shapes are not checked, so
+    results match the taped forward bit for bit. ``mixture_log_prob`` is
+    the exception: it computes the Tape's values in another layout, and a
+    test keeps the two equal bit for bit. Shapes are not checked, so
     operands may broadcast where the Tape would reject them.
     """
 
@@ -256,6 +335,34 @@ class Evaluator:
     mean = staticmethod(np.mean)
     concat = staticmethod(lambda parts, axis=1: np.concatenate(parts, axis=axis))
     slice_cols = staticmethod(lambda a, start, stop: a[:, start:stop])
+
+    @staticmethod
+    def mixture_log_prob(log_w, mu, log_std, y_z):
+        """``Tape.mixture_log_prob``'s values, computed in a (D, K, targets)
+        layout: the parameters may have one row, broadcast over the targets,
+        or one row per target. Each term is formed with the Tape's association
+        in one buffer, then summed over D and log-sum-exp'd over K slice by
+        slice along the long target axis, in numpy's order for the Tape's
+        short contiguous axes, so the two agree bit for bit."""
+        k = log_w.shape[1]
+        t, d = y_z.shape
+        rows = log_w.shape[0]
+
+        def layout(p):
+            # (rows, K*D) component-major -> (D, K, rows), a view
+            return p.T.reshape(k, d, rows).transpose(1, 0, 2)
+
+        neg_ls = -log_std
+        buf = np.empty((d, k, t))
+        np.subtract(y_z.T[:, None, :], layout(mu), out=buf)
+        buf *= layout(np.exp(neg_ls))
+        np.multiply(buf, buf, out=buf)
+        buf *= -0.5
+        buf += layout(neg_ls)
+        buf += -0.5 * LOG_2PI
+        comp = slice_sum(buf)
+        comp += log_w.T
+        return slice_logsumexp(comp)[:, None]
 
 
 EVALUATOR = Evaluator()

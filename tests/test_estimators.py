@@ -392,36 +392,101 @@ def test_tape_nodes_per_training_step_at_200_rows(kind, pinned):
     assert len(tape) == pinned
 
 
-def trained_like(kind, x, theta, seed):
+def trained_like(kind, x, theta, seed, n_components=3):
     """A small estimator of ``kind`` standardized on the (theta, x) rows, x
     the target for the mixed estimator and theta for the others."""
-    est = build_estimator(EstimatorConfig(kind=kind, n_components=3, hidden=(8,)), 2, 2, seed)
-    est.initialize_standardization(*((x, theta) if kind == "mixed" else (theta, x)))
+    target, context = (x, theta) if kind == "mixed" else (theta, x)
+    est = build_estimator(EstimatorConfig(kind=kind, n_components=n_components, hidden=(8,)),
+                          target.shape[1], context.shape[1], seed)
+    est.initialize_standardization(target, context)
     return est
+
+
+def one_row_head_input(est, target, context):
+    """The mixture head of ``est``, the features it reads at the first
+    context row alone, and the standardized targets it scores."""
+    feats = est.context_net.forward(EVALUATOR, context[:1])
+    if isinstance(est, MixedEstimator):
+        feats = np.concatenate([feats, [[1.0]]], axis=1)
+        return est.rt_head, feats, est.target_standardizer.transform(np.log(target[:, 1:2]))
+    return est.head, feats, est.target_standardizer.transform(target)
+
+
+# (n_components, theta columns) per estimator: the default 10 components,
+# and 17 over a 9-dim target, reach slice_sum's accumulator branches over
+# the components and over the target dimensions
+EXACT_SHAPES = {"mdn": [(3, 2), (10, 2), (17, 9)], "flow": [(3, 2)],
+                "mixed": [(3, 2), (10, 2)], "classifier": [(None, 2)]}
 
 
 @pytest.mark.parametrize("kind", ["mdn", "flow", "mixed", "classifier"])
 def test_evaluator_loss_and_log_prob_equal_the_taped_ones_exactly(kind):
     rng = np.random.default_rng(81)
-    theta = rng.normal(size=(30, 2))
-    if kind == "mixed":
-        x = np.column_stack([rng.integers(0, 2, size=30), rng.uniform(0.2, 2.0, size=30)])
-    else:
-        x = rng.normal(size=(30, 2))
-    if kind == "classifier":
-        model = ClassifierNet(2, 2, hidden=(8,), seed=82)
-        model.initialize_standardization(theta, x)
-    else:
-        members = [trained_like(kind, x, theta, seed) for seed in (82, 83)]
-        target, context = (x, theta) if kind == "mixed" else (theta, x)
-        model = NllTask(members[0], theta_is_target=kind != "mixed")
-        for est in (members[0], EnsembleEstimator(members)):
-            taped = est.log_prob_tape(Tape(), target, context)
-            np.testing.assert_array_equal(est.log_prob(target, context), taped[:, 0])
-            # data wrapped in Tensors, as the benchmark's batch loss passes it
-            np.testing.assert_array_equal(
-                est.log_prob_tape(Tape(), Tensor(target), Tensor(context)), taped)
-    assert float(model.loss(EVALUATOR, theta, x)) == float(model.loss(Tape(), theta, x))
+    for k, dim in EXACT_SHAPES[kind]:
+        theta = rng.normal(size=(30, dim))
+        if kind == "mixed":
+            x = np.column_stack([rng.integers(0, 2, size=30), rng.uniform(0.2, 2.0, size=30)])
+        else:
+            x = rng.normal(size=(30, 2))
+        if kind == "classifier":
+            model = ClassifierNet(dim, 2, hidden=(8,), seed=82)
+            model.initialize_standardization(theta, x)
+        else:
+            members = [trained_like(kind, x, theta, seed, k) for seed in (82, 83)]
+            target, context = (x, theta) if kind == "mixed" else (theta, x)
+            model = NllTask(members[0], theta_is_target=kind != "mixed")
+            for est in (members[0], EnsembleEstimator(members)):
+                taped = est.log_prob_tape(Tape(), target, context)
+                np.testing.assert_array_equal(est.log_prob(target, context), taped[:, 0])
+                # data wrapped in Tensors, as the benchmark's batch loss passes it
+                np.testing.assert_array_equal(
+                    est.log_prob_tape(Tape(), Tensor(target), Tensor(context)), taped)
+            if kind != "flow":
+                # one context row: the evaluator broadcasts the head's one
+                # mixture, the Tape scores that row repeated per target
+                head, feats, y_z = one_row_head_input(members[0], target, context)
+                params = head.params(EVALUATOR, feats)
+                repeated = [np.repeat(p, y_z.shape[0], axis=0) for p in params]
+                np.testing.assert_array_equal(head.log_prob(EVALUATOR, feats, y_z),
+                                              Tape().mixture_log_prob(*repeated, y_z))
+        assert float(model.loss(EVALUATOR, theta, x)) == float(model.loss(Tape(), theta, x))
+
+
+def old_mixture_sample(head, feats, which, rng):
+    """Reference draws for ``_MixtureHead.sample``: each draw's cdf row
+    gathered, compared with u, and the entries below u counted."""
+    log_w, mu, log_std = head.components(feats)
+    n = which.shape[0]
+    u = rng.uniform(size=(n, 1))
+    choice = (np.exp(log_w).cumsum(axis=1)[which] < u).sum(axis=1)
+    choice = np.minimum(choice, head.n_components - 1)
+    eps = rng.standard_normal((n, head.target_dim))
+    return mu[which, choice] + np.exp(log_std[which, choice]) * eps
+
+
+def test_mixture_draws_pick_the_components_the_cdf_gather_picked():
+    k, d = 6, 2
+    rng = np.random.default_rng(92)
+    logits = rng.normal(size=(6, k))
+    log_w = logits - special.logsumexp(logits, axis=1, keepdims=True)
+    log_w[1] = [0.0, *[-np.inf] * (k - 1)]                  # one component
+    log_w[2] = [-np.inf, np.log(0.5), -np.inf, np.log(0.5), -np.inf, -np.inf]
+    log_w[3] = log_w[0] - 1e-9                              # weights sum below 1
+    log_w[4] = np.nan
+    log_w[5, 2:] = -800.0                                   # weights that underflow to 0
+    mu = rng.normal(size=(6, k, d))
+    log_std = rng.normal(scale=0.3, size=(6, k, d))
+    head = ConditionalMDN(d, 1, EstimatorConfig(kind="mdn", n_components=k, hidden=(4,))).head
+    head.components = lambda feats: (log_w, mu, log_std)
+    which = rng.integers(0, 6, size=5000)
+    new = head.sample(None, which, np.random.default_rng(93))
+    np.testing.assert_array_equal(new, old_mixture_sample(head, None, which,
+                                                          np.random.default_rng(93)))
+    one_row = np.zeros(5000, dtype=np.intp)
+    head.components = lambda feats: (log_w[3:4], mu[3:4], log_std[3:4])
+    np.testing.assert_array_equal(head.sample(None, one_row, np.random.default_rng(94)),
+                                  old_mixture_sample(head, None, one_row,
+                                                     np.random.default_rng(94)))
 
 
 def test_ensemble_of_mixed_estimators_keeps_their_rt_support():

@@ -13,6 +13,8 @@ from sbikit.ndiff import (
     Tape,
     Tensor,
     logsumexp,
+    slice_logsumexp,
+    slice_sum,
     softplus,
 )
 
@@ -151,6 +153,46 @@ def test_evaluator_matches_tape_primitives_bit_for_bit():
         taped = getattr(Tape(), name)(*args)
         assert type(taped) is np.ndarray, name
         np.testing.assert_array_equal(getattr(EVALUATOR, name)(*args), taped, err_msg=name)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 200, 4000])
+def test_slice_reductions_equal_numpys_over_a_contiguous_axis_bit_for_bit(rows):
+    # fails if numpy changes the order its pairwise sum adds a contiguous axis in
+    rng = np.random.default_rng(rows)
+    for width in [*range(1, 41), 127, 128, 129, 130, 300]:
+        # magnitudes from 1e-9 to 600, so the order of the additions shows
+        a = rng.uniform(-1.0, 1.0, size=(rows, width)) * np.exp(
+            rng.uniform(-20.0, 6.4, size=(rows, width)))
+        specials = [(1, rng.integers(width), -np.inf), (2, slice(None), -np.inf),
+                    (3, rng.integers(width), np.inf), (4, rng.integers(width), np.nan),
+                    (5, slice(None), -0.0), (6, slice(None), np.inf)]
+        for row, col, value in specials[:rows - 1]:
+            a[row, col] = value
+        total = slice_sum(np.ascontiguousarray(a.T))
+        np.testing.assert_array_equal(total, np.sum(a, axis=1), err_msg=str(width))
+        np.testing.assert_array_equal(np.signbit(total), np.signbit(np.sum(a, axis=1)))
+        np.testing.assert_array_equal(slice_logsumexp(np.ascontiguousarray(a.T)),
+                                      logsumexp(a, axis=1)[:, 0], err_msg=str(width))
+
+
+@pytest.mark.parametrize("k, d", [(1, 1), (3, 2), (10, 1), (10, 2), (17, 9)])
+def test_evaluator_mixture_log_prob_equals_the_taped_loop_bit_for_bit(k, d):
+    rng = np.random.default_rng(10 * k + d)
+    n = 40
+    log_w = rng.normal(size=(n, k))
+    log_w -= logsumexp(log_w, axis=1)
+    log_w[0, 1:] = -np.inf                      # a one-component mixture
+    mu = rng.normal(size=(n, k * d))
+    log_std = rng.uniform(-3.0, 3.0, size=(n, k * d))
+    y_z = rng.normal(scale=3.0, size=(n, d))
+    tape = Tape()
+    taped = tape.mixture_log_prob(log_w, mu, log_std, y_z)
+    assert len(tape) == 13 * k + 3
+    np.testing.assert_array_equal(EVALUATOR.mixture_log_prob(log_w, mu, log_std, y_z), taped)
+    # one mixture, which the evaluator broadcasts over the targets
+    one = [p[:1] for p in (log_w, mu, log_std)]
+    taped = Tape().mixture_log_prob(*(np.repeat(p, n, axis=0) for p in one), y_z)
+    np.testing.assert_array_equal(EVALUATOR.mixture_log_prob(*one, y_z), taped)
 
 
 def test_a_full_reduction_keeps_its_gradient_through_add():
