@@ -73,7 +73,9 @@ class Distribution:
         return out[0].item() if single else out
 
     def _inside(self, arr):
-        return np.all((arr >= self.low) & (arr <= self.high), axis=1)
+        # along the rows of a transposed copy: numpy loops per row over a short trailing axis
+        cols = arr.T.copy()
+        return ((cols >= self.low[:, None]) & (cols <= self.high[:, None])).all(axis=0)
 
     def log_prob(self, point):
         return self._per_point(

@@ -129,6 +129,7 @@ class Standardizer:
         return (np.atleast_2d(x) - self.mean) / self.std
 
     def inverse(self, z):
+        # broadcast: per-column or transposed layouts win at 4000 rows but lose at few rows or one column
         return np.atleast_2d(z) * self.std + self.mean
 
     def transform_ops(self, ops, x):
@@ -302,7 +303,11 @@ class _MixtureHead:
             choice[hit] = np.searchsorted(cdf, u[hit], side="left")
         choice = np.minimum(choice, self.n_components - 1)
         eps = rng.standard_normal((n, self.target_dim))
-        return mu[which, choice] + np.exp(log_std[which, choice]) * eps
+        # one flat row index per draw: a two-array fancy index is slow
+        flat = which * self.n_components + choice
+        d = self.target_dim
+        return (mu.reshape(-1, d).take(flat, axis=0)
+                + np.exp(log_std.reshape(-1, d).take(flat, axis=0)) * eps)
 
 
 class _ConditionalDensity:

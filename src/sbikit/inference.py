@@ -94,9 +94,11 @@ class DirectPosterior:
         filled = 0
         for _ in range(_MAX_LEAK_ROUNDS):
             draw = self.estimator.sample(x, max(n - filled, 32), rng)
-            keep = draw[self.prior.contains(draw)]
-            take = min(keep.shape[0], n - filled)
-            out[filled:filled + take] = keep[:take]
+            inside = self.prior.contains(draw)
+            if not inside.all():
+                draw = draw[inside]
+            take = min(draw.shape[0], n - filled)
+            out[filled:filled + take] = draw[:take]
             filled += take
             if filled == n:
                 return out

@@ -142,10 +142,35 @@ def test_out_of_support_is_exactly_neg_inf_never_nan():
             assert dist.contains(point) is False, (dist, point)
 
 
-def test_boundary_points_count_as_inside():
-    for dist in (BoxUniform([0.0, -1.0], [1.0, 2.0]), TruncatedNormal(0.0, 1.0, -1.0, 1.0)):
-        for corner in (dist.low, dist.high):
-            assert dist.contains(corner) is True and np.isfinite(dist.log_prob(corner)), corner
+FAMILIES = {
+    "box_uniform": lambda d: BoxUniform(-np.arange(1.0, d + 1), np.arange(1.0, d + 1) / 2),
+    "diag_gaussian": lambda d: DiagGaussian(np.linspace(-1, 1, d), np.linspace(-0.5, 0.5, d)),
+    "truncated_normal": lambda d: TruncatedNormal(0.0, 1.0, -1.0, 1.5),
+    "mixture_diag_gaussian": lambda d: MixtureDiagGaussian(
+        [0.0, -0.5], [np.zeros(d), np.ones(d)], [np.zeros(d), np.full(d, -0.3)]),
+}
+
+
+@pytest.mark.parametrize("rows, dim", [(1, 1), (3, 5), (4000, 2)])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_boundary_points_count_as_inside(family, rows, dim):
+    dist = FAMILIES[family](dim)
+    for corner in (dist.low, dist.high):
+        # an unbounded family's corners are infinite: inside, at density zero
+        assert dist.contains(corner) is True, corner
+        assert np.isfinite(dist.log_prob(corner)) == np.all(np.isfinite(corner)), corner
+    # the support check along the draw axis gives the row-wise expression's
+    # booleans, at NaN, infinite, boundary and outside coordinates alike
+    rng = np.random.default_rng(rows + dim)
+    arr = rng.normal(scale=2.0, size=(rows, dist.dim))
+    special_values = np.concatenate([[np.nan, np.inf, -np.inf], dist.low, dist.high])
+    mask = rng.uniform(size=arr.shape) < (0.5 if rows < 4 else 0.2)
+    arr[mask] = rng.choice(special_values, size=mask.sum())
+    old = np.all((arr >= dist.low) & (arr <= dist.high), axis=1)
+    assert 0 < old.sum() < rows or rows < 4
+    np.testing.assert_array_equal(dist.contains(arr), old)
+    np.testing.assert_array_equal(dist.log_prob(arr),
+                                  np.where(old, dist._log_density(arr), -np.inf))
 
 
 def test_mixture_weights_normalized_and_log_prob_matches_brute_force():

@@ -15,6 +15,7 @@ from sbikit.estimators import (
     EstimatorError,
     MixedEstimator,
     NllTask,
+    Standardizer,
     build_estimator,
 )
 from sbikit.ndiff import EVALUATOR, Tape, Tensor, sigmoid
@@ -487,6 +488,46 @@ def test_mixture_draws_pick_the_components_the_cdf_gather_picked():
     np.testing.assert_array_equal(head.sample(None, one_row, np.random.default_rng(94)),
                                   old_mixture_sample(head, None, one_row,
                                                      np.random.default_rng(94)))
+
+
+@pytest.mark.parametrize("kind", ["mdn", "mixed"])
+def test_estimator_draws_equal_the_two_array_gather(kind):
+    """``sample`` of the MDN and of the mixed estimator (at both choice
+    levels) equals draws gathered with ``mu[which, choice]`` and unscaled
+    with ``z * std + mean``."""
+    rng = np.random.default_rng(95)
+    theta = rng.normal(size=(30, 2))
+    x = np.column_stack([rng.integers(0, 2, size=30), rng.uniform(0.2, 2.0, size=30)])
+    est = trained_like(kind, x, theta, 96, n_components=5)
+    randomize_parameters(est.store, rng)
+    context = theta[:1] if kind == "mixed" else x[:1]
+    n = 3000
+    got = est.sample(context, n, np.random.default_rng(97))
+    ref_rng = np.random.default_rng(97)
+    feats = est.context_net.forward(EVALUATOR, context)
+    std, mean = est.target_standardizer.std, est.target_standardizer.mean
+    if kind == "mdn":
+        ref = old_mixture_sample(est.head, feats, np.zeros(n, dtype=np.intp), ref_rng) * std + mean
+    else:
+        p1 = sigmoid(est.choice_net.forward(EVALUATOR, feats))[:, 0]
+        choice = (ref_rng.uniform(size=n) < p1).astype(np.intp)
+        assert 0 < choice.sum() < n
+        levels = np.concatenate([np.repeat(feats, 2, axis=0), [[0.0], [1.0]]], axis=1)
+        y_z = old_mixture_sample(est.rt_head, levels, choice, ref_rng)
+        ref = np.column_stack([choice, np.exp(y_z * std + mean)])
+    np.testing.assert_array_equal(got, ref)
+
+
+def test_standardizer_inverse_is_the_broadcast_expression_in_c_order():
+    data = np.column_stack([np.linspace(-2.0, 5.0, 50), np.full(50, 3.0), np.arange(50.0)])
+    st = Standardizer.fit(data)
+    assert st.std[1] == 1.0                                 # the constant column
+    rng = np.random.default_rng(98)
+    for z in (rng.normal(size=(4000, 3)), rng.normal(size=(1, 3)), rng.normal(size=3)):
+        z[..., 0].flat[0] = np.nan
+        got = st.inverse(z)
+        np.testing.assert_array_equal(got, np.atleast_2d(z) * st.std + st.mean)
+        assert got.flags.c_contiguous and got.shape == np.atleast_2d(z).shape
 
 
 def test_ensemble_of_mixed_estimators_keeps_their_rt_support():

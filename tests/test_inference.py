@@ -180,6 +180,38 @@ def test_direct_draws_at_one_observation_match_the_tiled_reference(kind):
     np.testing.assert_allclose(got[~flipped], ref[~flipped], rtol=1e-12, atol=1e-12)
 
 
+def boolean_index_draws(post, x, n, rng):
+    """Reference ``DirectPosterior.sample``: every round's draws masked by
+    the row-wise support expression and copied by boolean index."""
+    low, high = post.prior.low, post.prior.high
+    out, filled = np.empty((n, post.prior.dim)), 0
+    while filled < n:
+        draw = post.estimator.sample(x, max(n - filled, 32), rng)
+        keep = draw[np.all((draw >= low) & (draw <= high), axis=1)]
+        take = min(keep.shape[0], n - filled)
+        out[filled:filled + take] = keep[:take]
+        filled += take
+    return out
+
+
+@pytest.mark.parametrize("kind", ["mdn", "flow", "mixed", "ensemble"])
+def test_direct_draws_in_a_box_equal_the_boolean_index_loop(kind):
+    """Under a box that cuts off part of the estimator's mass, and under one
+    that holds every draw, the draws equal the boolean-index loop's."""
+    cut = BoxUniform([-0.5, 0.1], [1.5, 1.9]) if kind == "mixed" else BoxUniform([-1, -6], [2, 4])
+    post, _, rng = direct_query(kind, cut)
+    x = rng.normal(size=3)
+    wide = BoxUniform([-1e3, 0.0 if kind == "mixed" else -1e3], [1e3, 1e3])
+    for prior in (cut, wide):
+        leaked = ~prior.contains(post.estimator.sample(x, 4000, np.random.default_rng(17)))
+        assert 0.05 < leaked.mean() < 0.9 if prior is cut else not leaked.any()
+        post.prior = prior
+        for n in (5, 4000):
+            np.testing.assert_array_equal(post.sample(x, n, np.random.default_rng(18)),
+                                          boolean_index_draws(post, x, n,
+                                                              np.random.default_rng(18)))
+
+
 @pytest.mark.parametrize("kind, context_only", [
     ("mdn", ["ctx.embed.", "mdn.trunk.", "mdn.weights.", "mdn.means.", "mdn.logstds."]),
     ("flow", ["ctx.embed."]),
