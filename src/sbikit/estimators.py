@@ -23,29 +23,29 @@ Each model's math is written once, against an ``ops`` argument that is
 either an ``ndiff.Tape``, which records for gradients, or
 ``ndiff.EVALUATOR``, which records nothing; both take and return plain
 arrays, so data enters either one as it is. ``log_prob_tape`` and the
-training losses receive a Tape; ``log_prob``, ``iid_log_lik``, ``sample``,
-``logit`` and the validation loss run the same code on the evaluator, so
-the two agree bit for bit on the same inputs. The mixture density,
+training losses receive a Tape; ``log_prob``, ``sample``, ``logit`` and
+the validation loss run the same code on the evaluator, so the two agree
+bit for bit on the same inputs. The mixture density,
 ``ops.mixture_log_prob``, is the one primitive whose evaluator computes the
 Tape's values in another layout, reducing along the long target axis
 instead of the short component and dimension axes; a test keeps the two
 equal bit for bit.
 
-The density estimators also expose ``iid_log_lik(trials, contexts)``: the
-sum of the log-density over an i.i.d. trial set, one value per context
-row. This is the NLE likelihood that MCMC evaluates hundreds of times per
-query at a few contexts each, so it is split in two. ``iid_trials(targets)``
-does, once per trial set, the work that reads only the trials and returns
-it as an ``IidTrials``; each ``iid_log_lik`` call then does only the work
-that depends on the contexts. For the MDN and the mixed estimator that
-means the networks once per context (the mixed estimator's reaction-time
-head once per context and choice level), and ``_MixtureHead.iid_log_lik``,
-the one routine that evaluates a mixture density over the trials for
-both: it forms each component's constants before gathering them to the
-trials and takes one log-sum-exp over components laid out (K, contexts,
-trials). The flow's conditioner mixes target and context, so it keeps the
-scaffold's default, which evaluates every (context, target) pair. Tests
-pin each to that pairwise reference.
+The density estimators also expose ``iid_log_lik(trials, contexts)``, the
+NLE likelihood that MCMC evaluates hundreds of times per query at a few
+contexts each: the log-density summed over an i.i.d. trial set, per context
+row. ``iid_trials(targets)`` prepares the set once as an ``IidTrials``,
+with everything that does not depend on the context. For the MDN and the
+mixed estimator that is the trials' levels and standardized values, and
+plain arrays derived from the live parameters: the context standardizer
+folded into the first layer that reads it, the trunk's level columns as
+one bias per level, the three heads stacked into one product, and the
+choice term's trial counts per label. Each call runs those arrays in plain
+numpy and scores the trials in one gather and one (K, contexts, trials)
+buffer, ``_mixture_iid_log_lik``; its sums agree with ``log_prob``'s to
+rounding. The set records its store's ``version``, which ``load`` and
+``adam_step`` bump, and a stale set raises an ``EstimatorError``. The flow
+scores every (context, target) pair. Tests pin each to that reference.
 
 Inputs and targets are z-scored with training-set statistics stored inside
 the model; densities are reported in original coordinates through the
@@ -59,8 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndiff import (EVALUATOR, LOG_2PI, ParamStore, Tensor, logsumexp, sigmoid,
-                    slice_logsumexp)
+from .ndiff import EVALUATOR, LOG_2PI, ParamStore, Tensor, sigmoid, slice_logsumexp
 
 # soft bound on emitted log-scales, preventing early-training divergence
 LOG_SCALE_BOUND = 5.0
@@ -95,8 +94,7 @@ def _broadcast_rows(feats, rows: int):
 
 
 def _bce(ops, logit, labels: np.ndarray):
-    """Binary cross-entropy of logits against constant 0/1 labels, (n,1) on
-    a Tape; on the evaluator the labels may broadcast against the logits."""
+    """(n,1) binary cross-entropy of logits against constant 0/1 labels."""
     return ops.add(
         ops.multiply(ops.softplus(ops.negate(logit)), labels),
         ops.multiply(ops.softplus(logit), 1.0 - labels),
@@ -137,6 +135,13 @@ class Standardizer:
         return ops.affine(x, self._w, self._b)
 
 
+def _run(layers, h):
+    """``Mlp.forward`` in plain numpy on the arrays of ``Mlp.layers``."""
+    for i, (w, b) in enumerate(layers):
+        h = (np.tanh(h) if i else h) @ w + b
+    return h
+
+
 class Mlp:
     """Feedforward stack with parameters registered in a shared ParamStore."""
 
@@ -161,6 +166,15 @@ class Mlp:
             if i < len(self.layer_names) - 1:
                 h = ops.tanh(h)
         return h
+
+    def layers(self, fold=None):
+        """Each layer's (w, b); ``fold``, a Standardizer of the leading inputs, folded in."""
+        layers = [(self.store[wn].data, self.store[bn].data) for wn, bn in self.layer_names]
+        if fold is not None:
+            (w, b), n = layers[0], fold.std.size
+            layers[0] = (np.concatenate([w[:n] / fold.std[:, None], w[n:]]),
+                         b - (fold.mean / fold.std) @ w[:n])
+        return layers
 
 
 @dataclass
@@ -195,6 +209,11 @@ class _ContextNet:
     def fit_standardizer(self, contexts):
         self.standardizer = Standardizer.fit(contexts)
 
+    def prepare(self):
+        """(embedding layers, standardizer left for the layers reading the output)"""
+        emb, fold = self.embedding, self.standardizer
+        return (None, fold) if emb is None else (emb.layers(fold), None)
+
     def forward(self, ops, x):
         z = self.standardizer.transform_ops(ops, x)
         if self.embedding is not None:
@@ -214,24 +233,50 @@ def pairwise_iid_sum(row_fn, targets, contexts) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IidTrials:
-    """An i.i.d. trial set with the work that reads only the trials done
-    once, by ``iid_trials`` of the estimator that scores it.
-
-    ``rows`` are the trials as given, all that the pairwise default reads.
-    The mixture estimators add the values of the discrete columns that
-    their head reads besides the context (``levels``; none for the MDN,
-    whose trials share one level), each trial's level, the trial count
-    per level, the standardized continuous values ``y_z``, and ``const``,
-    the Jacobian terms summed over the trials: -inf when a trial lies
-    outside the support.
-    """
+    """The ``rows`` of an i.i.d. trial set and, for the mixtures, all that does
+    not depend on the context, made by ``iid_trials`` at the store's ``version``:
+    each trial's head level, standardized ``y_z`` (D, trials), the summed
+    Jacobian, the networks' arrays, and ``choice``: (layers, n at label 1, at 0)."""
 
     rows: np.ndarray
-    levels: np.ndarray | None = None     # (levels, discrete columns)
-    level: np.ndarray | None = None      # (trials,) index into counts
-    counts: np.ndarray | None = None     # (levels,) float trial counts
-    y_z: np.ndarray | None = None        # (D, trials)
+    version: int
+    level: np.ndarray | None = None
+    y_z: np.ndarray | None = None
     const: float = 0.0
+    embedding: list | None = None
+    head: tuple | None = None
+    choice: tuple | None = None
+
+
+def _mixture_iid_log_lik(head, feats, level, y_z) -> np.ndarray:
+    """Summed log-density of the standardized trials ``y_z``, each under the
+    mixture at its level, per row of ``feats``, by ``_MixtureHead.prepare``."""
+    (w_in, bias, rest, w, b), d = head, y_z.shape[0]
+    k, c, u = w.shape[0] // (2 * d + 1), feats.shape[0], bias.shape[0]
+    h = np.tanh((feats @ w_in)[:, None] + bias).reshape(c * u, -1)
+    for wi, bi in rest:
+        h = np.tanh(h @ wi + bi)
+    out = w @ h.T + b                                    # (2D + 1) * K rows
+    log_w, log_std = out[:k], out[k + d * k:]
+    log_w -= log_w.max(axis=0)      # finite: the logits are an affine map of tanh outputs
+    log_w -= np.log(np.exp(log_w).sum(axis=0))
+    np.tanh(log_std, out=log_std)
+    log_std *= LOG_SCALE_BOUND
+    # per-component constant, and 1 / (sqrt(2) std), which carries the 1/2 of exp(-z^2 / 2)
+    log_w -= log_std.reshape(d, k, -1).sum(axis=0) + 0.5 * d * LOG_2PI
+    np.exp(np.subtract(-0.5 * math.log(2.0), log_std, out=log_std), out=log_std)
+    g = out.reshape(2 * d + 1, k, c, u).take(level, axis=3)      # one gather to the trials
+    z = np.subtract(y_z[:, None, None], g[1:d + 1])
+    z *= g[d + 1:]
+    z *= z
+    buf = np.subtract(g[0], z[0], out=z[0])             # (K, contexts, trials)
+    for zj in z[1:]:
+        buf -= zj
+    m = buf.max(axis=0)                                 # logsumexp over K, in place,
+    finite = np.isfinite(m)                             # with ndiff.logsumexp's guard
+    buf -= np.where(finite, m, 0.0)
+    s = np.exp(buf, out=buf).sum(axis=0)
+    return (m + np.log(s, out=s, where=finite)).sum(axis=1)
 
 
 class _MixtureHead:
@@ -268,26 +313,19 @@ class _MixtureHead:
         """(n,1) mixture log-density of the standardized target."""
         return ops.mixture_log_prob(*self.params(ops, feats), y_z)
 
-    def iid_log_lik(self, feats, trials: IidTrials) -> np.ndarray:
-        """Summed mixture log-density of the trials plus ``trials.const``, per
-        row of the context features. Each trial is scored by the mixture at
-        its level, which the head reads as the features followed by the
-        level's ``trials.levels`` columns, if there are any."""
-        k, d, c, u = self.n_components, self.target_dim, feats.shape[0], trials.counts.size
-        if trials.levels is not None:
-            feats = np.concatenate([np.repeat(feats, u, axis=0),
-                                    np.concatenate([trials.levels] * c)], axis=1)
-        log_w, mu, log_std = self.params(EVALUATOR, feats)
-        # per-component terms, formed on (context, level) rows before the
-        # gather to the trials; inv carries the 1/sqrt(2) of exp(-z^2 / 2)
-        const = log_w - log_std.reshape(-1, k, d).sum(axis=2) - 0.5 * d * LOG_2PI
-        inv = np.exp(-log_std) * math.sqrt(0.5)
-        const = const.T.reshape(k, c, u).take(trials.level, axis=2)
-        mu = mu.T.reshape(k, d, c, u).take(trials.level, axis=3)
-        inv = inv.T.reshape(k, d, c, u).take(trials.level, axis=3)
-        z = (trials.y_z[:, None] - mu) * inv
-        comp = const - (z * z).sum(axis=1)                        # (K, contexts, trials)
-        return logsumexp(comp, axis=0)[0].sum(axis=1) + trials.const
+    def prepare(self, fold, levels):
+        """The trunk's first layer as its feature rows, ``fold`` folded in, and
+        one bias per row of ``levels``; its other layers; and the heads as one
+        transposed product: log-weights (K), means and log-stds / 5 (D, K)."""
+        (w0, b0), *rest = self.trunk.layers(fold)
+        f = w0.shape[0] - levels.shape[1]
+        k, d = self.n_components, self.target_dim
+        by_dim = k + np.arange(k * d).reshape(k, d).T.ravel()
+        rows = np.concatenate([np.arange(k), by_dim, k * d + by_dim])
+        scale = np.repeat([1.0, 1.0, 1.0 / LOG_SCALE_BOUND], [k, k * d, k * d])[:, None]
+        ws, bs = zip(*[net.layers()[0] for net in (self.w_head, self.mu_head, self.std_head)])
+        return (w0[:f], levels @ w0[f:] + b0, rest,
+                np.concatenate(ws, axis=1).T[rows] * scale, np.concatenate(bs)[rows, None] * scale)
 
     def sample(self, feats, which, rng):
         """One standardized draw per entry of ``which``, from the mixture at
@@ -352,11 +390,22 @@ class _ConditionalDensity:
 
     def iid_trials(self, targets) -> IidTrials:
         """The (trials, target_dim) rows as ``iid_log_lik`` takes them."""
-        return IidTrials(targets)
+        return IidTrials(targets, self.store.version)
 
     def iid_log_lik(self, trials: IidTrials, contexts) -> np.ndarray:
-        """Summed log-density of all trials, per context row, pair by pair."""
-        return pairwise_iid_sum(self.log_prob, trials.rows, contexts)
+        """Summed log-density of all trials, per context row, from the arrays
+        ``iid_trials`` prepared (pair by pair for the flow); stale ones raise."""
+        if trials.version != self.store.version:
+            raise EstimatorError("stale trial set: parameters changed since it was prepared")
+        if trials.head is None:
+            return pairwise_iid_sum(self.log_prob, trials.rows, contexts)
+        feats = contexts if trials.embedding is None else np.tanh(_run(trials.embedding, contexts))
+        lik = _mixture_iid_log_lik(trials.head, feats, trials.level, trials.y_z) + trials.const
+        if trials.choice is not None:
+            layers, n1, n0 = trials.choice
+            logit = _run(layers, feats)[:, 0]
+            lik -= n1 * np.logaddexp(0.0, -logit) + n0 * np.logaddexp(0.0, logit)
+        return lik
 
     def sample(self, context, n: int, rng) -> np.ndarray:
         """(n, target_dim) draws at one context row."""
@@ -375,17 +424,14 @@ class ConditionalMDN(_ConditionalDensity):
         return self.head.log_prob(ops, feats, y_z)
 
     def iid_trials(self, targets) -> IidTrials:
-        """The trials standardized, all at the one level of a head that reads
-        only the context."""
+        """The trials standardized, at the one level of a head that reads only
+        the context, and the networks' arrays."""
         t = targets.shape[0]
-        return IidTrials(targets, None, np.zeros(t, dtype=np.intp), np.array([float(t)]),
+        embedding, fold = self.context_net.prepare()
+        return IidTrials(targets, self.store.version, np.zeros(t, dtype=np.intp),
                          self.target_standardizer.transform(targets).T,
-                         t * self.target_standardizer.log_det)
-
-    def iid_log_lik(self, trials: IidTrials, contexts) -> np.ndarray:
-        """Summed log-density of all trials, per context row; the mixture
-        parameters are computed once per context."""
-        return self.head.iid_log_lik(self.context_net.forward(EVALUATOR, contexts), trials)
+                         t * self.target_standardizer.log_det, embedding,
+                         self.head.prepare(fold, np.zeros((1, 0))))
 
     def _sample(self, feats, n, rng):
         y_z = self.head.sample(feats, np.zeros(n, dtype=np.intp), rng)
@@ -514,30 +560,20 @@ class MixedEstimator(_ConditionalDensity):
         return out
 
     def iid_trials(self, targets) -> IidTrials:
-        """The trials' choice levels with their counts, standardized log(rt)
-        and summed Jacobian; an rt <= 0 (or NaN) makes ``const`` -inf."""
+        """Each trial's choice level, standardized log(rt), the summed Jacobian
+        and the networks' arrays, the RT head's with one bias per level; with
+        an rt <= 0 (or NaN), the rows alone, which score -inf pair by pair."""
         choice, rt = targets[:, 0], targets[:, 1]
         if not np.all(rt > 0):
-            return IidTrials(targets, const=-np.inf)
+            return super().iid_trials(targets)
         levels, level, counts = np.unique(choice, return_inverse=True, return_counts=True)
         log_rt = np.log(rt)[:, None]
-        return IidTrials(targets, levels[:, None], level, counts.astype(np.float64),
+        embedding, fold = self.context_net.prepare()
+        return IidTrials(targets, self.store.version, level,
                          self.target_standardizer.transform(log_rt).T,
-                         rt.size * self.target_standardizer.log_det - log_rt.sum())
-
-    def iid_log_lik(self, trials: IidTrials, contexts) -> np.ndarray:
-        """Summed log-density of all (choice, rt) trials, per context row.
-
-        The choice net runs once per context and its term once per
-        (context, level), weighted by the level's trial count; the RT head
-        runs once per (context, level). A trial with rt <= 0 makes every
-        sum -inf.
-        """
-        if trials.const == -np.inf:
-            return np.full(contexts.shape[0], -np.inf)
-        ctx, logit = self._choice_logit(EVALUATOR, contexts)
-        logp_choice = -_bce(EVALUATOR, logit, trials.levels.T) @ trials.counts
-        return logp_choice + self.rt_head.iid_log_lik(ctx, trials)
+                         rt.size * self.target_standardizer.log_det - log_rt.sum(), embedding,
+                         self.rt_head.prepare(fold, levels[:, None]),
+                         (self.choice_net.layers(fold), levels @ counts, (1.0 - levels) @ counts))
 
     def log_prob_tape(self, ops, target, context):
         """(n,1) joint log-density as training sees it; any rt <= 0 is an error."""

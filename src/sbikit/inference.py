@@ -134,8 +134,9 @@ class LikelihoodModel:
 
         ``observations`` is a (trials, x_dim) array, or the ``IidTrials``
         that ``trials`` made of one. An array is prepared on every call; a
-        prepared set leaves each call only the work that depends on theta,
-        so a caller that scores one trial set many times prepares it once.
+        prepared set leaves each call only theta's work, so a caller that
+        scores one trial set many times prepares it once, and again after
+        the parameters change: a stale set raises.
         """
         if not isinstance(observations, IidTrials):
             observations = self.trials(observations)
@@ -244,15 +245,12 @@ def _mcmc_posterior(term, prior: Distribution, observations,
 def nle_posterior(model: LikelihoodModel, prior: Distribution, observations,
                   sampler_config: SamplerConfig | None = None) -> McmcPosterior:
     """MCMC posterior over the summed single-trial log-likelihoods, valid for
-    any number of i.i.d. observations.
-
-    The observation set is checked and prepared once, here, by
-    ``model.trials``; every target call passes that prepared set to
-    ``model.log_lik``, so it does only the work that depends on theta. For
-    the MDN and the mixed estimator that is the networks once per theta row
-    (the mixed estimator's RT head once per theta row and choice level) and
-    the mixture density per trial.
-    """
+    any number of i.i.d. observations. The observation set is checked and
+    prepared once, here, by ``model.trials``: the trials' levels and
+    standardized values, and the networks' theta-free arrays at the current
+    parameters. Every target call passes it to ``model.log_lik``, which does
+    only theta's work; a write to the parameters (``load``, a training step)
+    makes that call raise, so build the posterior again after one."""
     return _mcmc_posterior(model.log_lik, prior, model.trials(observations), sampler_config)
 
 

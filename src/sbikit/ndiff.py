@@ -372,7 +372,8 @@ class ParamStore:
     """Named parameters as reshaped views into one contiguous float64 buffer,
     ``flat``, with Adam's two moment buffers in the same layout, so Adam moves
     every parameter at once. Write into a parameter's ``.data``, as ``load``
-    does; never rebind it, which would detach it from the buffer."""
+    does; never rebind it, which would detach it from the buffer. ``version``
+    counts the writes of ``load`` and ``adam_step``."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -380,6 +381,7 @@ class ParamStore:
         self._m = np.zeros(0)
         self._v = np.zeros(0)
         self.step_count = 0
+        self.version = 0
 
     def add(self, name: str, values) -> Tensor:
         if name in self._params:
@@ -404,6 +406,7 @@ class ParamStore:
         return {k: t.data.copy() for k, t in self._params.items()}
 
     def load(self, values: dict[str, np.ndarray]) -> None:
+        self.version += 1   # first: a load that raises part way may have written
         for name, arr in values.items():
             t = self._params.get(name)
             if t is None:
@@ -439,3 +442,4 @@ class ParamStore:
         v_hat = self._v / (1.0 - _ADAM_BETA2 ** t)
         self.flat -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         self.step_count = t
+        self.version += 1

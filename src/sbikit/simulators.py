@@ -47,7 +47,9 @@ _TABLE_META = "# meta: "
 
 def _normals(rngs, m: int) -> np.ndarray:
     """(rows, m) standard normals, row i drawn from ``rngs[i]``; rows that
-    share one generator draw from it in row order."""
+    share one generator draw from it in row order, in one call if all do."""
+    if rngs and all(rng is rngs[0] for rng in rngs):
+        return rngs[0].standard_normal((len(rngs), m))
     out = np.empty((len(rngs), m))
     for rng, row in zip(rngs, out):
         rng.standard_normal(out=row)

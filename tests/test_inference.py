@@ -9,8 +9,8 @@ import pytest
 from sbikit import inference
 from sbikit.distributions import BoxUniform, DiagGaussian, prior_to_config
 from sbikit.estimators import (AffineCouplingFlow, ClassifierNet, ConditionalMDN,
-                               EnsembleEstimator, EstimatorConfig, Mlp, Standardizer,
-                               build_estimator)
+                               EnsembleEstimator, EstimatorConfig, EstimatorError, Mlp,
+                               Standardizer, build_estimator)
 from sbikit.inference import (DirectPosterior, InferenceError, LikelihoodModel, McmcPosterior,
                               RatioModel, fit_ensemble, nle_fit, nle_posterior, npe_fit, nre_fit,
                               nre_posterior, tsnpe_round)
@@ -50,12 +50,21 @@ def continuous_trials(rng, n):
     return rng.normal(size=(n, 2)) * [1.0, 3.0] + [0.5, -1.0]
 
 
+# (kind, architecture beside the default one hidden layer of 8), by id
+ARCHITECTURES = [pytest.param(kind, config, id=kind + tag)
+                 for tag, config in [("", {}), ("-deep", {"hidden": (8, 8, 8)}),
+                                     ("-embedded", {"embedding_dim": 2}),
+                                     ("-one_component", {"n_components": 1})]
+                 for kind in ["mixed", "mdn", "flow"]
+                 if not (kind == "flow" and "n_components" in config)]
+
+
 @pytest.mark.parametrize("n_theta", [1, 4, 37])
-@pytest.mark.parametrize("kind", ["mixed", "mdn", "flow"])
-def test_log_lik_matches_tiled_reference(kind, n_theta):
+@pytest.mark.parametrize("kind, config", ARCHITECTURES)
+def test_log_lik_matches_tiled_reference(kind, config, n_theta):
     rng = np.random.default_rng(11)
     make = mixed_trials if kind == "mixed" else continuous_trials
-    est = randomized(kind, 2, 3, make(rng, 200), rng.normal(size=(200, 3)))
+    est = randomized(kind, 2, 3, make(rng, 200), rng.normal(size=(200, 3)), **config)
     model = LikelihoodModel(est)
     thetas = rng.normal(size=(n_theta, 3))
     trial_sets = [make(rng, 25), make(rng, 1)]
@@ -103,12 +112,53 @@ def nle_task(kind, seed):
 @pytest.mark.parametrize("kind", ["mixed", "mdn"])
 def test_nle_posterior_prepares_the_trials_once_per_posterior(kind):
     est, obs = nle_task(kind, 17)
-    transform, calls = est.target_standardizer.transform, []
-    est.target_standardizer.transform = lambda x: calls.append(1) or transform(x)
+    head = est.rt_head if kind == "mixed" else est.head
+    transform, prepare, calls = est.target_standardizer.transform, head.prepare, []
+    est.target_standardizer.transform = lambda x: calls.append("trials") or transform(x)
+    head.prepare = lambda *a: calls.append("weights") or prepare(*a)
     post = nle_posterior(LikelihoodModel(est), OBS_PRIOR, obs, TINY_SAMPLER)
     post.sample(4, np.random.default_rng(0))
     assert post.last_diagnostics.n_target_evals > 10
-    assert len(calls) == 1
+    assert calls == ["trials", "weights"]
+
+
+@pytest.mark.parametrize("kind", ["mixed", "mdn", "flow"])
+def test_a_trial_set_prepared_before_the_parameters_changed_is_refused(kind):
+    est, obs = nle_task(kind, 19)
+    model, thetas = LikelihoodModel(est), np.random.default_rng(20).uniform(-1, 1, size=(3, 2))
+    trials = model.trials(obs)
+    est.store.load({n: est.store[n].data * 1.1 for n in est.store.names()})
+    with pytest.raises(EstimatorError, match="stale trial set"):
+        model.log_lik(trials, thetas)
+    np.testing.assert_allclose(model.log_lik(model.trials(obs), thetas),
+                               tiled_log_lik(est, obs, thetas), rtol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["far_trial", "infinite_trial", "log_std_bound"])
+@pytest.mark.parametrize("kind", ["mixed", "mdn"])
+def test_log_lik_far_from_every_component_or_at_the_log_std_bound_is_never_nan(kind, case):
+    est, obs = nle_task(kind, 21)
+    thetas = np.random.default_rng(22).uniform(-1, 1, size=(4, 2))
+    head = est.rt_head if kind == "mixed" else est.head
+    if case != "log_std_bound":
+        # a trial 1e3 standardized units from every component, or infinitely
+        # far, where every component's log-density is -inf
+        sd = est.target_standardizer
+        far = sd.mean + (1e3 if case == "far_trial" else np.inf) * sd.std
+        obs[5, -far.size:] = np.exp(far) if kind == "mixed" else far
+    else:
+        # log-std weights that drive the bound into saturation, at large theta
+        name = head.std_head.layer_names[0][0]
+        est.store.load({name: est.store[name].data * 1e4})
+        thetas *= 1e3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = LikelihoodModel(est).log_lik(obs, thetas)
+    assert not np.any(np.isnan(got)) and np.all(got < np.inf)
+    if case == "infinite_trial":
+        assert np.all(got == -np.inf)
+    else:
+        np.testing.assert_allclose(got, tiled_log_lik(est, obs, thetas), rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["mixed", "mdn"])

@@ -369,7 +369,9 @@ def test_parameters_stay_views_into_the_one_buffer_across_add_and_load():
     a = store.add("a", [[1.0, 2.0]])
     b = store.add("b", [3.0])
     store.load({"a": [[4.0, 5.0]]})
+    assert store.version == 1
     store.adam_step(Gradients({id(a): np.ones((1, 2)), id(b): np.ones(1)}), lr=0.5)
+    assert store.version == 2
     assert np.shares_memory(a.data, store.flat) and np.shares_memory(b.data, store.flat)
     # a first step moves each entry by lr * g / (|g| + eps)
     np.testing.assert_allclose(store.flat, np.array([4.0, 5.0, 3.0]) - 0.5 / (1.0 + 1e-8),

@@ -322,6 +322,29 @@ def test_builtin_simulators_emit_only_finite_values_over_prior_draws():
         assert bad == 0, f"{sim.name} emitted {bad} non-finite outputs"
 
 
+class OneStream:
+    """A generator under another name: rows given one each share its
+    stream, but are not the same object, so no bulk draw serves them."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("sim", [BallThrowSimulator(), DDMSimulator(),
+                                 LinearGaussianSimulator(dim=2, noise_std=0.1)],
+                         ids=lambda sim: sim.name)
+def test_rows_that_share_one_generator_draw_in_bulk_what_they_draw_row_by_row(sim):
+    n = 300
+    thetas = sim.default_prior().sample(np.random.default_rng(5), n)
+    bulk = sim.simulate_batch(thetas, [np.random.default_rng(9)] * n)
+    shared = np.random.default_rng(9)
+    by_row = sim.simulate_batch(thetas, [OneStream(shared) for _ in range(n)])
+    np.testing.assert_array_equal(bulk, by_row)
+
+
 class Shifted(Simulator):
     """A per-row simulator: it implements only ``raw_simulate``."""
 
