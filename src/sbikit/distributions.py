@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .ndiff import LOG_2PI, logsumexp
+from .ndiff import LOG_2PI, logsumexp, mixture_log_density
 
 # scipy.special is imported only inside TruncatedNormal, which uses it: the
 # import alone holds about 25 MB of resident memory, which no other route needs.
@@ -29,18 +29,6 @@ class DistributionError(ValueError):
 
 def _normal_logpdf(z):
     return -0.5 * z * z - 0.5 * LOG_2PI
-
-
-def mixture_log_prob(log_w, mu, log_std, y):
-    """log of sum_k w_k N(y; mu_k, sigma_k) for batched diagonal components.
-
-    Shapes: log_w (..., K), mu/log_std (..., K, D), y (..., D) -> (...);
-    the leading axes broadcast, so one set of parameters per context can
-    score many targets.
-    """
-    z = (y[..., None, :] - mu) * np.exp(-log_std)
-    comp = np.sum(_normal_logpdf(z) - log_std, axis=-1)
-    return logsumexp(comp + log_w, axis=-1)[..., 0]
 
 
 class Distribution:
@@ -233,7 +221,11 @@ class MixtureDiagGaussian(Distribution):
         return self.means[comp] + np.exp(self.log_stds[comp]) * eps
 
     def _log_density(self, arr):
-        return mixture_log_prob(self.log_weights, self.means, self.log_stds, arr)
+        ls = self.log_stds.T[:, :, None].copy()                     # (D, K, 1)
+        log_c = self.log_weights[:, None] - ls.sum(axis=0) - 0.5 * self.dim * LOG_2PI
+        inv_scale = np.exp(-0.5 * math.log(2.0) - ls)
+        return mixture_log_density(log_c, self.means.T[:, :, None].copy(), inv_scale,
+                                   arr.T.copy()[:, None])
 
     def mean(self):
         w = np.exp(self.log_weights)

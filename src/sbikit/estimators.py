@@ -25,11 +25,9 @@ either an ``ndiff.Tape``, which records for gradients, or
 arrays, so data enters either one as it is. ``log_prob_tape`` and the
 training losses receive a Tape; ``log_prob``, ``sample``, ``logit`` and
 the validation loss run the same code on the evaluator, so the two agree
-bit for bit on the same inputs. The mixture density,
-``ops.mixture_log_prob``, is the one primitive whose evaluator computes the
-Tape's values in another layout, reducing along the long target axis
-instead of the short component and dimension axes; a test keeps the two
-equal bit for bit.
+bit for bit on the same inputs, except in the mixture density,
+``ops.mixture_log_prob``: the evaluator's runs ``ndiff.mixture_log_density``,
+the one numpy mixture kernel, and agrees with the Tape's loop to rounding.
 
 The density estimators also expose ``iid_log_lik(trials, contexts)``, the
 NLE likelihood that MCMC evaluates hundreds of times per query at a few
@@ -41,8 +39,8 @@ plain arrays derived from the live parameters: the context standardizer
 folded into the first layer that reads it, the trunk's level columns as
 one bias per level, the three heads stacked into one product, and the
 choice term's trial counts per label. Each call runs those arrays in plain
-numpy and scores the trials in one gather and one (K, contexts, trials)
-buffer, ``_mixture_iid_log_lik``; its sums agree with ``log_prob``'s to
+numpy, gathers the mixtures to the trials and scores them with the same
+kernel, ``_mixture_iid_log_lik``; its sums agree with ``log_prob``'s to
 rounding. The set records its store's ``version``, which ``load`` and
 ``adam_step`` bump, and a stale set raises an ``EstimatorError``. The flow
 scores every (context, target) pair. Tests pin each to that reference.
@@ -59,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndiff import EVALUATOR, LOG_2PI, ParamStore, Tensor, sigmoid, slice_logsumexp
+from .ndiff import EVALUATOR, LOG_2PI, ParamStore, logsumexp, mixture_log_density, sigmoid
 
 # soft bound on emitted log-scales, preventing early-training divergence
 LOG_SCALE_BOUND = 5.0
@@ -111,8 +109,6 @@ class Standardizer:
         self.std = std
         # Jacobian term for densities reported in original coordinates
         self.log_det = -float(np.sum(np.log(self.std)))
-        self._w = Tensor(np.diag(1.0 / self.std))
-        self._b = Tensor(-self.mean / self.std)
 
     @classmethod
     def fit(cls, data: np.ndarray) -> "Standardizer":
@@ -131,8 +127,8 @@ class Standardizer:
         return np.atleast_2d(z) * self.std + self.mean
 
     def transform_ops(self, ops, x):
-        """``transform`` as one affine primitive, for inputs that feed a network."""
-        return ops.affine(x, self._w, self._b)
+        """``transform`` as one elementwise primitive, for inputs that feed a network."""
+        return ops.scale_shift(x, 1.0 / self.std, -self.mean / self.std)
 
 
 def _run(layers, h):
@@ -250,7 +246,9 @@ class IidTrials:
 
 def _mixture_iid_log_lik(head, feats, level, y_z) -> np.ndarray:
     """Summed log-density of the standardized trials ``y_z``, each under the
-    mixture at its level, per row of ``feats``, by ``_MixtureHead.prepare``."""
+    mixture at its level, per row of ``feats``, from the arrays of
+    ``_MixtureHead.prepare``: the kernel's constants are formed per (context,
+    level) and gathered to the trials once."""
     (w_in, bias, rest, w, b), d = head, y_z.shape[0]
     k, c, u = w.shape[0] // (2 * d + 1), feats.shape[0], bias.shape[0]
     h = np.tanh((feats @ w_in)[:, None] + bias).reshape(c * u, -1)
@@ -266,17 +264,7 @@ def _mixture_iid_log_lik(head, feats, level, y_z) -> np.ndarray:
     log_w -= log_std.reshape(d, k, -1).sum(axis=0) + 0.5 * d * LOG_2PI
     np.exp(np.subtract(-0.5 * math.log(2.0), log_std, out=log_std), out=log_std)
     g = out.reshape(2 * d + 1, k, c, u).take(level, axis=3)      # one gather to the trials
-    z = np.subtract(y_z[:, None, None], g[1:d + 1])
-    z *= g[d + 1:]
-    z *= z
-    buf = np.subtract(g[0], z[0], out=z[0])             # (K, contexts, trials)
-    for zj in z[1:]:
-        buf -= zj
-    m = buf.max(axis=0)                                 # logsumexp over K, in place,
-    finite = np.isfinite(m)                             # with ndiff.logsumexp's guard
-    buf -= np.where(finite, m, 0.0)
-    s = np.exp(buf, out=buf).sum(axis=0)
-    return (m + np.log(s, out=s, where=finite)).sum(axis=1)
+    return mixture_log_density(g[0], g[1:d + 1], g[d + 1:], y_z[:, None, None]).sum(axis=1)
 
 
 class _MixtureHead:
@@ -532,17 +520,13 @@ class MixedEstimator(_ConditionalDensity):
             raise EstimatorError("reaction times must be positive")
         super().initialize_standardization(np.log(rts), contexts)
 
-    def _choice_logit(self, ops, context):
-        feats = self.context_net.forward(ops, context)
-        return feats, self.choice_net.forward(ops, feats)
-
     def _log_prob(self, ops, data, context):
         """(n,1) joint log-density; ``data`` holds the (choice, rt) values,
         every rt positive."""
         choice = data[:, 0:1]
         log_rt = np.log(data[:, 1:2])
-        ctx, logit = self._choice_logit(ops, context)
-        logp_choice = ops.negate(_bce(ops, logit, choice))
+        ctx = self.context_net.forward(ops, context)
+        logp_choice = ops.negate(_bce(ops, self.choice_net.forward(ops, ctx), choice))
         y_z = self.target_standardizer.transform(log_rt)
         feats = ops.concat([_broadcast_rows(ctx, choice.shape[0]), choice], axis=1)
         logp_rt = self.rt_head.log_prob(ops, feats, y_z)
@@ -582,10 +566,6 @@ class MixedEstimator(_ConditionalDensity):
             raise EstimatorError("reaction times must be positive for training")
         return self._log_prob(ops, data, context)
 
-    def choice_probability(self, context) -> np.ndarray:
-        _, logit = self._choice_logit(EVALUATOR, np.atleast_2d(context))
-        return sigmoid(logit)[:, 0]
-
     def _sample(self, feats, n, rng):
         p1 = sigmoid(self.choice_net.forward(EVALUATOR, feats))[:, 0]
         choice = (rng.uniform(size=n) < p1).astype(np.intp)
@@ -617,8 +597,8 @@ class EnsembleEstimator:
         ((self.target_dim, self.context_dim),) = dims
 
     def log_prob(self, target, context) -> np.ndarray:
-        lps = np.stack([m.log_prob(target, context) for m in self.members])
-        return slice_logsumexp(lps) - math.log(len(self.members))
+        cols = np.stack([m.log_prob(target, context) for m in self.members], axis=1)
+        return logsumexp(cols, axis=1)[:, 0] - math.log(len(self.members))
 
     def log_prob_tape(self, ops, target, context):
         cols = [m.log_prob_tape(ops, target, context) for m in self.members]

@@ -7,12 +7,14 @@ ndarrays and records each output, known by its identity, with one pullback
 per operand; ``Tape.backward`` replays the record in exact reverse order,
 summing adjoints in one place. ``EVALUATOR`` runs the same primitives on
 the same arrays and records nothing, each with the Tape's numpy
-expression, except ``mixture_log_prob``, which computes the Tape's values
-in a layout that reduces along the long target axis; a test keeps the two
-equal bit for bit. A ``Tensor`` is only a parameter's
-handle, whose ``.data`` is a view into its ``ParamStore``'s one buffer:
-code writes into it and never rebinds it. Nothing writes into a recorded
-value or an adjoint in place, since either may share memory with another.
+expression, so the two agree bit for bit. ``mixture_log_prob`` is the
+exception: the Tape's is a loop of primitives, the gradient path, and the
+evaluator's is one call to ``mixture_log_density``, the package's one numpy
+mixture kernel, which agrees with the loop to rounding. A ``Tensor`` is
+only a parameter's handle, whose ``.data`` is a read-only view into its
+``ParamStore``'s one buffer, which only ``load`` and ``adam_step`` write.
+Nothing writes into a recorded value or an adjoint in place, since either
+may share memory with another.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ import operator
 import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
-# numpy's pairwise sum: sequential below this many terms, then this many
-# accumulators up to _PW_BLOCK terms, and halves above that
-_PW_UNROLL = 8
-_PW_BLOCK = 128
 # softplus(x) = x for x above this threshold, avoiding exp overflow
 _SOFTPLUS_CUTOFF = 33.0
 # Adam moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -125,6 +123,11 @@ class Tape:
                             (w, lambda g: x.T @ g),
                             (b, lambda g: g.sum(axis=0)))
 
+    def scale_shift(self, x, scale, shift):
+        """x * scale + shift, with constant ``scale`` and ``shift`` broadcast across rows."""
+        x = np.asarray(x)
+        return self._record(x * scale + shift, (x, lambda g: g * scale))
+
     def tanh(self, a):
         y = np.tanh(a)
         return self._record(y, (a, lambda g: g * (1.0 - y * y)))
@@ -203,7 +206,7 @@ class Tape:
         k, d = log_w.shape[1], y_z.shape[1]
         # a loop of primitives, not one node: the benchmark pins its tape
         # node count. ROADMAP item 3 replaces it with one node whose forward
-        # is the evaluator's kernel, with a hand-written backward.
+        # is mixture_log_density, with a hand-written backward.
         comp_cols = []
         for j in range(k):
             mu_j = self.slice_cols(mu, j * d, (j + 1) * d)
@@ -262,49 +265,23 @@ def logsumexp(x, axis):
     return m + np.log(s, out=s, where=finite)
 
 
-def slice_sum(a):
-    """Sum over the leading axis, adding whole slices in the order numpy's
-    pairwise sum adds the terms of one contiguous axis, so ``slice_sum(a.T)``
-    equals ``np.sum(a, axis=1)`` of a 2-D C-ordered ``a`` bit for bit; fast
-    when the leading axis is short and the slices long."""
-    n = a.shape[0]
-    if n > _PW_BLOCK:
-        half = n // 2
-        half -= half % _PW_UNROLL
-        res = slice_sum(a[:half])
-        res += slice_sum(a[half:])
-        return res
-    # starting from a + 0.0, as numpy starts from its identity, gives a
-    # zero sum numpy's sign
-    if n < _PW_UNROLL:
-        res = a[0] + 0.0
-        rest = 1
-    else:
-        acc = a[:_PW_UNROLL] + 0.0
-        rest = n - n % _PW_UNROLL
-        for i in range(_PW_UNROLL, rest, _PW_UNROLL):
-            acc += a[i:i + _PW_UNROLL]
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        acc[0::2] += acc[1::2]
-        acc[0::4] += acc[2::4]
-        res = acc[0]
-        res += acc[4]
-    for i in range(rest, n):
-        res += a[i]
-    return res
-
-
-def slice_logsumexp(a):
-    """``logsumexp`` over the leading axis, without keepdims, equal bit for
-    bit to ``logsumexp(a.T, axis=1)[:, 0]`` of a 2-D ``a``: the max is a
-    running maximum, which keeps a NaN as ``np.max`` does, and the sum is
-    ``slice_sum``."""
-    m = a[0].copy()
-    for row in a[1:]:
-        np.maximum(m, row, out=m)
-    finite = np.isfinite(m)
-    e = a - np.where(finite, m, 0.0)
-    s = slice_sum(np.exp(e, out=e))
+def mixture_log_density(log_c, mu, inv_scale, y):
+    """log sum_k exp(log_c[k] - sum_d ((y[d] - mu[d, k]) * inv_scale[d, k])^2): the
+    diagonal Gaussian mixture log-density, given log_c = log w - sum_d log sigma
+    - D/2 log 2 pi and inv_scale = 1 / (sqrt(2) sigma). Shapes: log_c (K, ...),
+    mu and inv_scale (D, K, ...), y (D, 1, ...), broadcasting -> (...). The
+    terms fill one buffer, reduced over its leading axes in place, which is
+    fast only when the buffer is C-ordered: pass C-ordered operands."""
+    z = np.subtract(y, mu)
+    z *= inv_scale
+    z *= z
+    buf = np.subtract(log_c, z[0], out=z[0])            # (K, ...)
+    for zj in z[1:]:
+        buf -= zj
+    m = buf.max(axis=0)                                 # logsumexp over K, in place,
+    finite = np.isfinite(m)                             # with logsumexp's guard
+    buf -= np.where(finite, m, 0.0)
+    s = np.exp(buf, out=buf).sum(axis=0)
     return m + np.log(s, out=s, where=finite)
 
 
@@ -316,14 +293,15 @@ class Evaluator:
     return the same ndarrays, parameters aside, and each primitive computes
     the same numpy expression as the Tape's primitive of the same name, so
     results match the taped forward bit for bit. ``mixture_log_prob`` is
-    the exception: it computes the Tape's values in another layout, and a
-    test keeps the two equal bit for bit. Shapes are not checked, so
-    operands may broadcast where the Tape would reject them.
+    the exception: it runs ``mixture_log_density`` and agrees with the
+    Tape's loop to rounding. Shapes are not checked, so operands may
+    broadcast where the Tape would reject them.
     """
 
     add = staticmethod(operator.add)
     multiply = staticmethod(operator.mul)
     affine = staticmethod(lambda x, w, b: x @ w.data + b.data)
+    scale_shift = staticmethod(lambda x, scale, shift: np.asarray(x) * scale + shift)
     tanh = staticmethod(np.tanh)
     softplus = staticmethod(softplus)
     exp = staticmethod(np.exp)
@@ -338,45 +316,38 @@ class Evaluator:
 
     @staticmethod
     def mixture_log_prob(log_w, mu, log_std, y_z):
-        """``Tape.mixture_log_prob``'s values, computed in a (D, K, targets)
-        layout: the parameters may have one row, broadcast over the targets,
-        or one row per target. Each term is formed with the Tape's association
-        in one buffer, then summed over D and log-sum-exp'd over K slice by
-        slice along the long target axis, in numpy's order for the Tape's
-        short contiguous axes, so the two agree bit for bit."""
-        k = log_w.shape[1]
-        t, d = y_z.shape
-        rows = log_w.shape[0]
+        """``Tape.mixture_log_prob`` by ``mixture_log_density``, over contiguous
+        (D, K, rows) copies of the parameters: they may have one row,
+        broadcast over the targets, or one row per target."""
+        k, d = log_w.shape[1], y_z.shape[1]
 
         def layout(p):
-            # (rows, K*D) component-major -> (D, K, rows), a view
-            return p.T.reshape(k, d, rows).transpose(1, 0, 2)
+            # (rows, K*D) component-major -> a C-ordered (D, K, rows) copy
+            return p.T.reshape(k, d, -1).transpose(1, 0, 2).copy()
 
-        neg_ls = -log_std
-        buf = np.empty((d, k, t))
-        np.subtract(y_z.T[:, None, :], layout(mu), out=buf)
-        buf *= layout(np.exp(neg_ls))
-        np.multiply(buf, buf, out=buf)
-        buf *= -0.5
-        buf += layout(neg_ls)
-        buf += -0.5 * LOG_2PI
-        comp = slice_sum(buf)
-        comp += log_w.T
-        return slice_logsumexp(comp)[:, None]
+        ls = layout(log_std)
+        log_c = ls.sum(axis=0)
+        np.subtract(log_w.T, log_c, out=log_c)
+        log_c -= 0.5 * d * LOG_2PI
+        inv_scale = np.exp(np.subtract(-0.5 * math.log(2.0), ls, out=ls), out=ls)
+        y = np.ascontiguousarray(y_z.T)[:, None]
+        return mixture_log_density(log_c, layout(mu), inv_scale, y)[:, None]
 
 
 EVALUATOR = Evaluator()
 
 
 class ParamStore:
-    """Named parameters as reshaped views into one contiguous float64 buffer,
-    ``flat``, with Adam's two moment buffers in the same layout, so Adam moves
-    every parameter at once. Write into a parameter's ``.data``, as ``load``
-    does; never rebind it, which would detach it from the buffer. ``version``
-    counts the writes of ``load`` and ``adam_step``."""
+    """Named parameters as read-only reshaped views into one contiguous float64
+    buffer, ``flat``, with Adam's two moment buffers in the same layout, so Adam
+    moves every parameter at once. Parameters change only through ``load`` and
+    ``adam_step``, which write into ``flat`` and count each write in ``version``;
+    a write into a parameter's ``.data`` raises, and rebinding it would detach
+    it from the buffer."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._spans: dict[str, slice] = {}
         self.flat = np.zeros(0)
         self._m = np.zeros(0)
         self._v = np.zeros(0)
@@ -391,9 +362,11 @@ class ParamStore:
         self._m = np.concatenate([self._m, np.zeros(t.data.size)])
         self._v = np.concatenate([self._v, np.zeros(t.data.size)])
         start = 0
-        for p in self._params.values():
-            p.data = self.flat[start:start + p.data.size].reshape(p.data.shape)
-            start += p.data.size
+        for n, p in self._params.items():
+            self._spans[n] = span = slice(start, start + p.data.size)
+            p.data = self.flat[span].reshape(p.data.shape)
+            p.data.flags.writeable = False
+            start = span.stop
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -414,7 +387,7 @@ class ParamStore:
             arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != t.data.shape:
                 raise NdiffError(f"parameter {name!r} shape {arr.shape} != stored {t.data.shape}")
-            t.data[...] = arr
+            self.flat[self._spans[name]] = arr.ravel()
 
     def adam_step(self, grads: Gradients, lr: float) -> None:
         """Bias-corrected Adam update on every registered parameter.

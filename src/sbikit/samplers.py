@@ -254,7 +254,7 @@ def map_estimate(posterior, x, rng: np.random.Generator, restarts: int = 10,
         g = tape.backward(tape.negate(tape.sum(lp)))[theta.data]
         g = np.where(np.isfinite(g), g, 0.0)
         store.adam_step(Gradients({id(theta): g}), lr=lr)
-        np.clip(theta.data, prior.low, prior.high, out=theta.data)
+        store.load({"theta": np.clip(theta.data, prior.low, prior.high)})
 
     if not np.any(np.isfinite(best_logp)):
         raise SamplerError(f"MAP search diverged in all restarts; trace tail {trace[-5:]}")

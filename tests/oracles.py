@@ -8,6 +8,7 @@ the library code paths it is used to check.
 import math
 
 import numpy as np
+from scipy import special, stats
 
 
 def conjugate_posterior(prior_mean, prior_std, noise_std, x_obs):
@@ -52,6 +53,15 @@ class ExactConjugateSampler:
         mean, std = self._moments(x)
         z = (theta - mean) / std
         return np.sum(-0.5 * z * z - 0.5 * math.log(2 * math.pi) - np.log(std), axis=1)
+
+
+def mixture_log_density(log_w, mu, log_std, y):
+    """log sum_k w_k prod_d N(y_d; mu_kd, exp(log_std_kd)), one component at a
+    time with scipy: log-weights (n, K), means and log-stds (n, K, D) and
+    targets (n, D), whose rows broadcast -> (n,)."""
+    comps = [log_w[:, k] + stats.norm.logpdf(y, mu[:, k], np.exp(log_std[:, k])).sum(axis=1)
+             for k in range(log_w.shape[1])]
+    return special.logsumexp(np.stack(comps, axis=1), axis=1)
 
 
 def ball_throw_likelihood(x_o, angles_deg, launch_speed=12.5, gravity=9.81,

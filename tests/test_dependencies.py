@@ -117,12 +117,13 @@ def test_library_raises_only_its_named_errors(path):
     assert not bare, f"{path.name} raises builtin errors directly ({bare}); raise a named one"
 
 
-# a parameter's ``.data`` is a view into its store's one buffer: binding it
-# anywhere but in ndiff detaches the parameter, and Adam stops moving it
+# a parameter's ``.data`` is a read-only view into its store's one buffer:
+# binding it anywhere but in ndiff detaches the parameter, and Adam stops
+# moving it
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "ndiff.py"],
                          ids=lambda p: p.name)
 def test_only_ndiff_binds_a_data_attribute(path):
     binds = [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(TREES[path])
              if isinstance(node, ast.Attribute) and node.attr == "data"
              and isinstance(node.ctx, ast.Store)]
-    assert not binds, f"{path.name} binds .data ({binds}); write into the array instead"
+    assert not binds, f"{path.name} binds .data ({binds}); change parameters with ParamStore.load"

@@ -14,6 +14,8 @@ from sbikit.distributions import (
     prior_to_config,
 )
 
+from .oracles import mixture_log_density
+
 
 def trapezoid_mass(dist, lo, hi, nodes=4096):
     grid = np.linspace(lo, hi, nodes)
@@ -186,6 +188,17 @@ def test_mixture_weights_normalized_and_log_prob_matches_brute_force():
         for k in range(3)
     ]
     assert d.log_prob(pt) == pytest.approx(special.logsumexp(comps), abs=1e-12)
+    # batches at the (components, dims) the mixture kernel is tested at, with
+    # a point 1e3 std from every component and an infinite one
+    for k, dim in [(1, 1), (3, 2), (10, 1), (10, 2), (17, 9)]:
+        d = MixtureDiagGaussian(rng.normal(size=k), rng.normal(size=(k, dim)),
+                                rng.uniform(-3.0, 3.0, size=(k, dim)))
+        pts = rng.normal(scale=3.0, size=(30, dim))
+        pts[1] = 1e3 * np.exp(d.log_stds.max())
+        pts[2, -1] = np.inf
+        ref = mixture_log_density(d.log_weights[None], d.means[None], d.log_stds[None], pts)
+        np.testing.assert_allclose(d.log_prob(pts), ref, rtol=1e-12)
+        assert np.isfinite(ref[1]) and ref[2] == -np.inf
 
 
 def test_small_mass_truncated_normal_draws_follow_the_truncated_cdf():

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from sbikit.distributions import mixture_log_prob
 from sbikit.estimators import (
     AffineCouplingFlow,
     ClassifierNet,
@@ -21,22 +21,26 @@ from sbikit.estimators import (
 from sbikit.ndiff import EVALUATOR, Tape, Tensor, sigmoid
 from sbikit.simulators import DDMSimulator, LinearGaussianSimulator, generate_dataset
 
+from .oracles import mixture_log_density
+
 
 def loss_gradient_fd(model, theta, x, h=1e-5):
     """Central finite differences of the training loss w.r.t. every parameter."""
     out = {}
     for name in model.store.names():
-        p = model.store[name].data
+        p = model.store[name].data.copy()
         g = np.zeros_like(p)
         flat, gflat = p.ravel(), g.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
-            up = float(model.loss(Tape(), theta, x))
-            flat[i] = orig - h
-            down = float(model.loss(Tape(), theta, x))
+            losses = []
+            for value in (orig + h, orig - h):
+                flat[i] = value
+                model.store.load({name: p})
+                losses.append(float(model.loss(Tape(), theta, x)))
             flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
+            model.store.load({name: p})
+            gflat[i] = (losses[0] - losses[1]) / (2.0 * h)
         out[name] = g
     return out
 
@@ -93,15 +97,13 @@ def test_mdn_log_prob_matches_brute_force_mixture_formula():
     x = rng.normal(size=(20, 3))
     m.initialize_standardization(theta, x)
     log_w, mu, log_std = m.head.components(m.context_net.forward(EVALUATOR, x))
-    y_z = m.target_standardizer.transform(theta)
-    expected = np.empty(20)
-    for i in range(20):
-        comps = [
-            log_w[i, k] + np.sum(stats.norm.logpdf(y_z[i], mu[i, k], np.exp(log_std[i, k])))
-            for k in range(4)
-        ]
-        expected[i] = special.logsumexp(comps) + m.target_standardizer.log_det
+    y_z, log_det = m.target_standardizer.transform(theta), m.target_standardizer.log_det
+    expected = mixture_log_density(log_w, mu, log_std, y_z) + log_det
     np.testing.assert_allclose(m.log_prob(theta, x), expected, atol=1e-12)
+    # the prepared i.i.d. scorer: all 20 rows as trials, at each of 4 contexts
+    iid = [mixture_log_density(log_w[c:c + 1], mu[c:c + 1], log_std[c:c + 1], y_z).sum()
+           + 20 * log_det for c in range(4)]
+    np.testing.assert_allclose(m.iid_log_lik(m.iid_trials(theta), x[:4]), iid, rtol=1e-12)
 
 
 def test_mdn_tape_and_numpy_paths_agree():
@@ -274,10 +276,16 @@ class TestMixedEstimator:
         m.initialize_standardization(targets, theta)
         return m, theta, targets
 
+    @staticmethod
+    def choice_probability(m, context):
+        """P(choice = 1 | context): the sigmoid of the choice net's logit."""
+        feats = m.context_net.forward(EVALUATOR, np.atleast_2d(context))
+        return sigmoid(m.choice_net.forward(EVALUATOR, feats))[:, 0]
+
     def test_joint_density_composes_choice_rt_and_jacobian(self):
         m, theta, targets = self.make()
         lp = m.log_prob(targets, theta)
-        p1 = m.choice_probability(theta)
+        p1 = self.choice_probability(m, theta)
         choice = targets[:, 0]
         logp_choice = np.where(choice == 1, np.log(p1), np.log1p(-p1))
         ctx = m.context_net.forward(EVALUATOR, theta)
@@ -285,7 +293,7 @@ class TestMixedEstimator:
         log_w, mu, log_std = m.rt_head.components(feats)
         y = np.log(targets[:, 1:2])
         y_z = m.target_standardizer.transform(y)
-        logp_rt = (mixture_log_prob(log_w, mu, log_std, y_z)
+        logp_rt = (mixture_log_density(log_w, mu, log_std, y_z)
                    + m.target_standardizer.log_det - np.log(targets[:, 1]))
         np.testing.assert_allclose(lp, logp_choice + logp_rt, atol=1e-10)
 
@@ -307,7 +315,7 @@ class TestMixedEstimator:
 
     def test_choice_probabilities_sum_to_one(self):
         m, theta, _ = self.make()
-        p1 = m.choice_probability(theta)
+        p1 = self.choice_probability(m, theta)
         assert np.all((p1 > 0) & (p1 < 1))
 
     def test_nonpositive_rt_gives_neg_inf(self):
@@ -327,7 +335,7 @@ class TestMixedEstimator:
             targets = np.column_stack([np.full_like(rts, choice), rts])
             dens = np.exp(m.log_prob(targets, np.tile(ctx, (rts.size, 1))))
             mass = np.trapezoid(dens, rts)
-            p1 = m.choice_probability(ctx)[0]
+            p1 = self.choice_probability(m, ctx)[0]
             expected = p1 if choice == 1.0 else 1.0 - p1
             assert abs(mass - expected) < 2e-3
 
@@ -335,7 +343,7 @@ class TestMixedEstimator:
         m, theta, _ = self.make()
         ctx = theta[0]
         draws = m.sample(ctx, 20_000, np.random.default_rng(0))
-        p1 = m.choice_probability(theta[:1])[0]
+        p1 = self.choice_probability(m, theta[:1])[0]
         assert abs(draws[:, 0].mean() - p1) < 0.02
         assert np.all(draws[:, 1] > 0)
 
@@ -414,16 +422,21 @@ def one_row_head_input(est, target, context):
 
 
 # (n_components, theta columns) per estimator: the default 10 components,
-# and 17 over a 9-dim target, reach slice_sum's accumulator branches over
-# the components and over the target dimensions
-EXACT_SHAPES = {"mdn": [(3, 2), (10, 2), (17, 9)], "flow": [(3, 2)],
-                "mixed": [(3, 2), (10, 2)], "classifier": [(None, 2)]}
+# and 17 over a 9-dim target
+SHAPES = {"mdn": [(3, 2), (10, 2), (17, 9)], "flow": [(3, 2)],
+          "mixed": [(3, 2), (10, 2)], "classifier": [(None, 2)]}
 
 
 @pytest.mark.parametrize("kind", ["mdn", "flow", "mixed", "classifier"])
 def test_evaluator_loss_and_log_prob_equal_the_taped_ones_exactly(kind):
+    """Bit for bit for the flow, its ensemble and the classifier. The MDN and
+    the mixed estimator agree to rounding (rtol 1e-12): their evaluator runs
+    the numpy mixture kernel, their Tape the loop of primitives."""
+    exact = kind in ("flow", "classifier")
+    check = np.testing.assert_array_equal if exact else functools.partial(
+        np.testing.assert_allclose, rtol=1e-12)
     rng = np.random.default_rng(81)
-    for k, dim in EXACT_SHAPES[kind]:
+    for k, dim in SHAPES[kind]:
         theta = rng.normal(size=(30, dim))
         if kind == "mixed":
             x = np.column_stack([rng.integers(0, 2, size=30), rng.uniform(0.2, 2.0, size=30)])
@@ -438,7 +451,7 @@ def test_evaluator_loss_and_log_prob_equal_the_taped_ones_exactly(kind):
             model = NllTask(members[0], theta_is_target=kind != "mixed")
             for est in (members[0], EnsembleEstimator(members)):
                 taped = est.log_prob_tape(Tape(), target, context)
-                np.testing.assert_array_equal(est.log_prob(target, context), taped[:, 0])
+                check(est.log_prob(target, context), taped[:, 0])
                 # data wrapped in Tensors, as the benchmark's batch loss passes it
                 np.testing.assert_array_equal(
                     est.log_prob_tape(Tape(), Tensor(target), Tensor(context)), taped)
@@ -448,9 +461,18 @@ def test_evaluator_loss_and_log_prob_equal_the_taped_ones_exactly(kind):
                 head, feats, y_z = one_row_head_input(members[0], target, context)
                 params = head.params(EVALUATOR, feats)
                 repeated = [np.repeat(p, y_z.shape[0], axis=0) for p in params]
-                np.testing.assert_array_equal(head.log_prob(EVALUATOR, feats, y_z),
-                                              Tape().mixture_log_prob(*repeated, y_z))
-        assert float(model.loss(EVALUATOR, theta, x)) == float(model.loss(Tape(), theta, x))
+                check(head.log_prob(EVALUATOR, feats, y_z),
+                      Tape().mixture_log_prob(*repeated, y_z))
+        check(float(model.loss(EVALUATOR, theta, x)), float(model.loss(Tape(), theta, x)))
+
+
+def test_mdn_log_prob_at_an_infinite_target_is_neg_inf():
+    m = small_mdn(seed=9)
+    target = np.array([[np.inf, 0.0], [0.0, -np.inf], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lp = m.log_prob(target, np.zeros(2))
+    assert lp[0] == lp[1] == -np.inf and np.isfinite(lp[2])
 
 
 def old_mixture_sample(head, feats, which, rng):

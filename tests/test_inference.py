@@ -127,6 +127,9 @@ def test_a_trial_set_prepared_before_the_parameters_changed_is_refused(kind):
     est, obs = nle_task(kind, 19)
     model, thetas = LikelihoodModel(est), np.random.default_rng(20).uniform(-1, 1, size=(3, 2))
     trials = model.trials(obs)
+    name = est.store.names()[0]
+    with pytest.raises(ValueError, match="read-only"):
+        est.store[name].data[...] *= 1.1        # parameters change only through load
     est.store.load({n: est.store[n].data * 1.1 for n in est.store.names()})
     with pytest.raises(EstimatorError, match="stale trial set"):
         model.log_lik(trials, thetas)
@@ -154,11 +157,11 @@ def test_log_lik_far_from_every_component_or_at_the_log_std_bound_is_never_nan(k
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = LikelihoodModel(est).log_lik(obs, thetas)
+        ref = tiled_log_lik(est, obs, thetas)
     assert not np.any(np.isnan(got)) and np.all(got < np.inf)
     if case == "infinite_trial":
         assert np.all(got == -np.inf)
-    else:
-        np.testing.assert_allclose(got, tiled_log_lik(est, obs, thetas), rtol=1e-12)
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["mixed", "mdn"])

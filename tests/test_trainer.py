@@ -39,7 +39,7 @@ class ScriptedModel:
         self.calls += 1
         if is_validation:
             self.epoch += 1
-            self.param.data[:] = self.epoch + self.offset
+            self.store.load({"p": [self.epoch + self.offset]})
             value = self.schedule[min(self.epoch, len(self.schedule) - 1)]
         else:
             value = self.train_value()
