@@ -19,31 +19,33 @@ adapter, ``NllTask``: the mean negative log-density of the target given the
 context. ``ClassifierNet`` is the one classifier, the NRE head; its loss and
 the mixed estimator's choice term share one binary cross-entropy.
 
-Each model's math is written once, against an ``ops`` argument that is
-either an ``ndiff.Tape``, which records for gradients, or
-``ndiff.EVALUATOR``, which records nothing; both take and return plain
-arrays, so data enters either one as it is. ``log_prob_tape`` and the
-training losses receive a Tape; ``log_prob``, ``sample``, ``logit`` and
-the validation loss run the same code on the evaluator, so the two agree
-bit for bit on the same inputs, except in the mixture density,
-``ops.mixture_log_prob``: the evaluator's runs ``ndiff.mixture_log_density``,
-the one numpy mixture kernel, and agrees with the Tape's loop to rounding.
+Each model's math is written once, against an ``ops`` argument that is either
+an ``ndiff.Tape``, which records for gradients, or ``ndiff.EVALUATOR``, which
+records nothing; both take and return plain arrays, so data enters either one
+as it is. ``log_prob_tape`` and the training losses receive a Tape;
+``log_prob``, ``sample``, ``logit``, the validation loss and
+``Standardizer.transform`` (the one z-score formula, ``transform_ops``) run
+the same code on the evaluator, so the two agree bit for bit on the same
+inputs, except in the mixture density, ``ops.mixture_log_prob``: the
+evaluator's runs ``ndiff.mixture_log_density``, the one numpy mixture kernel,
+and agrees with the Tape's loop to rounding. Each ``Mlp`` holds its layers'
+(w, b) parameter handles.
 
-The density estimators also expose ``iid_log_lik(trials, contexts)``, the
-NLE likelihood that MCMC evaluates hundreds of times per query at a few
-contexts each: the log-density summed over an i.i.d. trial set, per context
-row. ``iid_trials(targets)`` prepares the set once as an ``IidTrials``,
-with everything that does not depend on the context. For the MDN and the
-mixed estimator that is the trials' levels and standardized values, and
-plain arrays derived from the live parameters: the context standardizer
-folded into the first layer that reads it, the trunk's level columns as
-one bias per level, the three heads stacked into one product, and the
-choice term's trial counts per label. Each call runs those arrays in plain
-numpy, gathers the mixtures to the trials and scores them with the same
-kernel, ``_mixture_iid_log_lik``; its sums agree with ``log_prob``'s to
-rounding. The set records its store's ``version``, which ``load`` and
-``adam_step`` bump, and a stale set raises an ``EstimatorError``. The flow
-scores every (context, target) pair. Tests pin each to that reference.
+The density estimators also expose ``iid_log_lik(trials, contexts)``, the NLE
+likelihood that MCMC evaluates hundreds of times per query at a few contexts
+each: the log-density summed over an i.i.d. trial set, per context row.
+``iid_trials(targets)`` prepares the set once as an ``IidTrials``, with
+everything that does not depend on the context. For the MDN and the mixed
+estimator that is the trials' levels and standardized values, and plain arrays
+derived from the live parameters: the context standardizer folded into the
+first layer that reads it, the trunk's level columns as one bias per level,
+the three heads stacked into one product, and the choice term's trial counts
+per label. Each call runs those arrays in plain numpy, gathers the mixtures to
+the trials and scores them with the same kernel, ``_mixture_iid_log_lik``, and
+the choices with ``ndiff.softplus``; its sums agree with ``log_prob``'s to
+rounding. A set older than its store's ``version`` (``load`` and ``adam_step``
+bump it) raises an ``EstimatorError``. The flow scores every (context, target)
+pair. Tests pin each to that reference.
 
 Inputs and targets are z-scored with training-set statistics stored inside
 the model; densities are reported in original coordinates through the
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ndiff import EVALUATOR, LOG_2PI, ParamStore, logsumexp, mixture_log_density, sigmoid
+from .ndiff import EVALUATOR, LOG_2PI, ParamStore, logsumexp, mixture_log_density, sigmoid, softplus
 
 # soft bound on emitted log-scales, preventing early-training divergence
 LOG_SCALE_BOUND = 5.0
@@ -120,14 +122,14 @@ class Standardizer:
         return cls(np.zeros(dim), np.ones(dim))
 
     def transform(self, x):
-        return (np.atleast_2d(x) - self.mean) / self.std
+        return self.transform_ops(EVALUATOR, np.atleast_2d(x))
 
     def inverse(self, z):
         # broadcast: per-column or transposed layouts win at 4000 rows but lose at few rows or one column
         return np.atleast_2d(z) * self.std + self.mean
 
     def transform_ops(self, ops, x):
-        """``transform`` as one elementwise primitive, for inputs that feed a network."""
+        """The z-score as one elementwise primitive, x * (1/std) - mean/std."""
         return ops.scale_shift(x, 1.0 / self.std, -self.mean / self.std)
 
 
@@ -139,33 +141,30 @@ def _run(layers, h):
 
 
 class Mlp:
-    """Feedforward stack with parameters registered in a shared ParamStore."""
+    """Feedforward stack holding its layers' (w, b) handles from a shared ParamStore."""
 
     def __init__(self, store: ParamStore, prefix: str, sizes: list[int],
                  rng: np.random.Generator, zero_init_last: bool = False):
-        self.store = store
-        self.layer_names = []
+        self.prefix = prefix
+        self.handles = []
         for i, (d_in, d_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            last = i == len(sizes) - 2
-            if zero_init_last and last:
+            if zero_init_last and i == len(sizes) - 2:
                 w = np.zeros((d_in, d_out))
             else:
                 w = rng.standard_normal((d_in, d_out)) * math.sqrt(2.0 / (d_in + d_out))
-            store.add(f"{prefix}w{i}", w)
-            store.add(f"{prefix}b{i}", np.zeros(d_out))
-            self.layer_names.append((f"{prefix}w{i}", f"{prefix}b{i}"))
+            self.handles.append((store.add(f"{prefix}w{i}", w),
+                                 store.add(f"{prefix}b{i}", np.zeros(d_out))))
 
     def forward(self, ops, x):
-        h = x
-        for i, (wn, bn) in enumerate(self.layer_names):
-            h = ops.affine(h, self.store[wn], self.store[bn])
-            if i < len(self.layer_names) - 1:
-                h = ops.tanh(h)
-        return h
+        *hidden, (w, b) = self.handles
+        for wi, bi in hidden:
+            x = ops.affine(x, wi, bi)   # rebinding x frees the layer's input
+            x = ops.tanh(x)             # before tanh allocates; nesting is slower
+        return ops.affine(x, w, b)
 
     def layers(self, fold=None):
         """Each layer's (w, b); ``fold``, a Standardizer of the leading inputs, folded in."""
-        layers = [(self.store[wn].data, self.store[bn].data) for wn, bn in self.layer_names]
+        layers = [(w.data, b.data) for w, b in self.handles]
         if fold is not None:
             (w, b), n = layers[0], fold.std.size
             layers[0] = (np.concatenate([w[:n] / fold.std[:, None], w[n:]]),
@@ -201,9 +200,6 @@ class _ContextNet:
         else:
             self.embedding = None
             self.out_dim = context_dim
-
-    def fit_standardizer(self, contexts):
-        self.standardizer = Standardizer.fit(contexts)
 
     def prepare(self):
         """(embedding layers, standardizer left for the layers reading the output)"""
@@ -291,12 +287,6 @@ class _MixtureHead:
         log_std = _bounded(ops, self.std_head.forward(ops, h))
         return log_w, mu, log_std
 
-    def components(self, feats):
-        """``params`` on the evaluator, means and log-stds shaped (n, K, D)."""
-        log_w, mu, log_std = self.params(EVALUATOR, feats)
-        shape = (feats.shape[0], self.n_components, self.target_dim)
-        return log_w, mu.reshape(shape), log_std.reshape(shape)
-
     def log_prob(self, ops, feats, y_z):
         """(n,1) mixture log-density of the standardized target."""
         return ops.mixture_log_prob(*self.params(ops, feats), y_z)
@@ -318,8 +308,8 @@ class _MixtureHead:
     def sample(self, feats, which, rng):
         """One standardized draw per entry of ``which``, from the mixture at
         that row of ``feats``; the parameters are computed once per row."""
-        log_w, mu, log_std = self.components(feats)
-        n = which.shape[0]
+        log_w, mu, log_std = self.params(EVALUATOR, feats)
+        n, d = which.shape[0], self.target_dim
         u = rng.uniform(size=n)
         # the count of cdf entries below u: a cumsum of weights never
         # decreases, and a NaN sorts last as it compares False
@@ -328,10 +318,9 @@ class _MixtureHead:
             hit = which == row
             choice[hit] = np.searchsorted(cdf, u[hit], side="left")
         choice = np.minimum(choice, self.n_components - 1)
-        eps = rng.standard_normal((n, self.target_dim))
+        eps = rng.standard_normal((n, d))
         # one flat row index per draw: a two-array fancy index is slow
         flat = which * self.n_components + choice
-        d = self.target_dim
         return (mu.reshape(-1, d).take(flat, axis=0)
                 + np.exp(log_std.reshape(-1, d).take(flat, axis=0)) * eps)
 
@@ -362,7 +351,7 @@ class _ConditionalDensity:
 
     def initialize_standardization(self, targets, contexts):
         self.target_standardizer = Standardizer.fit(targets)
-        self.context_net.fit_standardizer(contexts)
+        self.context_net.standardizer = Standardizer.fit(contexts)
 
     def log_prob(self, target, context) -> np.ndarray:
         target = np.atleast_2d(target)
@@ -392,7 +381,7 @@ class _ConditionalDensity:
         if trials.choice is not None:
             layers, n1, n0 = trials.choice
             logit = _run(layers, feats)[:, 0]
-            lik -= n1 * np.logaddexp(0.0, -logit) + n0 * np.logaddexp(0.0, logit)
+            lik -= n1 * softplus(-logit) + n0 * softplus(logit)
         return lik
 
     def sample(self, context, n: int, rng) -> np.ndarray:

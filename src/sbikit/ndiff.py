@@ -1,20 +1,20 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Every trainable model in this package is a small MLP stack, so the engine
-favors explicit shapes and a flat replay tape over graph optimization.
-A fresh ``Tape`` is built for each forward pass. It takes and returns plain
-ndarrays and records each output, known by its identity, with one pullback
-per operand; ``Tape.backward`` replays the record in exact reverse order,
-summing adjoints in one place. ``EVALUATOR`` runs the same primitives on
-the same arrays and records nothing, each with the Tape's numpy
-expression, so the two agree bit for bit. ``mixture_log_prob`` is the
-exception: the Tape's is a loop of primitives, the gradient path, and the
-evaluator's is one call to ``mixture_log_density``, the package's one numpy
-mixture kernel, which agrees with the loop to rounding. A ``Tensor`` is
-only a parameter's handle, whose ``.data`` is a read-only view into its
-``ParamStore``'s one buffer, which only ``load`` and ``adam_step`` write.
-Nothing writes into a recorded value or an adjoint in place, since either
-may share memory with another.
+favors explicit shapes and a flat replay tape over graph optimization. A fresh
+``Tape`` is built for each forward pass. It takes and returns plain ndarrays
+and records each output, known by its identity, with one pullback per operand;
+``Tape.backward`` replays the record in exact reverse order, summing adjoints
+in one place. ``EVALUATOR`` runs the same primitives on the same arrays and
+records nothing, each with the Tape's numpy expression (the package's one
+``softplus``, log(1 + e^x), is below), so the two agree bit for bit.
+``mixture_log_prob`` is the exception: the Tape's is a loop of primitives, the
+gradient path, and the evaluator's is one call to ``mixture_log_density``, the
+package's one numpy mixture kernel, which agrees with the loop to rounding. A
+``Tensor`` is only a parameter's handle, whose ``.data``, like the store's
+``flat``, is a read-only view of its ``ParamStore``'s one buffer, which only
+``load`` and ``adam_step`` write. Nothing writes into a recorded value or an
+adjoint in place, since either may share memory with another.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import operator
 import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
-# softplus(x) = x for x above this threshold, avoiding exp overflow
-_SOFTPLUS_CUTOFF = 33.0
 # Adam moment decay rates and denominator guard (Kingma & Ba's defaults)
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -240,8 +238,7 @@ class Tape:
 # -- stable scalar kernels shared by the Tape and the evaluator ------------
 
 def softplus(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > _SOFTPLUS_CUTOFF, x, np.log1p(np.exp(np.minimum(x, _SOFTPLUS_CUTOFF))))
+    return np.logaddexp(0.0, x)
 
 
 def sigmoid(x):
@@ -338,17 +335,17 @@ EVALUATOR = Evaluator()
 
 
 class ParamStore:
-    """Named parameters as read-only reshaped views into one contiguous float64
-    buffer, ``flat``, with Adam's two moment buffers in the same layout, so Adam
-    moves every parameter at once. Parameters change only through ``load`` and
-    ``adam_step``, which write into ``flat`` and count each write in ``version``;
-    a write into a parameter's ``.data`` raises, and rebinding it would detach
-    it from the buffer."""
+    """Named parameters as reshaped views into one contiguous float64 buffer,
+    with Adam's two moment buffers in the same layout, so Adam moves every
+    parameter at once. Parameters change only through ``load`` and
+    ``adam_step``, which write into the buffer and count each write in
+    ``version``; ``flat``, the whole buffer, and each parameter's ``.data``
+    are read-only views, and rebinding ``.data`` would detach it from the buffer."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._spans: dict[str, slice] = {}
-        self.flat = np.zeros(0)
+        self._flat = self.flat = np.zeros(0)
         self._m = np.zeros(0)
         self._v = np.zeros(0)
         self.step_count = 0
@@ -358,14 +355,15 @@ class ParamStore:
         if name in self._params:
             raise NdiffError(f"parameter {name!r} already registered")
         t = self._params[name] = Tensor(values)
-        self.flat = np.concatenate([self.flat, t.data.ravel()])
+        self._flat = np.concatenate([self._flat, t.data.ravel()])
+        self.flat = self._flat.view()
+        self.flat.flags.writeable = False     # and so is every view of it
         self._m = np.concatenate([self._m, np.zeros(t.data.size)])
         self._v = np.concatenate([self._v, np.zeros(t.data.size)])
         start = 0
         for n, p in self._params.items():
             self._spans[n] = span = slice(start, start + p.data.size)
             p.data = self.flat[span].reshape(p.data.shape)
-            p.data.flags.writeable = False
             start = span.stop
         return t
 
@@ -387,7 +385,7 @@ class ParamStore:
             arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != t.data.shape:
                 raise NdiffError(f"parameter {name!r} shape {arr.shape} != stored {t.data.shape}")
-            self.flat[self._spans[name]] = arr.ravel()
+            self._flat[self._spans[name]] = arr.ravel()
 
     def adam_step(self, grads: Gradients, lr: float) -> None:
         """Bias-corrected Adam update on every registered parameter.
@@ -396,7 +394,7 @@ class ParamStore:
         leaves the parameters, both moments and ``step_count`` as they were.
         """
         t = self.step_count + 1
-        g = np.empty_like(self.flat)
+        g = np.empty_like(self._flat)
         start = 0
         for name, p in self._params.items():
             gp, shape = grads[p], p.data.shape
@@ -413,6 +411,6 @@ class ParamStore:
         self._v += (1.0 - _ADAM_BETA2) * g * g
         m_hat = self._m / (1.0 - _ADAM_BETA1 ** t)
         v_hat = self._v / (1.0 - _ADAM_BETA2 ** t)
-        self.flat -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        self._flat -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         self.step_count = t
         self.version += 1

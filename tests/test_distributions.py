@@ -218,6 +218,12 @@ def test_moments_helpers():
     samples = t.sample(np.random.default_rng(0), 200_000)[:, 0]
     assert t.mean()[0] == pytest.approx(samples.mean(), abs=0.1)
     assert t.std()[0] == pytest.approx(samples.std(), abs=0.1)
+    # a 2-component, 2-D mixture: its std sets the slice sampler's step widths
+    m = MixtureDiagGaussian([math.log(0.3), math.log(0.7)], [[-2.0, 1.0], [1.0, 0.5]],
+                            [[math.log(0.5), 0.0], [0.0, math.log(2.0)]])
+    draws = m.sample(np.random.default_rng(1), 200_000)
+    np.testing.assert_allclose(m.mean(), draws.mean(axis=0), atol=0.02)
+    np.testing.assert_allclose(m.std(), draws.std(axis=0), atol=0.02)
 
 
 def test_prior_config_roundtrip():

@@ -79,6 +79,13 @@ def small_flow(target_dim=2, context_dim=2, layers=3, seed=0, randomize=True):
     return f
 
 
+def components(head, feats):
+    """``head.params`` on the evaluator, means and log-stds shaped (n, K, D)."""
+    log_w, mu, log_std = head.params(EVALUATOR, feats)
+    shape = (log_w.shape[0], head.n_components, head.target_dim)
+    return log_w, mu.reshape(shape), log_std.reshape(shape)
+
+
 def test_mdn_fixed_standard_gaussian_head():
     m = ConditionalMDN(1, 1, EstimatorConfig(kind="mdn", n_components=1, hidden=(4,)), seed=0)
     # zero the head layers so the single component is N(0, 1)
@@ -96,7 +103,7 @@ def test_mdn_log_prob_matches_brute_force_mixture_formula():
     theta = rng.normal(size=(20, 2))
     x = rng.normal(size=(20, 3))
     m.initialize_standardization(theta, x)
-    log_w, mu, log_std = m.head.components(m.context_net.forward(EVALUATOR, x))
+    log_w, mu, log_std = components(m.head, m.context_net.forward(EVALUATOR, x))
     y_z, log_det = m.target_standardizer.transform(theta), m.target_standardizer.log_det
     expected = mixture_log_density(log_w, mu, log_std, y_z) + log_det
     np.testing.assert_allclose(m.log_prob(theta, x), expected, atol=1e-12)
@@ -290,7 +297,7 @@ class TestMixedEstimator:
         logp_choice = np.where(choice == 1, np.log(p1), np.log1p(-p1))
         ctx = m.context_net.forward(EVALUATOR, theta)
         feats = np.concatenate([ctx, choice[:, None]], axis=1)
-        log_w, mu, log_std = m.rt_head.components(feats)
+        log_w, mu, log_std = components(m.rt_head, feats)
         y = np.log(targets[:, 1:2])
         y_z = m.target_standardizer.transform(y)
         logp_rt = (mixture_log_density(log_w, mu, log_std, y_z)
@@ -478,7 +485,7 @@ def test_mdn_log_prob_at_an_infinite_target_is_neg_inf():
 def old_mixture_sample(head, feats, which, rng):
     """Reference draws for ``_MixtureHead.sample``: each draw's cdf row
     gathered, compared with u, and the entries below u counted."""
-    log_w, mu, log_std = head.components(feats)
+    log_w, mu, log_std = components(head, feats)
     n = which.shape[0]
     u = rng.uniform(size=(n, 1))
     choice = (np.exp(log_w).cumsum(axis=1)[which] < u).sum(axis=1)
@@ -500,13 +507,13 @@ def test_mixture_draws_pick_the_components_the_cdf_gather_picked():
     mu = rng.normal(size=(6, k, d))
     log_std = rng.normal(scale=0.3, size=(6, k, d))
     head = ConditionalMDN(d, 1, EstimatorConfig(kind="mdn", n_components=k, hidden=(4,))).head
-    head.components = lambda feats: (log_w, mu, log_std)
+    head.params = lambda ops, feats: (log_w, mu.reshape(6, -1), log_std.reshape(6, -1))
     which = rng.integers(0, 6, size=5000)
     new = head.sample(None, which, np.random.default_rng(93))
     np.testing.assert_array_equal(new, old_mixture_sample(head, None, which,
                                                           np.random.default_rng(93)))
     one_row = np.zeros(5000, dtype=np.intp)
-    head.components = lambda feats: (log_w[3:4], mu[3:4], log_std[3:4])
+    head.params = lambda ops, feats: (log_w[3:4], mu[3].reshape(1, -1), log_std[3].reshape(1, -1))
     np.testing.assert_array_equal(head.sample(None, one_row, np.random.default_rng(94)),
                                   old_mixture_sample(head, None, one_row,
                                                      np.random.default_rng(94)))

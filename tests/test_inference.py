@@ -50,6 +50,10 @@ def continuous_trials(rng, n):
     return rng.normal(size=(n, 2)) * [1.0, 3.0] + [0.5, -1.0]
 
 
+def first_column_trials(rng, n):
+    return continuous_trials(rng, n)[:, :1]
+
+
 # (kind, architecture beside the default one hidden layer of 8), by id
 ARCHITECTURES = [pytest.param(kind, config, id=kind + tag)
                  for tag, config in [("", {}), ("-deep", {"hidden": (8, 8, 8)}),
@@ -126,10 +130,13 @@ def test_nle_posterior_prepares_the_trials_once_per_posterior(kind):
 def test_a_trial_set_prepared_before_the_parameters_changed_is_refused(kind):
     est, obs = nle_task(kind, 19)
     model, thetas = LikelihoodModel(est), np.random.default_rng(20).uniform(-1, 1, size=(3, 2))
-    trials = model.trials(obs)
+    trials, version = model.trials(obs), est.store.version
     name = est.store.names()[0]
     with pytest.raises(ValueError, match="read-only"):
         est.store[name].data[...] *= 1.1        # parameters change only through load
+    with pytest.raises(ValueError, match="read-only"):
+        est.store.flat[:] = 5.0                 # and not through the whole buffer either
+    assert est.store.version == version
     est.store.load({n: est.store[n].data * 1.1 for n in est.store.names()})
     with pytest.raises(EstimatorError, match="stale trial set"):
         model.log_lik(trials, thetas)
@@ -151,7 +158,7 @@ def test_log_lik_far_from_every_component_or_at_the_log_std_bound_is_never_nan(k
         obs[5, -far.size:] = np.exp(far) if kind == "mixed" else far
     else:
         # log-std weights that drive the bound into saturation, at large theta
-        name = head.std_head.layer_names[0][0]
+        name = head.std_head.prefix + "w0"
         est.store.load({name: est.store[name].data * 1e4})
         thetas *= 1e3
     with warnings.catch_warnings():
@@ -197,33 +204,44 @@ def tiled_draws(est, x, n, rng):
     return np.concatenate([choice, np.exp(est.target_standardizer.inverse(y_z))], axis=1)
 
 
+# a flow of a 1-column target, whose conditioners read the context alone, at
+# one and at three observation columns: kind -> (estimator kind, x columns)
+FLOW_1D = {"flow-1d-x1": ("flow", 1), "flow-1d-x3": ("flow", 3)}
+
+
 def direct_query(kind, prior, **config):
     """A DirectPosterior over a randomized estimator of a 2-column target
-    given 3-column observations (two MDNs for "ensemble"), the target
-    maker, and a generator."""
+    given 3-column observations (two MDNs for "ensemble"; see ``FLOW_1D``),
+    the target maker, and a generator."""
     rng = np.random.default_rng(15)
-    base = "mdn" if kind == "ensemble" else kind
+    base, x_dim = FLOW_1D.get(kind, ("mdn" if kind == "ensemble" else kind, 3))
     make = mixed_trials if base == "mixed" else continuous_trials
-    members = [randomized(base, 2, 3, make(rng, 200), rng.normal(size=(200, 3)), seed, **config)
+    if kind in FLOW_1D:
+        make = first_column_trials
+    members = [randomized(base, prior.dim, x_dim, make(rng, 200), rng.normal(size=(200, x_dim)),
+                          seed, **config)
                for seed in (3, 5)]
     est = EnsembleEstimator(members) if kind == "ensemble" else members[0]
     return DirectPosterior(est, prior), make, rng
 
 
-@pytest.mark.parametrize("kind", ["mdn", "flow", "mixed", "ensemble"])
+@pytest.mark.parametrize("kind", ["mdn", "flow", "mixed", "ensemble", *FLOW_1D])
 def test_direct_log_prob_at_one_observation_matches_the_tiled_reference(kind):
     prior = BoxUniform([-0.5, 0.1], [1.5, 1.9]) if kind == "mixed" else BoxUniform([-1, -6], [2, 4])
+    if kind in FLOW_1D:
+        prior = BoxUniform([-1], [2])
     post, make, rng = direct_query(kind, prior)
-    x, theta = rng.normal(size=3), make(rng, 500)
+    x, theta = rng.normal(size=post.estimator.context_dim), make(rng, 500)
     got = post.log_prob(x, theta)
     assert np.isfinite(got).sum() > 300 and np.any(got == -np.inf)
     np.testing.assert_allclose(got, tiled_direct_log_prob(post, x, theta), rtol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["mdn", "flow", "mixed"])
+@pytest.mark.parametrize("kind", ["mdn", "flow", "mixed", *FLOW_1D])
 def test_direct_draws_at_one_observation_match_the_tiled_reference(kind):
-    post, _, rng = direct_query(kind, DiagGaussian([0.0, 0.0], [0.0, 0.0]))
-    x, n = rng.normal(size=3), 4000
+    dim = 1 if kind in FLOW_1D else 2
+    post, _, rng = direct_query(kind, DiagGaussian([0.0] * dim, [0.0] * dim))
+    x, n = rng.normal(size=post.estimator.context_dim), 4000
     got = post.sample(x, n, np.random.default_rng(16))
     ref = tiled_draws(post.estimator, x, n, np.random.default_rng(16))
     # a draw whose component (or choice) flips on a last-bit difference of
@@ -269,6 +287,7 @@ def test_direct_draws_in_a_box_equal_the_boolean_index_loop(kind):
     ("mdn", ["ctx.embed.", "mdn.trunk.", "mdn.weights.", "mdn.means.", "mdn.logstds."]),
     ("flow", ["ctx.embed."]),
     ("mixed", ["ctx.embed.", "choice."]),
+    *[(kind, ["ctx.embed.", "layer0.", "layer1.", "layer2."]) for kind in FLOW_1D],
 ])
 def test_a_direct_query_sends_one_row_through_each_context_only_network(kind, context_only,
                                                                         monkeypatch):
@@ -276,13 +295,14 @@ def test_a_direct_query_sends_one_row_through_each_context_only_network(kind, co
     forward = Mlp.forward
 
     def counted(self, ops, x):
-        rows.setdefault(self.layer_names[0][0].rsplit("w", 1)[0], []).append(x.shape[0])
+        rows.setdefault(self.prefix, []).append(x.shape[0])
         return forward(self, ops, x)
 
     monkeypatch.setattr(Mlp, "forward", counted)
-    post, _, rng = direct_query(kind, DiagGaussian([0.0, 0.0], [0.0, 0.0]),
+    dim = 1 if kind in FLOW_1D else 2
+    post, _, rng = direct_query(kind, DiagGaussian([0.0] * dim, [0.0] * dim),
                                 embedding_dim=4, embedding_hidden=(8,))
-    x = rng.normal(size=3)
+    x = rng.normal(size=post.estimator.context_dim)
     for n in (40, 4000):
         rows.clear()
         post.log_prob(x, post.sample(x, n, rng))

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sbikit.estimators import ClassifierNet, ConditionalMDN, EstimatorConfig, NllTask
-from sbikit.ndiff import ParamStore
+from sbikit.ndiff import ParamStore, Tape
 from sbikit.simulators import Dataset
 from sbikit.trainer import TrainConfig, TrainingError, fit, split
 
@@ -199,3 +201,35 @@ def test_nonfinite_loss_aborts_with_diagnostic_and_best_checkpoint():
             TrainConfig(batch_size=5, val_fraction=0.2, patience=10, max_epochs=50, seed=0))
     assert err.value.report.aborted is not None
     assert model.param.data[0] == 2.0  # best epoch checkpoint restored
+
+
+class Overflowing(ScriptedModel):
+    """From the fourth epoch on, a training loss of 0 whose gradient is inf."""
+
+    def __init__(self, schedule):
+        super().__init__(schedule)
+        self.w, self.b = self.store.add("w", [[1.0]]), self.store.add("b", [-1.0])
+
+    def loss(self, ops, theta, x):
+        value = super().loss(ops, theta, x)
+        if not isinstance(ops, Tape) or self.epoch < 2:
+            return value
+        h = ops.affine(np.ones((1, 1)), self.w, self.b)      # 1 * 1 - 1 = 0
+        return ops.sum(ops.multiply(ops.multiply(h, 1e200), 1e200))
+
+
+@pytest.mark.parametrize("case", ["gradient", "validation"])
+def test_nonfinite_gradient_or_validation_loss_aborts_and_restores_the_best_epoch(case):
+    # the best epoch is 1; epoch 3 has an inf gradient or a NaN validation loss
+    schedule = [1.0, 0.8, 0.9] + ([0.9] * 50 if case == "gradient" else [np.nan])
+    model = Overflowing(schedule) if case == "gradient" else ScriptedModel(schedule)
+    cfg = TrainConfig(batch_size=5, val_fraction=0.2, patience=10, max_epochs=50, seed=0)
+    with np.errstate(over="ignore"), pytest.raises(TrainingError) as err:
+        fit(model, toy_dataset(25), cfg)
+    report = err.value.report
+    assert report.aborted == str(err.value) == {
+        "gradient": "epoch 3: non-finite gradient for parameter 'w' at step 13",
+        "validation": "non-finite validation loss at epoch 3"}[case]
+    assert report.best_epoch == 1 and report.val_losses == schedule[:3]
+    assert model.param.data[0] == 1.0
+    assert report.params_sha256 == hashlib.sha256(model.store.flat.tobytes()).hexdigest()
