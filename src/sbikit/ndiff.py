@@ -10,11 +10,16 @@ records nothing, each with the Tape's numpy expression (the package's one
 ``softplus``, log(1 + e^x), is below), so the two agree bit for bit.
 ``mixture_log_prob`` is the exception: the Tape's is a loop of primitives, the
 gradient path, and the evaluator's is one call to ``mixture_log_density``, the
-package's one numpy mixture kernel, which agrees with the loop to rounding. A
-``Tensor`` is only a parameter's handle, whose ``.data``, like the store's
-``flat``, is a read-only view of its ``ParamStore``'s one buffer, which only
-``load`` and ``adam_step`` write. Nothing writes into a recorded value or an
-adjoint in place, since either may share memory with another.
+package's pointwise numpy mixture kernel, which agrees with the loop to
+rounding. Its other caller is ``MixtureDiagGaussian``; the NLE i.i.d. scorer
+(``estimators._mixture_iid_log_lik``) expands the same exponent in each
+trial's features instead, so that one matrix product scores a whole trial
+set at every context. A ``Tensor`` is only a parameter's handle, whose
+``.data``, like the store's ``flat``, is a read-only view of its
+``ParamStore``'s one buffer, which only ``load`` and ``adam_step`` write,
+each lifting the buffer's own read-only flag for that write alone. Nothing
+writes into a recorded value or an adjoint in place, since either may share
+memory with another.
 """
 
 from __future__ import annotations
@@ -268,7 +273,10 @@ def mixture_log_density(log_c, mu, inv_scale, y):
     - D/2 log 2 pi and inv_scale = 1 / (sqrt(2) sigma). Shapes: log_c (K, ...),
     mu and inv_scale (D, K, ...), y (D, 1, ...), broadcasting -> (...). The
     terms fill one buffer, reduced over its leading axes in place, which is
-    fast only when the buffer is C-ordered: pass C-ordered operands."""
+    fast only when the buffer is C-ordered: pass C-ordered operands. It takes
+    one target per point: ``Evaluator.mixture_log_prob`` and
+    ``MixtureDiagGaussian`` call it; the i.i.d. trial sum has its own
+    product form in ``estimators``."""
     z = np.subtract(y, mu)
     z *= inv_scale
     z *= z
@@ -339,8 +347,10 @@ class ParamStore:
     with Adam's two moment buffers in the same layout, so Adam moves every
     parameter at once. Parameters change only through ``load`` and
     ``adam_step``, which write into the buffer and count each write in
-    ``version``; ``flat``, the whole buffer, and each parameter's ``.data``
-    are read-only views, and rebinding ``.data`` would detach it from the buffer."""
+    ``version``. The buffer itself is read-only outside those two, so
+    ``flat``, a view of the whole buffer, and each parameter's ``.data``
+    are read-only views that numpy refuses to make writeable again;
+    rebinding ``.data`` would detach it from the buffer."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -356,8 +366,8 @@ class ParamStore:
             raise NdiffError(f"parameter {name!r} already registered")
         t = self._params[name] = Tensor(values)
         self._flat = np.concatenate([self._flat, t.data.ravel()])
+        self._flat.flags.writeable = False    # and so is every view of it, for good
         self.flat = self._flat.view()
-        self.flat.flags.writeable = False     # and so is every view of it
         self._m = np.concatenate([self._m, np.zeros(t.data.size)])
         self._v = np.concatenate([self._v, np.zeros(t.data.size)])
         start = 0
@@ -385,7 +395,11 @@ class ParamStore:
             arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != t.data.shape:
                 raise NdiffError(f"parameter {name!r} shape {arr.shape} != stored {t.data.shape}")
-            self._flat[self._spans[name]] = arr.ravel()
+            self._flat.flags.writeable = True
+            try:
+                self._flat[self._spans[name]] = arr.ravel()
+            finally:
+                self._flat.flags.writeable = False
 
     def adam_step(self, grads: Gradients, lr: float) -> None:
         """Bias-corrected Adam update on every registered parameter.
@@ -411,6 +425,11 @@ class ParamStore:
         self._v += (1.0 - _ADAM_BETA2) * g * g
         m_hat = self._m / (1.0 - _ADAM_BETA1 ** t)
         v_hat = self._v / (1.0 - _ADAM_BETA2 ** t)
-        self._flat -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        step = lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        self._flat.flags.writeable = True
+        try:
+            self._flat -= step
+        finally:
+            self._flat.flags.writeable = False
         self.step_count = t
         self.version += 1

@@ -49,21 +49,18 @@ class ChainDiagnostics:
     n_shrink_capped: int = 0             # updates that hit _MAX_SHRINK and kept the current point
 
 
-def _sanitize(logf: np.ndarray) -> np.ndarray:
-    return np.where(np.isnan(logf), -np.inf, logf)
-
-
 def sir_init(log_target, prior: Distribution, pool_size: int, chains: int,
              rng: np.random.Generator) -> np.ndarray:
     """Sequential importance resampling: prior pool reweighted by the target.
 
-    Weights are proportional to exp(log_target - log_prior); returned points
-    are members of the pool.
+    Weights are proportional to exp(log_target - log_prior), zero where that
+    is not finite (a NaN target among them); returned points are members of
+    the pool.
     """
     if pool_size < chains:
         raise SamplerError(f"SIR pool size {pool_size} < chain count {chains}")
     pool = prior.sample(rng, pool_size)
-    log_w = _sanitize(np.asarray(log_target(pool), dtype=np.float64)) - prior.log_prob(pool)
+    log_w = np.asarray(log_target(pool), dtype=np.float64) - prior.log_prob(pool)
     finite = np.isfinite(log_w)
     if not finite.any():
         raise SamplerError("SIR initialization failed: log-target is -inf at every candidate")
@@ -82,7 +79,7 @@ class _SliceState:
         self.x = np.array(x0, dtype=np.float64)
         self.widths = widths
         self.rng = rng
-        self.logf = _sanitize(np.asarray(log_target(self.x), dtype=np.float64))
+        self.logf = np.asarray(log_target(self.x), dtype=np.float64)
         if not np.all(np.isfinite(self.logf)):
             raise SamplerError("log-target not finite at initialization points")
         self.n_evals = self.x.shape[0]
@@ -91,11 +88,36 @@ class _SliceState:
         self.stepout_capped = 0
         self.shrink_capped = 0
 
-    def _eval_coord(self, idx, coord, values):
-        probe = self.x[idx]
+    def _eval_coord(self, probe, coord, values):
+        """The target at ``probe`` with column ``coord`` set to ``values``. A
+        NaN is left as it is: it compares False with every level, as -inf does."""
         probe[:, coord] = values
-        self.n_evals += idx.size
-        return _sanitize(np.asarray(self.log_target(probe), dtype=np.float64))
+        self.n_evals += probe.shape[0]
+        return np.asarray(self.log_target(probe), dtype=np.float64)
+
+    def _step_out(self, j, end, step, level):
+        """Move each chain's ``end`` of coordinate ``j`` by ``step`` until the
+        target there falls to the chain's ``level``, at most ``_MAX_STEPOUTS``
+        times. The growing chains' ends, levels and points are compressed
+        only when one of them stops; until then ``end`` itself moves. Returns
+        the chains that reached the cap, or None when none did."""
+        grow, e, lv, probe = None, end, level, self.x.copy()
+        for _ in range(_MAX_STEPOUTS):
+            still = self._eval_coord(probe, j, e) > lv
+            if not still.all():
+                if grow is None:
+                    grow = still.nonzero()[0]
+                else:
+                    end[grow] = e
+                    grow = grow[still]
+                if grow.size == 0:
+                    return None
+                e, lv, probe = e[still], lv[still], probe[still]
+            e += step
+        if grow is None:
+            return np.arange(end.size)
+        end[grow] = e
+        return grow
 
     def sweep(self):
         """One update of every coordinate (fixed order) on every chain."""
@@ -106,43 +128,37 @@ class _SliceState:
             u = self.rng.uniform(size=n)
             left = self.x[:, j] - u * w
             right = left + w
+            capped = [c for c in (self._step_out(j, left, -w, level),
+                                  self._step_out(j, right, w, level)) if c is not None]
+            if capped:
+                self.stepout_capped += np.unique(np.concatenate(capped)).size
 
-            # step out the interval until both ends fall below the level
-            capped = np.zeros(n, dtype=bool)
-            for end, step in ((left, -w), (right, w)):
-                grow = np.arange(n)
-                for _ in range(_MAX_STEPOUTS):
-                    if grow.size == 0:
+            # shrink toward the current point until a proposal is accepted, on
+            # the still-active chains' interval, level, point and coordinate
+            active, probe, cur = np.arange(n), self.x.copy(), self.x[:, j].copy()
+            for rounds in range(1, _MAX_SHRINK + 1):
+                prop = left + self.rng.uniform(size=active.size) * (right - left)
+                lf = self._eval_coord(probe, j, prop)
+                acc = lf > level
+                if acc.any():
+                    hit = active[acc]
+                    self.x[hit, j] = prop[acc]
+                    self.logf[hit] = lf[acc]
+                    self.chain_proposed[hit] += rounds
+                    if acc.all():
                         break
-                    lf = self._eval_coord(grow, j, end[grow])
-                    still = lf > level[grow]
-                    end[grow[still]] += step
-                    grow = grow[still]
-                capped[grow] = True
-            self.stepout_capped += int(capped.sum())
-
-            # shrink toward the current point until a proposal is accepted
-            active = np.arange(n)
-            for _ in range(_MAX_SHRINK):
-                if active.size == 0:
-                    break
-                prop = left[active] + self.rng.uniform(size=active.size) * (
-                    right[active] - left[active])
-                lf = self._eval_coord(active, j, prop)
-                self.chain_proposed[active] += 1
-                acc = lf > level[active]
-                hit = active[acc]
-                self.x[hit, j] = prop[acc]
-                self.logf[hit] = lf[acc]
-                self.chain_accepted[hit] += 1
-                rej = active[~acc]
-                pr = prop[~acc]
-                lower = pr < self.x[rej, j]
-                left[rej[lower]] = pr[lower]
-                right[rej[~lower]] = pr[~lower]
-                active = rej
-            # pathological shrinkage: keep the current (always valid) point
-            self.shrink_capped += active.size
+                    rej = ~acc
+                    active, probe, prop = active[rej], probe[rej], prop[rej]
+                    left, right, level, cur = left[rej], right[rej], level[rej], cur[rej]
+                lower = prop < cur
+                left = np.where(lower, prop, left)
+                right = np.where(lower, right, prop)
+            else:
+                # pathological shrinkage: keep the current (always valid) point
+                self.chain_proposed[active] += _MAX_SHRINK
+                self.chain_accepted[active] -= 1
+                self.shrink_capped += active.size
+            self.chain_accepted += 1         # one acceptance per update, bar the capped
 
 
 def _split_r_hat(draws: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ import math
 import numpy as np
 from scipy import special, stats
 
+from sbikit.samplers import _MAX_SHRINK, _MAX_STEPOUTS
+
 
 def conjugate_posterior(prior_mean, prior_std, noise_std, x_obs):
     """Gaussian prior N(m0, s0^2) per dim, likelihood x ~ N(theta, sigma^2)
@@ -62,6 +64,64 @@ def mixture_log_density(log_w, mu, log_std, y):
     comps = [log_w[:, k] + stats.norm.logpdf(y, mu[:, k], np.exp(log_std[:, k])).sum(axis=1)
              for k in range(log_w.shape[1])]
     return special.logsumexp(np.stack(comps, axis=1), axis=1)
+
+
+def reference_sweep(state):
+    """One update of every coordinate on every chain of a slice-sampler
+    state, as the sampler's sweep was first written: every step-out and
+    shrink round gathers the still-active chains from full-length index
+    arrays, and every target value that is NaN becomes -inf. Takes the
+    place of ``samplers._SliceState.sweep`` in the tests that compare it
+    with the sampler's own."""
+
+    def eval_coord(idx, coord, values):
+        probe = state.x[idx]
+        probe[:, coord] = values
+        state.n_evals += idx.size
+        logf = np.asarray(state.log_target(probe), dtype=np.float64)
+        return np.where(np.isnan(logf), -np.inf, logf)
+
+    n, d = state.x.shape
+    for j in range(d):
+        w = state.widths[j]
+        level = state.logf + np.log(state.rng.uniform(size=n))
+        u = state.rng.uniform(size=n)
+        left = state.x[:, j] - u * w
+        right = left + w
+
+        capped = np.zeros(n, dtype=bool)
+        for end, step in ((left, -w), (right, w)):
+            grow = np.arange(n)
+            for _ in range(_MAX_STEPOUTS):
+                if grow.size == 0:
+                    break
+                lf = eval_coord(grow, j, end[grow])
+                still = lf > level[grow]
+                end[grow[still]] += step
+                grow = grow[still]
+            capped[grow] = True
+        state.stepout_capped += int(capped.sum())
+
+        active = np.arange(n)
+        for _ in range(_MAX_SHRINK):
+            if active.size == 0:
+                break
+            prop = left[active] + state.rng.uniform(size=active.size) * (
+                right[active] - left[active])
+            lf = eval_coord(active, j, prop)
+            state.chain_proposed[active] += 1
+            acc = lf > level[active]
+            hit = active[acc]
+            state.x[hit, j] = prop[acc]
+            state.logf[hit] = lf[acc]
+            state.chain_accepted[hit] += 1
+            rej = active[~acc]
+            pr = prop[~acc]
+            lower = pr < state.x[rej, j]
+            left[rej[lower]] = pr[lower]
+            right[rej[~lower]] = pr[~lower]
+            active = rej
+        state.shrink_capped += active.size
 
 
 def ball_throw_likelihood(x_o, angles_deg, launch_speed=12.5, gravity=9.81,

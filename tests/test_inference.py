@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -8,9 +9,9 @@ import pytest
 
 from sbikit import inference
 from sbikit.distributions import BoxUniform, DiagGaussian, prior_to_config
-from sbikit.estimators import (AffineCouplingFlow, ClassifierNet, ConditionalMDN,
-                               EnsembleEstimator, EstimatorConfig, EstimatorError, Mlp,
-                               Standardizer, build_estimator)
+from sbikit.estimators import (LOG_SCALE_BOUND, AffineCouplingFlow, ClassifierNet,
+                               ConditionalMDN, EnsembleEstimator, EstimatorConfig, EstimatorError,
+                               Mlp, Standardizer, build_estimator)
 from sbikit.inference import (DirectPosterior, InferenceError, LikelihoodModel, McmcPosterior,
                               RatioModel, fit_ensemble, nle_fit, nle_posterior, npe_fit, nre_fit,
                               nre_posterior, tsnpe_round)
@@ -136,21 +137,43 @@ def test_a_trial_set_prepared_before_the_parameters_changed_is_refused(kind):
         est.store[name].data[...] *= 1.1        # parameters change only through load
     with pytest.raises(ValueError, match="read-only"):
         est.store.flat[:] = 5.0                 # and not through the whole buffer either
+    for view in (est.store[name].data, est.store.flat):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            view.flags.writeable = True         # nor can either be made writeable again
     assert est.store.version == version
     est.store.load({n: est.store[n].data * 1.1 for n in est.store.names()})
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        est.store.flat.flags.writeable = True   # not after a load either
     with pytest.raises(EstimatorError, match="stale trial set"):
         model.log_lik(trials, thetas)
     np.testing.assert_allclose(model.log_lik(model.trials(obs), thetas),
                                tiled_log_lik(est, obs, thetas), rtol=1e-12)
 
 
-@pytest.mark.parametrize("case", ["far_trial", "infinite_trial", "log_std_bound"])
+@pytest.mark.parametrize("case", ["far_trial", "infinite_trial", "log_std_bound",
+                                  "narrow_components_far_out"])
 @pytest.mark.parametrize("kind", ["mixed", "mdn"])
 def test_log_lik_far_from_every_component_or_at_the_log_std_bound_is_never_nan(kind, case):
     est, obs = nle_task(kind, 21)
     thetas = np.random.default_rng(22).uniform(-1, 1, size=(4, 2))
     head = est.rt_head if kind == "mixed" else est.head
-    if case != "log_std_bound":
+    if case == "narrow_components_far_out":
+        # every component at the -5 log-std bound, 8 standardized units out,
+        # and the trials on them: the i.i.d. scorer's expansion in the trials
+        # cancels terms 1e4 times the exponent, unless it is centred
+        rng = np.random.default_rng(23)
+        k, d = est.config.n_components, head.target_dim
+        mu = 8.0 + rng.uniform(-0.02, 0.02, size=k * d)
+        est.store.load({head.mu_head.prefix + "w0": np.zeros_like(est.store[head.mu_head.prefix + "w0"].data),
+                        head.mu_head.prefix + "b0": mu,
+                        head.std_head.prefix + "w0": np.zeros_like(est.store[head.std_head.prefix + "w0"].data),
+                        head.std_head.prefix + "b0": np.full(k * d, -1e3)})
+        which = rng.integers(0, k, size=len(obs))
+        y_z = mu.reshape(k, d)[which] + math.exp(-LOG_SCALE_BOUND) * rng.standard_normal((len(obs), d))
+        sd = est.target_standardizer
+        y = sd.mean + y_z * sd.std
+        obs[:, -d:] = np.exp(y) if kind == "mixed" else y
+    elif case != "log_std_bound":
         # a trial 1e3 standardized units from every component, or infinitely
         # far, where every component's log-density is -inf
         sd = est.target_standardizer
