@@ -46,10 +46,11 @@ arrays in plain numpy, forms each (component, context, level)'s coefficients
 of the features and scores every trial with one matrix product and one
 log-sum-exp (``_mixture_iid_log_lik``), and the choices with
 ``ndiff.softplus``; its sums agree with ``log_prob``'s to rounding. A set
-with a feature that is not finite, or a mixed set with an rt <= 0, is
-scored pair by pair. A set older than its store's ``version`` (``load`` and ``adam_step``
-bump it) raises an ``EstimatorError``. The flow scores every (context, target)
-pair. Tests pin each to that reference.
+whose product could overflow (``_iid_mixture`` bounds it from the trials and
+the head's weights), or a mixed set with an rt <= 0, is scored pair by
+pair. A set older than its store's ``version`` (``load`` and ``adam_step``
+bump it) raises an ``EstimatorError``. The flow scores every (context,
+target) pair. Tests pin each to that reference.
 
 Inputs and targets are z-scored with training-set statistics stored inside
 the model; densities are reported in original coordinates through the
@@ -249,8 +250,7 @@ def _trial_features(y_z, level, n_levels):
     ``y_z`` (trials, D), and the trials' (2D + 1) * levels feature rows:
     [1, y', -y'^2 / 2] per dimension, y' = y_z less the trial's level
     centre, in that level's rows and zero in the others'. (None, None) when
-    a feature times the largest 1 / sigma^2 the head can emit is not
-    finite: that set is scored pair by pair."""
+    a feature is not finite."""
     t, d = y_z.shape
     with np.errstate(over="ignore", invalid="ignore"):
         centre = np.stack([y_z[level == u].mean(axis=0) for u in range(n_levels)])
@@ -260,10 +260,33 @@ def _trial_features(y_z, level, n_levels):
         feats[0, level, cols] = 1.0
         feats[1:d + 1, level, cols] = y.T
         feats[d + 1:, level, cols] = -0.5 * (y * y).T
-        finite = np.all(np.isfinite(feats * math.exp(2.0 * LOG_SCALE_BOUND)))
-    if not finite:
+    if not np.all(np.isfinite(feats)):
         return None, None
     return centre, feats.reshape(-1, t)
+
+
+def _iid_mixture(head, fold, levels, y_z, level):
+    """The trial features and ``head.prepare``'s arrays that
+    ``_mixture_iid_log_lik`` takes, or None when a term of its product could
+    be non-finite at some context: that set is scored pair by pair.
+
+    The head's outputs are an affine map of tanh outputs, so B = max over
+    its rows of sum |w| + max |b| bounds every logit and every mean less its
+    level's centre, and 1 / sigma^2 <= e^10. So every coefficient is within
+    C = (D + 1) e^10 (B + 1)^2 + log K, every feature within F = max
+    |feature|, each exponent within (2D + 1) C F, and the trial sum of its
+    log-sum-exp within twice that per trial."""
+    centre, features = _trial_features(y_z, level, len(levels))
+    if features is None:
+        return None
+    arrays = head.prepare(fold, levels, centre)
+    w, b = arrays[3], arrays[4].reshape(arrays[3].shape[0], -1)
+    d, k, t = head.target_dim, head.n_components, features.shape[1]
+    with np.errstate(over="ignore"):
+        b1 = float(np.max(np.abs(w).sum(axis=1) + np.abs(b).max(axis=1))) + 1.0   # B + 1
+    coef = (d + 1) * math.exp(2.0 * LOG_SCALE_BOUND) * b1 * b1 + math.log(k)
+    exponent = (2 * d + 1) * coef * float(np.max(np.abs(features)))
+    return (features, arrays) if math.isfinite(2.0 * t * exponent) else None
 
 
 def _mixture_iid_log_lik(head, feats, features) -> np.ndarray:
@@ -277,8 +300,8 @@ def _mixture_iid_log_lik(head, feats, features) -> np.ndarray:
     mu'^2 / (2 sigma^2)), mu' / sigma^2, 1 / sigma^2], formed per
     (component, context, level). So one matrix product scores every trial
     at every context, with no gather to the trials, and one log-sum-exp
-    over the components follows; the bound in ``_trial_features`` keeps
-    every term finite.
+    over the components follows; the bound in ``_iid_mixture`` keeps every
+    term finite.
 
     Error bound: the expansion adds and cancels terms as large as (y'^2 +
     mu'^2) / (2 sigma^2), so a (trial, component) exponent is off by a few
@@ -454,18 +477,17 @@ class ConditionalMDN(_ConditionalDensity):
 
     def iid_trials(self, targets) -> IidTrials:
         """The standardized trials' features, at the one level of a head that
-        reads only the context, and the networks' arrays; with a feature that
-        is not finite, the rows alone, which are scored pair by pair."""
+        reads only the context, and the networks' arrays; when the product
+        could overflow, the rows alone, which are scored pair by pair."""
         t = targets.shape[0]
-        centre, features = _trial_features(self.target_standardizer.transform(targets),
-                                           np.zeros(t, dtype=np.intp), 1)
-        if features is None:
-            return super().iid_trials(targets)
         embedding, fold = self.context_net.prepare()
-        return IidTrials(targets, self.store.version, features,
+        mixture = _iid_mixture(self.head, fold, np.zeros((1, 0)),
+                               self.target_standardizer.transform(targets), np.zeros(t, dtype=np.intp))
+        if mixture is None:
+            return super().iid_trials(targets)
+        return IidTrials(targets, self.store.version, mixture[0],
                          t * (self.target_standardizer.log_det - 0.5 * self.target_dim * LOG_2PI),
-                         embedding,
-                         self.head.prepare(fold, np.zeros((1, 0)), centre))
+                         embedding, mixture[1])
 
     def _sample(self, feats, n, rng):
         y_z = self.head.sample(feats, np.zeros(n, dtype=np.intp), rng)
@@ -592,22 +614,21 @@ class MixedEstimator(_ConditionalDensity):
     def iid_trials(self, targets) -> IidTrials:
         """The features of each trial's standardized log(rt) at its choice
         level, the summed Jacobian and the networks' arrays, the RT head's with
-        one bias per level; with an rt <= 0 (or NaN) or a feature that is not
-        finite, the rows alone, which are scored pair by pair."""
+        one bias per level; with an rt <= 0 (or NaN), or when the product
+        could overflow, the rows alone, which are scored pair by pair."""
         choice, rt = targets[:, 0], targets[:, 1]
         if not np.all(rt > 0):
             return super().iid_trials(targets)
         levels, level, counts = np.unique(choice, return_inverse=True, return_counts=True)
         log_rt = np.log(rt)[:, None]
-        centre, features = _trial_features(self.target_standardizer.transform(log_rt), level,
-                                           levels.size)
-        if features is None:
-            return super().iid_trials(targets)
         embedding, fold = self.context_net.prepare()
-        return IidTrials(targets, self.store.version, features,
+        mixture = _iid_mixture(self.rt_head, fold, levels[:, None],
+                               self.target_standardizer.transform(log_rt), level)
+        if mixture is None:
+            return super().iid_trials(targets)
+        return IidTrials(targets, self.store.version, mixture[0],
                          rt.size * (self.target_standardizer.log_det - 0.5 * LOG_2PI) - log_rt.sum(),
-                         embedding,
-                         self.rt_head.prepare(fold, levels[:, None], centre),
+                         embedding, mixture[1],
                          (self.choice_net.layers(fold), levels @ counts, (1.0 - levels) @ counts))
 
     def log_prob_tape(self, ops, target, context):

@@ -17,9 +17,9 @@ trial's features instead, so that one matrix product scores a whole trial
 set at every context. A ``Tensor`` is only a parameter's handle, whose
 ``.data``, like the store's ``flat``, is a read-only view of its
 ``ParamStore``'s one buffer, which only ``load`` and ``adam_step`` write,
-each lifting the buffer's own read-only flag for that write alone. Nothing
-writes into a recorded value or an adjoint in place, since either may share
-memory with another.
+through ``ParamStore._write``, which lifts the buffer's own read-only flag
+for that write alone. Nothing writes into a recorded value or an adjoint in
+place, since either may share memory with another.
 """
 
 from __future__ import annotations
@@ -395,11 +395,16 @@ class ParamStore:
             arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != t.data.shape:
                 raise NdiffError(f"parameter {name!r} shape {arr.shape} != stored {t.data.shape}")
-            self._flat.flags.writeable = True
-            try:
-                self._flat[self._spans[name]] = arr.ravel()
-            finally:
-                self._flat.flags.writeable = False
+            self._write(self._spans[name], arr.ravel())
+
+    def _write(self, index, values) -> None:
+        """The one write into the buffer: ``_flat[index] = values``, with the
+        buffer's read-only flag lifted for that write alone."""
+        self._flat.flags.writeable = True
+        try:
+            self._flat[index] = values
+        finally:
+            self._flat.flags.writeable = False
 
     def adam_step(self, grads: Gradients, lr: float) -> None:
         """Bias-corrected Adam update on every registered parameter.
@@ -426,10 +431,6 @@ class ParamStore:
         m_hat = self._m / (1.0 - _ADAM_BETA1 ** t)
         v_hat = self._v / (1.0 - _ADAM_BETA2 ** t)
         step = lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        self._flat.flags.writeable = True
-        try:
-            self._flat -= step
-        finally:
-            self._flat.flags.writeable = False
+        self._write(slice(None), self._flat - step)
         self.step_count = t
         self.version += 1

@@ -98,25 +98,15 @@ class _SliceState:
     def _step_out(self, j, end, step, level):
         """Move each chain's ``end`` of coordinate ``j`` by ``step`` until the
         target there falls to the chain's ``level``, at most ``_MAX_STEPOUTS``
-        times. The growing chains' ends, levels and points are compressed
-        only when one of them stops; until then ``end`` itself moves. Returns
-        the chains that reached the cap, or None when none did."""
-        grow, e, lv, probe = None, end, level, self.x.copy()
+        times, on the still-growing chains' points. Returns the chains that
+        reached the cap."""
+        grow, probe = np.arange(end.size), self.x.copy()
         for _ in range(_MAX_STEPOUTS):
-            still = self._eval_coord(probe, j, e) > lv
-            if not still.all():
-                if grow is None:
-                    grow = still.nonzero()[0]
-                else:
-                    end[grow] = e
-                    grow = grow[still]
-                if grow.size == 0:
-                    return None
-                e, lv, probe = e[still], lv[still], probe[still]
-            e += step
-        if grow is None:
-            return np.arange(end.size)
-        end[grow] = e
+            still = self._eval_coord(probe, j, end[grow]) > level[grow]
+            grow, probe = grow[still], probe[still]
+            if grow.size == 0:
+                break
+            end[grow] += step
         return grow
 
     def sweep(self):
@@ -128,37 +118,32 @@ class _SliceState:
             u = self.rng.uniform(size=n)
             left = self.x[:, j] - u * w
             right = left + w
-            capped = [c for c in (self._step_out(j, left, -w, level),
-                                  self._step_out(j, right, w, level)) if c is not None]
-            if capped:
-                self.stepout_capped += np.unique(np.concatenate(capped)).size
+            lo, hi = self._step_out(j, left, -w, level), self._step_out(j, right, w, level)
+            if lo.size or hi.size:
+                self.stepout_capped += np.union1d(lo, hi).size
 
             # shrink toward the current point until a proposal is accepted, on
             # the still-active chains' interval, level, point and coordinate
             active, probe, cur = np.arange(n), self.x.copy(), self.x[:, j].copy()
-            for rounds in range(1, _MAX_SHRINK + 1):
+            for _ in range(_MAX_SHRINK):
                 prop = left + self.rng.uniform(size=active.size) * (right - left)
                 lf = self._eval_coord(probe, j, prop)
+                self.chain_proposed[active] += 1
                 acc = lf > level
-                if acc.any():
-                    hit = active[acc]
-                    self.x[hit, j] = prop[acc]
-                    self.logf[hit] = lf[acc]
-                    self.chain_proposed[hit] += rounds
-                    if acc.all():
-                        break
-                    rej = ~acc
-                    active, probe, prop = active[rej], probe[rej], prop[rej]
-                    left, right, level, cur = left[rej], right[rej], level[rej], cur[rej]
+                hit = active[acc]
+                self.x[hit, j] = prop[acc]
+                self.logf[hit] = lf[acc]
+                self.chain_accepted[hit] += 1
+                rej = ~acc
+                active, probe, prop = active[rej], probe[rej], prop[rej]
+                if active.size == 0:
+                    break
+                left, right, level, cur = left[rej], right[rej], level[rej], cur[rej]
                 lower = prop < cur
                 left = np.where(lower, prop, left)
                 right = np.where(lower, right, prop)
-            else:
-                # pathological shrinkage: keep the current (always valid) point
-                self.chain_proposed[active] += _MAX_SHRINK
-                self.chain_accepted[active] -= 1
-                self.shrink_capped += active.size
-            self.chain_accepted += 1         # one acceptance per update, bar the capped
+            # pathological shrinkage: keep the current (always valid) point
+            self.shrink_capped += active.size
 
 
 def _split_r_hat(draws: np.ndarray) -> np.ndarray:

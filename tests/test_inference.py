@@ -151,7 +151,8 @@ def test_a_trial_set_prepared_before_the_parameters_changed_is_refused(kind):
 
 
 @pytest.mark.parametrize("case", ["far_trial", "infinite_trial", "log_std_bound",
-                                  "narrow_components_far_out"])
+                                  "narrow_components_far_out", "single_trial_far_out",
+                                  "components_far_out"])
 @pytest.mark.parametrize("kind", ["mixed", "mdn"])
 def test_log_lik_far_from_every_component_or_at_the_log_std_bound_is_never_nan(kind, case):
     est, obs = nle_task(kind, 21)
@@ -173,6 +174,17 @@ def test_log_lik_far_from_every_component_or_at_the_log_std_bound_is_never_nan(k
         sd = est.target_standardizer
         y = sd.mean + y_z * sd.std
         obs[:, -d:] = np.exp(y) if kind == "mixed" else y
+    elif case == "single_trial_far_out":
+        # one trial, so its level's centre, 1e155 standardized units out, where
+        # every mean less the centre, squared, overflows; for the mixed
+        # estimator, as far out as a finite rt reaches
+        sd = est.target_standardizer
+        obs = obs[:1].copy()
+        obs[0, -sd.mean.size:] = np.finfo(float).max if kind == "mixed" else sd.mean + 1e155 * sd.std
+    elif case == "components_far_out":
+        # every component's mean 1e160 standardized units out, from the weights
+        name = head.mu_head.prefix + "b0"
+        est.store.load({name: np.full_like(est.store[name].data, 1e160)})
     elif case != "log_std_bound":
         # a trial 1e3 standardized units from every component, or infinitely
         # far, where every component's log-density is -inf
@@ -184,12 +196,14 @@ def test_log_lik_far_from_every_component_or_at_the_log_std_bound_is_never_nan(k
         name = head.std_head.prefix + "w0"
         est.store.load({name: est.store[name].data * 1e4})
         thetas *= 1e3
-    with warnings.catch_warnings():
+    # these two cases overflow to a -inf density in the reference as well
+    overflow = "ignore" if case in ("single_trial_far_out", "components_far_out") else "warn"
+    with warnings.catch_warnings(), np.errstate(over=overflow):
         warnings.simplefilter("error")
         got = LikelihoodModel(est).log_lik(obs, thetas)
         ref = tiled_log_lik(est, obs, thetas)
     assert not np.any(np.isnan(got)) and np.all(got < np.inf)
-    if case == "infinite_trial":
+    if case in ("infinite_trial", "components_far_out"):
         assert np.all(got == -np.inf)
     np.testing.assert_allclose(got, ref, rtol=1e-12)
 
