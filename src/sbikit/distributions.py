@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .ndiff import LOG_2PI, logsumexp, mixture_log_density
+from .ndiff import EVALUATOR, LOG_2PI, logsumexp
 
 # scipy.special is imported only inside TruncatedNormal, which uses it: the
 # import alone holds about 25 MB of resident memory, which no other route needs.
@@ -221,11 +221,9 @@ class MixtureDiagGaussian(Distribution):
         return self.means[comp] + np.exp(self.log_stds[comp]) * eps
 
     def _log_density(self, arr):
-        ls = self.log_stds.T[:, :, None].copy()                     # (D, K, 1)
-        log_c = self.log_weights[:, None] - ls.sum(axis=0) - 0.5 * self.dim * LOG_2PI
-        inv_scale = np.exp(-0.5 * math.log(2.0) - ls)
-        return mixture_log_density(log_c, self.means.T[:, :, None].copy(), inv_scale,
-                                   arr.T.copy()[:, None])
+        # one mixture row, broadcast over the points
+        return EVALUATOR.mixture_log_prob(self.log_weights[None], self.means.reshape(1, -1),
+                                          self.log_stds.reshape(1, -1), arr)[:, 0]
 
     def mean(self):
         w = np.exp(self.log_weights)

@@ -27,9 +27,8 @@ as it is. ``log_prob_tape`` and the training losses receive a Tape;
 ``Standardizer.transform`` (the one z-score formula, ``transform_ops``) run
 the same code on the evaluator, so the two agree bit for bit on the same
 inputs, except in the mixture density, ``ops.mixture_log_prob``: the
-evaluator's runs ``ndiff.mixture_log_density``, the pointwise numpy mixture
-kernel, and agrees with the Tape's loop to rounding. Each ``Mlp`` holds its layers'
-(w, b) parameter handles.
+evaluator's is the pointwise numpy mixture kernel, and agrees with the Tape's
+loop to rounding. Each ``Mlp`` holds its layers' (w, b) parameter handles.
 
 The density estimators also expose ``iid_log_lik(trials, contexts)``, the NLE
 likelihood that MCMC evaluates hundreds of times per query at a few contexts
@@ -37,20 +36,20 @@ each: the log-density summed over an i.i.d. trial set, per context row.
 ``iid_trials(targets)`` prepares the set once as an ``IidTrials``, with
 everything that does not depend on the context. For the MDN and the mixed
 estimator that is each trial's features [1, y', -y'^2 / 2], y' its
-standardized value less the mean of its level's trials, and plain arrays
-derived from the live parameters: the context standardizer folded into the
-first layer that reads it, the trunk's level columns as one bias per level,
-the three heads stacked into one product with each level's centre taken off
-its means, and the choice term's trial counts per label. Each call runs those
-arrays in plain numpy, forms each (component, context, level)'s coefficients
-of the features and scores every trial with one matrix product and one
-log-sum-exp (``_mixture_iid_log_lik``), and the choices with
-``ndiff.softplus``; its sums agree with ``log_prob``'s to rounding. A set
-whose product could overflow (``_iid_mixture`` bounds it from the trials and
-the head's weights), or a mixed set with an rt <= 0, is scored pair by
-pair. A set older than its store's ``version`` (``load`` and ``adam_step``
-bump it) raises an ``EstimatorError``. The flow scores every (context,
-target) pair. Tests pin each to that reference.
+standardized value less the mean of its level's trials, the mixture head's
+arrays (the trunk's level columns as one bias per level, the three heads
+stacked into one product with each level's centre taken off its means), and
+the choice term's trial counts per label. Each call runs the context and
+choice networks' own ``forward`` on the evaluator, forms each (component,
+context, level)'s coefficients of the features and scores every trial with
+one matrix product and one log-sum-exp (``_mixture_iid_log_lik``), and the
+choices with ``ndiff.softplus``; its sums agree with ``log_prob``'s to
+rounding. A set whose product could overflow (``_iid_mixture`` bounds it
+from the trials and the head's weights), or a mixed set with an rt <= 0, is
+scored pair by pair. A set older than its store's ``version`` (``load``,
+``adam_step`` and ``initialize_standardization`` bump it) raises an
+``EstimatorError``. The flow scores every (context, target) pair. Tests pin
+each to that reference.
 
 Inputs and targets are z-scored with training-set statistics stored inside
 the model; densities are reported in original coordinates through the
@@ -116,6 +115,7 @@ class Standardizer:
         self.std = std
         # Jacobian term for densities reported in original coordinates
         self.log_det = -float(np.sum(np.log(self.std)))
+        self._scale, self._shift = 1.0 / std, -self.mean / std
 
     @classmethod
     def fit(cls, data: np.ndarray) -> "Standardizer":
@@ -135,14 +135,7 @@ class Standardizer:
 
     def transform_ops(self, ops, x):
         """The z-score as one elementwise primitive, x * (1/std) - mean/std."""
-        return ops.scale_shift(x, 1.0 / self.std, -self.mean / self.std)
-
-
-def _run(layers, h):
-    """``Mlp.forward`` in plain numpy on the arrays of ``Mlp.layers``."""
-    for i, (w, b) in enumerate(layers):
-        h = (np.tanh(h) if i else h) @ w + b
-    return h
+        return ops.scale_shift(x, self._scale, self._shift)
 
 
 class Mlp:
@@ -166,15 +159,6 @@ class Mlp:
             x = ops.affine(x, wi, bi)   # rebinding x frees the layer's input
             x = ops.tanh(x)             # before tanh allocates; nesting is slower
         return ops.affine(x, w, b)
-
-    def layers(self, fold=None):
-        """Each layer's (w, b); ``fold``, a Standardizer of the leading inputs, folded in."""
-        layers = [(w.data, b.data) for w, b in self.handles]
-        if fold is not None:
-            (w, b), n = layers[0], fold.std.size
-            layers[0] = (np.concatenate([w[:n] / fold.std[:, None], w[n:]]),
-                         b - (fold.mean / fold.std) @ w[:n])
-        return layers
 
 
 @dataclass
@@ -206,11 +190,6 @@ class _ContextNet:
             self.embedding = None
             self.out_dim = context_dim
 
-    def prepare(self):
-        """(embedding layers, standardizer left for the layers reading the output)"""
-        emb, fold = self.embedding, self.standardizer
-        return (None, fold) if emb is None else (emb.layers(fold), None)
-
     def forward(self, ops, x):
         z = self.standardizer.transform_ops(ops, x)
         if self.embedding is not None:
@@ -232,16 +211,15 @@ def pairwise_iid_sum(row_fn, targets, contexts) -> np.ndarray:
 class IidTrials:
     """The ``rows`` of an i.i.d. trial set and, for the mixtures, all that does
     not depend on the context, made by ``iid_trials`` at the store's ``version``:
-    the trials' ``features`` from ``_trial_features``, the summed Jacobian, the
-    networks' arrays (the head's means less each level's centre), and
-    ``choice``: (layers, n at label 1, at 0)."""
+    the trials' ``features`` from ``_trial_features``, the mixture ``head``'s
+    arrays from ``_MixtureHead.prepare`` (its means less each level's centre),
+    the summed Jacobian and ``choice``: (the choice ``Mlp``, n at label 1, at 0)."""
 
     rows: np.ndarray
     version: int
     features: np.ndarray | None = None
-    const: float = 0.0
-    embedding: list | None = None
     head: tuple | None = None
+    const: float = 0.0
     choice: tuple | None = None
 
 
@@ -265,8 +243,8 @@ def _trial_features(y_z, level, n_levels):
     return centre, feats.reshape(-1, t)
 
 
-def _iid_mixture(head, fold, levels, y_z, level):
-    """The trial features and ``head.prepare``'s arrays that
+def _iid_mixture(head, levels, y_z, level):
+    """The trial features and ``head.prepare``'s arrays at ``levels`` that
     ``_mixture_iid_log_lik`` takes, or None when a term of its product could
     be non-finite at some context: that set is scored pair by pair.
 
@@ -279,7 +257,7 @@ def _iid_mixture(head, fold, levels, y_z, level):
     centre, features = _trial_features(y_z, level, len(levels))
     if features is None:
         return None
-    arrays = head.prepare(fold, levels, centre)
+    arrays = head.prepare(levels, centre)
     w, b = arrays[3], arrays[4].reshape(arrays[3].shape[0], -1)
     d, k, t = head.target_dim, head.n_components, features.shape[1]
     with np.errstate(over="ignore"):
@@ -291,8 +269,8 @@ def _iid_mixture(head, fold, levels, y_z, level):
 
 def _mixture_iid_log_lik(head, feats, features) -> np.ndarray:
     """Summed log-density of the trials under the mixture at each trial's
-    level, per row of ``feats``, from the arrays of ``_MixtureHead.prepare``
-    and ``_trial_features``, less D/2 log 2 pi per trial.
+    level, per row of the context features ``feats``, from the arrays of
+    ``_MixtureHead.prepare`` and ``_trial_features``, less D/2 log 2 pi per trial.
 
     With mu' = mu - centre, each component's exponent, log w - sum_d log
     sigma - sum_d (y' - mu')^2 / (2 sigma^2), is the product of the
@@ -363,18 +341,18 @@ class _MixtureHead:
         """(n,1) mixture log-density of the standardized target."""
         return ops.mixture_log_prob(*self.params(ops, feats), y_z)
 
-    def prepare(self, fold, levels, centre):
-        """The trunk's first layer as its feature rows, ``fold`` folded in, and
-        one bias per row of ``levels``; its other layers; and the heads as one
+    def prepare(self, levels, centre):
+        """The trunk's first layer as its context-feature rows and one bias per
+        row of ``levels``; its other layers' (w, b); and the heads as one
         transposed product: log-weights (K), means and log-stds / 5 (D, K),
         with one bias per level, whose means are less that level's ``centre``."""
-        (w0, b0), *rest = self.trunk.layers(fold)
+        (w0, b0), *rest = [(w.data, b.data) for w, b in self.trunk.handles]
         f = w0.shape[0] - levels.shape[1]
         k, d = self.n_components, self.target_dim
         by_dim = k + np.arange(k * d).reshape(k, d).T.ravel()
         rows = np.concatenate([np.arange(k), by_dim, k * d + by_dim])
         scale = np.repeat([1.0, 1.0, 1.0 / LOG_SCALE_BOUND], [k, k * d, k * d])[:, None]
-        ws, bs = zip(*[net.layers()[0] for net in (self.w_head, self.mu_head, self.std_head)])
+        ws, bs = zip(*[net.handles[0] for net in (self.w_head, self.mu_head, self.std_head)])
         b = np.repeat(np.concatenate(bs)[rows, None] * scale, len(levels), axis=1)
         b[k:k + k * d] -= np.repeat(centre.T, k, axis=0)
         return (w0[:f], levels @ w0[f:] + b0, rest,
@@ -427,6 +405,7 @@ class _ConditionalDensity:
     def initialize_standardization(self, targets, contexts):
         self.target_standardizer = Standardizer.fit(targets)
         self.context_net.standardizer = Standardizer.fit(contexts)
+        self.store.version += 1     # a trial set prepared before is stale
 
     def log_prob(self, target, context) -> np.ndarray:
         target = np.atleast_2d(target)
@@ -446,16 +425,17 @@ class _ConditionalDensity:
 
     def iid_log_lik(self, trials: IidTrials, contexts) -> np.ndarray:
         """Summed log-density of all trials, per context row, from the arrays
-        ``iid_trials`` prepared (pair by pair for the flow); stale ones raise."""
+        ``iid_trials`` prepared and one context-network pass (pair by pair for
+        the flow); stale ones raise."""
         if trials.version != self.store.version:
-            raise EstimatorError("stale trial set: parameters changed since it was prepared")
+            raise EstimatorError("stale trial set: the model changed since it was prepared")
         if trials.head is None:
             return pairwise_iid_sum(self.log_prob, trials.rows, contexts)
-        feats = contexts if trials.embedding is None else np.tanh(_run(trials.embedding, contexts))
+        feats = self.context_net.forward(EVALUATOR, contexts)
         lik = _mixture_iid_log_lik(trials.head, feats, trials.features) + trials.const
         if trials.choice is not None:
-            layers, n1, n0 = trials.choice
-            logit = _run(layers, feats)[:, 0]
+            net, n1, n0 = trials.choice
+            logit = net.forward(EVALUATOR, feats)[:, 0]
             lik -= n1 * softplus(-logit) + n0 * softplus(logit)
         return lik
 
@@ -477,17 +457,15 @@ class ConditionalMDN(_ConditionalDensity):
 
     def iid_trials(self, targets) -> IidTrials:
         """The standardized trials' features, at the one level of a head that
-        reads only the context, and the networks' arrays; when the product
+        reads only the context, and the head's arrays; when the product
         could overflow, the rows alone, which are scored pair by pair."""
         t = targets.shape[0]
-        embedding, fold = self.context_net.prepare()
-        mixture = _iid_mixture(self.head, fold, np.zeros((1, 0)),
+        mixture = _iid_mixture(self.head, np.zeros((1, 0)),
                                self.target_standardizer.transform(targets), np.zeros(t, dtype=np.intp))
         if mixture is None:
             return super().iid_trials(targets)
-        return IidTrials(targets, self.store.version, mixture[0],
-                         t * (self.target_standardizer.log_det - 0.5 * self.target_dim * LOG_2PI),
-                         embedding, mixture[1])
+        return IidTrials(targets, self.store.version, *mixture,
+                         t * (self.target_standardizer.log_det - 0.5 * self.target_dim * LOG_2PI))
 
     def _sample(self, feats, n, rng):
         y_z = self.head.sample(feats, np.zeros(n, dtype=np.intp), rng)
@@ -621,15 +599,13 @@ class MixedEstimator(_ConditionalDensity):
             return super().iid_trials(targets)
         levels, level, counts = np.unique(choice, return_inverse=True, return_counts=True)
         log_rt = np.log(rt)[:, None]
-        embedding, fold = self.context_net.prepare()
-        mixture = _iid_mixture(self.rt_head, fold, levels[:, None],
+        mixture = _iid_mixture(self.rt_head, levels[:, None],
                                self.target_standardizer.transform(log_rt), level)
         if mixture is None:
             return super().iid_trials(targets)
-        return IidTrials(targets, self.store.version, mixture[0],
+        return IidTrials(targets, self.store.version, *mixture,
                          rt.size * (self.target_standardizer.log_det - 0.5 * LOG_2PI) - log_rt.sum(),
-                         embedding, mixture[1],
-                         (self.choice_net.layers(fold), levels @ counts, (1.0 - levels) @ counts))
+                         (self.choice_net, levels @ counts, (1.0 - levels) @ counts))
 
     def log_prob_tape(self, ops, target, context):
         """(n,1) joint log-density as training sees it; any rt <= 0 is an error."""

@@ -246,11 +246,12 @@ def nle_posterior(model: LikelihoodModel, prior: Distribution, observations,
                   sampler_config: SamplerConfig | None = None) -> McmcPosterior:
     """MCMC posterior over the summed single-trial log-likelihoods, valid for
     any number of i.i.d. observations. The observation set is checked and
-    prepared once, here, by ``model.trials``: the trials' levels and
-    standardized values, and the networks' theta-free arrays at the current
-    parameters. Every target call passes it to ``model.log_lik``, which does
-    only theta's work; a write to the parameters (``load``, a training step)
-    makes that call raise, so build the posterior again after one."""
+    prepared once, here, by ``model.trials``: the trials' features and the
+    mixture head's theta-free arrays at the current parameters. Every target
+    call passes it to ``model.log_lik``, which does only theta's work; a
+    write to the parameters (``load``, a training step) or a new
+    standardization makes that call raise, so build the posterior again
+    after one."""
     return _mcmc_posterior(model.log_lik, prior, model.trials(observations), sampler_config)
 
 

@@ -9,9 +9,9 @@ in one place. ``EVALUATOR`` runs the same primitives on the same arrays and
 records nothing, each with the Tape's numpy expression (the package's one
 ``softplus``, log(1 + e^x), is below), so the two agree bit for bit.
 ``mixture_log_prob`` is the exception: the Tape's is a loop of primitives, the
-gradient path, and the evaluator's is one call to ``mixture_log_density``, the
-package's pointwise numpy mixture kernel, which agrees with the loop to
-rounding. Its other caller is ``MixtureDiagGaussian``; the NLE i.i.d. scorer
+gradient path, and the evaluator's is the package's one pointwise numpy
+mixture kernel, which agrees with the loop to rounding and also serves
+``MixtureDiagGaussian``; the NLE i.i.d. scorer
 (``estimators._mixture_iid_log_lik``) expands the same exponent in each
 trial's features instead, so that one matrix product scores a whole trial
 set at every context. A ``Tensor`` is only a parameter's handle, whose
@@ -209,7 +209,7 @@ class Tape:
         k, d = log_w.shape[1], y_z.shape[1]
         # a loop of primitives, not one node: the benchmark pins its tape
         # node count. ROADMAP item 3 replaces it with one node whose forward
-        # is mixture_log_density, with a hand-written backward.
+        # is Evaluator.mixture_log_prob, with a hand-written backward.
         comp_cols = []
         for j in range(k):
             mu_j = self.slice_cols(mu, j * d, (j + 1) * d)
@@ -267,29 +267,6 @@ def logsumexp(x, axis):
     return m + np.log(s, out=s, where=finite)
 
 
-def mixture_log_density(log_c, mu, inv_scale, y):
-    """log sum_k exp(log_c[k] - sum_d ((y[d] - mu[d, k]) * inv_scale[d, k])^2): the
-    diagonal Gaussian mixture log-density, given log_c = log w - sum_d log sigma
-    - D/2 log 2 pi and inv_scale = 1 / (sqrt(2) sigma). Shapes: log_c (K, ...),
-    mu and inv_scale (D, K, ...), y (D, 1, ...), broadcasting -> (...). The
-    terms fill one buffer, reduced over its leading axes in place, which is
-    fast only when the buffer is C-ordered: pass C-ordered operands. It takes
-    one target per point: ``Evaluator.mixture_log_prob`` and
-    ``MixtureDiagGaussian`` call it; the i.i.d. trial sum has its own
-    product form in ``estimators``."""
-    z = np.subtract(y, mu)
-    z *= inv_scale
-    z *= z
-    buf = np.subtract(log_c, z[0], out=z[0])            # (K, ...)
-    for zj in z[1:]:
-        buf -= zj
-    m = buf.max(axis=0)                                 # logsumexp over K, in place,
-    finite = np.isfinite(m)                             # with logsumexp's guard
-    buf -= np.where(finite, m, 0.0)
-    s = np.exp(buf, out=buf).sum(axis=0)
-    return m + np.log(s, out=s, where=finite)
-
-
 class Evaluator:
     """The Tape's primitives, recording nothing.
 
@@ -298,8 +275,8 @@ class Evaluator:
     return the same ndarrays, parameters aside, and each primitive computes
     the same numpy expression as the Tape's primitive of the same name, so
     results match the taped forward bit for bit. ``mixture_log_prob`` is
-    the exception: it runs ``mixture_log_density`` and agrees with the
-    Tape's loop to rounding. Shapes are not checked, so operands may
+    the exception: it is one pointwise kernel, not the Tape's loop, and
+    agrees with that loop to rounding. Shapes are not checked, so operands may
     broadcast where the Tape would reject them.
     """
 
@@ -321,9 +298,12 @@ class Evaluator:
 
     @staticmethod
     def mixture_log_prob(log_w, mu, log_std, y_z):
-        """``Tape.mixture_log_prob`` by ``mixture_log_density``, over contiguous
-        (D, K, rows) copies of the parameters: they may have one row,
-        broadcast over the targets, or one row per target."""
+        """``Tape.mixture_log_prob`` as one pointwise kernel: log sum_k exp(log_c[k]
+        - sum_d ((y[d] - mu[d, k]) * inv_scale[d, k])^2), log_c = log w - sum_d
+        log sigma - D/2 log 2 pi, inv_scale = 1 / (sqrt(2) sigma), over C-ordered
+        (D, K, rows) copies of parameters of one row, broadcast over the targets,
+        or one per target; the terms fill one buffer, reduced in place. A square
+        past the float range is a -inf term."""
         k, d = log_w.shape[1], y_z.shape[1]
 
         def layout(p):
@@ -331,12 +311,20 @@ class Evaluator:
             return p.T.reshape(k, d, -1).transpose(1, 0, 2).copy()
 
         ls = layout(log_std)
-        log_c = ls.sum(axis=0)
-        np.subtract(log_w.T, log_c, out=log_c)
-        log_c -= 0.5 * d * LOG_2PI
+        log_c = log_w.T - ls.sum(axis=0) - 0.5 * d * LOG_2PI
         inv_scale = np.exp(np.subtract(-0.5 * math.log(2.0), ls, out=ls), out=ls)
-        y = np.ascontiguousarray(y_z.T)[:, None]
-        return mixture_log_density(log_c, layout(mu), inv_scale, y)[:, None]
+        z = np.subtract(np.ascontiguousarray(y_z.T)[:, None], layout(mu))
+        z *= inv_scale
+        with np.errstate(over="ignore"):
+            z *= z
+        buf = np.subtract(log_c, z[0], out=z[0])            # (K, targets)
+        for zj in z[1:]:
+            buf -= zj
+        m = buf.max(axis=0)                                 # logsumexp over K, in place,
+        finite = np.isfinite(m)                             # with logsumexp's guard
+        buf -= np.where(finite, m, 0.0)
+        s = np.exp(buf, out=buf).sum(axis=0)
+        return (m + np.log(s, out=s, where=finite))[:, None]
 
 
 EVALUATOR = Evaluator()
@@ -347,7 +335,9 @@ class ParamStore:
     with Adam's two moment buffers in the same layout, so Adam moves every
     parameter at once. Parameters change only through ``load`` and
     ``adam_step``, which write into the buffer and count each write in
-    ``version``. The buffer itself is read-only outside those two, so
+    ``version`` (so does an estimator's ``initialize_standardization``: a
+    prepared trial set holds the old statistics). The buffer itself is
+    read-only outside those two, so
     ``flat``, a view of the whole buffer, and each parameter's ``.data``
     are read-only views that numpy refuses to make writeable again;
     rebinding ``.data`` would detach it from the buffer."""

@@ -6,9 +6,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "sbikit").glob("*.py"))
-TESTS = sorted((ROOT / "tests").glob("*.py"))
+# readers of the library: its tests and the benchmark, which reads e.g.
+# ``TrainReport.best_val_loss``
+READERS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "sbikit"}
-TREES = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES + TESTS}
+TREES = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES + READERS}
 
 
 def imported_roots(tree):
@@ -33,6 +35,9 @@ def referenced_names(tree):
 # parsed, not word-matched: a name that only occurs in comments, strings or
 # test names is still unused
 USED = {name for tree in TREES.values() for name in referenced_names(tree)}
+# a method is read as an attribute, so a local variable of its name is no use of it
+ATTRIBUTES = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -46,7 +51,26 @@ def test_public_functions_and_classes_are_referenced(path):
     unused = [node.name for node in TREES[path].body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in USED]
-    assert not unused, f"{path.name} defines {unused}, which nothing in src/ or tests/ uses"
+    assert not unused, f"{path.name} defines {unused}, which nothing in src/, tests/ or perfbench/ uses"
+
+
+def unused_private_functions_and_methods(tree):
+    """Private module-level functions that nothing names, and methods, but
+    the dunders Python calls by protocol, that nothing reads as an attribute."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            if node.name not in USED:
+                yield node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from (f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef) and item.name not in ATTRIBUTES
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_functions_and_methods_are_referenced(path):
+    unused = list(unused_private_functions_and_methods(TREES[path]))
+    assert not unused, f"{path.name} defines {unused}, which nothing in src/, tests/ or perfbench/ uses"
 
 
 def environment_reads(tree):

@@ -150,6 +150,19 @@ def test_a_trial_set_prepared_before_the_parameters_changed_is_refused(kind):
                                tiled_log_lik(est, obs, thetas), rtol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["mixed", "mdn", "flow"])
+def test_a_trial_set_prepared_before_the_standardization_changed_is_refused(kind):
+    est, obs = nle_task(kind, 24)
+    model, thetas = LikelihoodModel(est), np.random.default_rng(25).uniform(-1, 1, size=(3, 2))
+    trials, rng = model.trials(obs), np.random.default_rng(26)
+    make = mixed_trials if kind == "mixed" else continuous_trials
+    est.initialize_standardization(make(rng, 200), rng.uniform(-2, 2, size=(200, 2)))
+    with pytest.raises(EstimatorError, match="stale trial set"):
+        model.log_lik(trials, thetas)
+    np.testing.assert_allclose(model.log_lik(model.trials(obs), thetas),
+                               tiled_log_lik(est, obs, thetas), rtol=1e-12)
+
+
 @pytest.mark.parametrize("case", ["far_trial", "infinite_trial", "log_std_bound",
                                   "narrow_components_far_out", "single_trial_far_out",
                                   "components_far_out"])
@@ -196,9 +209,9 @@ def test_log_lik_far_from_every_component_or_at_the_log_std_bound_is_never_nan(k
         name = head.std_head.prefix + "w0"
         est.store.load({name: est.store[name].data * 1e4})
         thetas *= 1e3
-    # these two cases overflow to a -inf density in the reference as well
-    overflow = "ignore" if case in ("single_trial_far_out", "components_far_out") else "warn"
-    with warnings.catch_warnings(), np.errstate(over=overflow):
+    # an overflow warning is an error: a square past the float range in the
+    # mixture kernel is a -inf term, not a warning
+    with warnings.catch_warnings(), np.errstate(over="warn"):
         warnings.simplefilter("error")
         got = LikelihoodModel(est).log_lik(obs, thetas)
         ref = tiled_log_lik(est, obs, thetas)

@@ -191,6 +191,9 @@ def test_evaluator_mixture_log_prob_agrees_with_the_taped_loop_and_the_oracle(k,
     np.testing.assert_allclose(got, taped, rtol=1e-12)
     np.testing.assert_allclose(got[:, 0], mixture_log_density(
         one[0], one[1].reshape(shape), one[2].reshape(shape), y_z), rtol=1e-12)
+    # a square past the float range is a -inf term, with no overflow warning
+    far = np.full((1, d), 1e160)
+    assert EVALUATOR.mixture_log_prob(*one, far)[0, 0] == -np.inf
 
 
 def test_a_full_reduction_keeps_its_gradient_through_add():
