@@ -36,11 +36,13 @@ class Distribution:
     the float vectors ``low`` and ``high`` (infinite where unbounded), and
     give ``sample`` and ``_log_density(arr)``: the log-density of the rows
     of a ``(n, dim)`` batch, broadcastable to ``(n,)``, which is read only
-    at rows inside the support."""
+    at rows inside the support. A family whose support is always all of
+    R^dim says so with ``_whole_space``; ``contains`` then reads no bound."""
 
     dim: int
     low: np.ndarray
     high: np.ndarray
+    _whole_space = False
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
@@ -61,8 +63,11 @@ class Distribution:
         return out[0].item() if single else out
 
     def _inside(self, arr):
-        # along the rows of a transposed copy: numpy loops per row over a short trailing axis
+        # along the rows of a transposed copy: over a short trailing axis numpy
+        # runs one tiny loop per row. On the whole space only NaN is outside
         cols = arr.T.copy()
+        if self._whole_space:
+            return ~np.isnan(cols).any(axis=0)
         return ((cols >= self.low[:, None]) & (cols <= self.high[:, None])).all(axis=0)
 
     def log_prob(self, point):
@@ -108,6 +113,8 @@ class BoxUniform(Distribution):
 
 
 class DiagGaussian(Distribution):
+    _whole_space = True
+
     def __init__(self, mean, log_std):
         self._mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
         self._log_std = np.atleast_1d(np.asarray(log_std, dtype=np.float64))
@@ -199,6 +206,8 @@ class TruncatedNormal(Distribution):
 
 class MixtureDiagGaussian(Distribution):
     """Mixture of diagonal Gaussians with log-softmax-normalized weights."""
+
+    _whole_space = True
 
     def __init__(self, log_weights, means, log_stds):
         log_weights = np.atleast_1d(np.asarray(log_weights, dtype=np.float64))

@@ -23,10 +23,12 @@ Each model's math is written once, against an ``ops`` argument that is either
 an ``ndiff.Tape``, which records for gradients, or ``ndiff.EVALUATOR``, which
 records nothing; both take and return plain arrays, so data enters either one
 as it is. ``log_prob_tape`` and the training losses receive a Tape;
-``log_prob``, ``sample``, ``logit``, the validation loss and
-``Standardizer.transform`` (the one z-score formula, ``transform_ops``) run
-the same code on the evaluator, so the two agree bit for bit on the same
-inputs, except in the mixture density, ``ops.mixture_log_prob``: the
+``log_prob``, ``sample``, ``logit`` and the validation loss run the same
+code on the evaluator, so the two agree bit for bit on the same inputs. Off
+the Tape, ``Standardizer.transform`` and ``inverse`` compute the products of
+``transform_ops`` in a layout of their own, which ``log_prob`` and ``sample``
+use for the target. The one exception is the mixture density,
+``ops.mixture_log_prob``: the
 evaluator's is the pointwise numpy mixture kernel, and agrees with the Tape's
 loop to rounding. Each ``Mlp`` holds its layers' (w, b) parameter handles.
 
@@ -67,6 +69,9 @@ from .ndiff import EVALUATOR, LOG_2PI, ParamStore, logsumexp, sigmoid, softplus
 
 # soft bound on emitted log-scales, preventing early-training divergence
 LOG_SCALE_BOUND = 5.0
+# rows from which Standardizer.transform and inverse repeat their operands to
+# every row of a two-column array: below, the broadcast is cheaper (timeit)
+_FLAT_ROWS = 256
 
 
 class EstimatorError(ValueError):
@@ -127,15 +132,24 @@ class Standardizer:
         return cls(np.zeros(dim), np.ones(dim))
 
     def transform(self, x):
-        return self.transform_ops(EVALUATOR, np.atleast_2d(x))
+        """``transform_ops``'s products, in ``_rows``'s layout."""
+        return self._rows(np.atleast_2d(x), self._scale, self._shift)
 
     def inverse(self, z):
-        # broadcast: per-column or transposed layouts win at 4000 rows but lose at few rows or one column
-        return np.atleast_2d(z) * self.std + self.mean
+        return self._rows(np.atleast_2d(z), self.std, self.mean)
 
     def transform_ops(self, ops, x):
         """The z-score as one elementwise primitive, x * (1/std) - mean/std."""
         return ops.scale_shift(x, self._scale, self._shift)
+
+    @staticmethod
+    def _rows(x, scale, shift):
+        # x * scale + shift. Broadcast over a short trailing axis, numpy runs
+        # one tiny loop per row: from _FLAT_ROWS rows of two columns, scale and
+        # shift repeated to every row make each product one flat loop
+        if x.shape[0] >= _FLAT_ROWS and x.shape[1] == 2:
+            scale, shift = (np.repeat(v[None], x.shape[0], axis=0) for v in (scale, shift))
+        return x * scale + shift
 
 
 class Mlp:
@@ -362,20 +376,27 @@ class _MixtureHead:
         """One standardized draw per entry of ``which``, from the mixture at
         that row of ``feats``; the parameters are computed once per row."""
         log_w, mu, log_std = self.params(EVALUATOR, feats)
-        n, d = which.shape[0], self.target_dim
+        n, d, k = which.shape[0], self.target_dim, self.n_components
         u = rng.uniform(size=n)
-        # the count of cdf entries below u: a cumsum of weights never
-        # decreases, and a NaN sorts last as it compares False
-        choice = np.empty(n, dtype=np.intp)
-        for row, cdf in enumerate(np.exp(log_w).cumsum(axis=1)):
-            hit = which == row
-            choice[hit] = np.searchsorted(cdf, u[hit], side="left")
-        choice = np.minimum(choice, self.n_components - 1)
+        # the count of cdf entries below u, summed along the draw axis: over a
+        # short trailing axis (K entries per draw) numpy runs one tiny loop per
+        # draw. A cumsum of weights never decreases, and a NaN entry compares
+        # False. One mixture row needs no per-row masks, nor a row offset
+        cdf = np.exp(log_w).cumsum(axis=1)
+        if cdf.shape[0] == 1:
+            flat = (cdf[0, :, None] < u).sum(axis=0)
+            np.minimum(flat, k - 1, out=flat)
+        else:
+            choice = np.empty(n, dtype=np.intp)
+            for row, c in enumerate(cdf):
+                hit = which == row
+                choice[hit] = (c[:, None] < u[hit]).sum(axis=0)
+            # one flat row index per draw: a two-array fancy index is slow
+            flat = which * k + np.minimum(choice, k - 1)
         eps = rng.standard_normal((n, d))
-        # one flat row index per draw: a two-array fancy index is slow
-        flat = which * self.n_components + choice
+        # exp of the K*D log-stds, not of the n*D gathered ones
         return (mu.reshape(-1, d).take(flat, axis=0)
-                + np.exp(log_std.reshape(-1, d).take(flat, axis=0)) * eps)
+                + np.exp(log_std.reshape(-1, d)).take(flat, axis=0) * eps)
 
 
 class _ConditionalDensity:
@@ -410,7 +431,9 @@ class _ConditionalDensity:
     def log_prob(self, target, context) -> np.ndarray:
         target = np.atleast_2d(target)
         context = _context(context, self.context_dim, target)
-        return self.log_prob_tape(EVALUATOR, target, context)[:, 0]
+        feats = self.context_net.forward(EVALUATOR, context)
+        y_z = self.target_standardizer.transform(target)
+        return self._log_prob_z(EVALUATOR, y_z, feats)[:, 0] + self.target_standardizer.log_det
 
     def log_prob_tape(self, ops, target, context):
         """(n,1) log-density of the target rows given the context rows; on

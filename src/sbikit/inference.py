@@ -86,19 +86,37 @@ class DirectPosterior:
     def _row(self, x) -> np.ndarray:
         return _observations(x, self.estimator.context_dim, single=True)
 
+    def _thetas(self, theta) -> np.ndarray:
+        """``theta`` as (rows, target_dim) rows; a 1-D ``theta`` is one row. A
+        2-D float array is returned as it is: the Tape knows it by identity."""
+        arr = np.asarray(theta, dtype=np.float64)
+        d = self.estimator.target_dim
+        if arr.ndim > 2 or arr.shape[-1:] != (d,):
+            raise InferenceError(f"theta of shape {arr.shape} does not fit target_dim={d}: "
+                                 f"expected (rows, {d}) or ({d},)")
+        return arr if arr.ndim == 2 else arr[None]
+
     def sample(self, x, n, rng):
-        if n < 1:
-            raise InferenceError(f"sample needs n >= 1, got {n}")
+        """(n, target_dim) draws at the observation row ``x``, each inside the
+        prior support. A first round of estimator draws that are all inside
+        is returned as drawn; otherwise each round's draws inside the
+        support fill a new array, until it holds n."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise InferenceError(f"sample needs an integer n >= 1, got {n!r}")
         x = self._row(x)
+        draw = self.estimator.sample(x, max(n, 32), rng)
+        inside = self.prior.contains(draw)
+        if draw.shape[0] == n and inside.all():
+            return draw
         out = np.empty((n, self.prior.dim))
         filled = 0
-        for _ in range(_MAX_LEAK_ROUNDS):
-            draw = self.estimator.sample(x, max(n - filled, 32), rng)
-            inside = self.prior.contains(draw)
-            if not inside.all():
-                draw = draw[inside]
-            take = min(draw.shape[0], n - filled)
-            out[filled:filled + take] = draw[:take]
+        for i in range(_MAX_LEAK_ROUNDS):
+            if i:                               # the first round is drawn above
+                draw = self.estimator.sample(x, max(n - filled, 32), rng)
+                inside = self.prior.contains(draw)
+            kept = draw if inside.all() else draw[inside]
+            take = min(kept.shape[0], n - filled)
+            out[filled:filled + take] = kept[:take]
             filled += take
             if filled == n:
                 return out
@@ -108,12 +126,14 @@ class DirectPosterior:
         )
 
     def log_prob(self, x, theta):
-        theta = np.atleast_2d(np.asarray(theta, dtype=np.float64))
+        theta = self._thetas(theta)
         lp = self.estimator.log_prob(theta, self._row(x))
-        return np.where(self.prior.contains(theta), lp, -np.inf)
+        inside = self.prior.contains(theta)
+        return lp if inside.all() else np.where(inside, lp, -np.inf)
 
     def log_prob_tape(self, ops, x, theta):
         """(n,1) estimator log-density at every theta row, support not masked."""
+        theta = self._thetas(theta)
         ctx = np.tile(self._row(x), (theta.shape[0], 1))
         return self.estimator.log_prob_tape(ops, theta, ctx)
 

@@ -1,5 +1,7 @@
 import ast
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -151,3 +153,37 @@ def test_only_ndiff_binds_a_data_attribute(path):
              if isinstance(node, ast.Attribute) and node.attr == "data"
              and isinstance(node.ctx, ast.Store)]
     assert not binds, f"{path.name} binds .data ({binds}); change parameters with ParamStore.load"
+
+
+# code lines per module: lines where a token starts that is not a comment, a
+# docstring or layout. A change that raises an entry says in CHANGES.md by how
+# much and what the lines buy; one that deletes code lowers its entries
+CODE_LINE_BUDGET = {
+    "__init__": 1, "distributions": 193, "estimators": 440, "inference": 211, "ndiff": 262,
+    "samplers": 188, "simulators": 318, "trainer": 122,
+}
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENDMARKER}
+
+
+def docstring_lines(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                yield from range(first.lineno, first.end_lineno + 1)
+
+
+def code_lines(path):
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    starts = {tok.start[0] for tok in tokens if tok.type not in LAYOUT}
+    return len(starts - set(docstring_lines(TREES[path])))
+
+
+def test_code_lines_within_budget():
+    counts = {path.stem: code_lines(path) for path in SOURCES}
+    assert sorted(counts) == sorted(CODE_LINE_BUDGET), "every module needs a budget entry"
+    over = {name: f"{n} > {CODE_LINE_BUDGET[name]}" for name, n in counts.items()
+            if n > CODE_LINE_BUDGET[name]}
+    assert not over, f"modules over their code-line budget: {over}"

@@ -7,6 +7,7 @@ from scipy import special, stats
 from sbikit.distributions import (
     BoxUniform,
     DiagGaussian,
+    Distribution,
     DistributionError,
     MixtureDiagGaussian,
     TruncatedNormal,
@@ -173,6 +174,51 @@ def test_boundary_points_count_as_inside(family, rows, dim):
     np.testing.assert_array_equal(dist.contains(arr), old)
     np.testing.assert_array_equal(dist.log_prob(arr),
                                   np.where(old, dist._log_density(arr), -np.inf))
+
+
+@pytest.mark.parametrize("low, high", [
+    ([-1.0, 0.0, -np.inf, -np.inf], [1.0, np.inf, 2.0, np.inf]),
+    ([-np.inf, -np.inf], [np.inf, np.inf]),
+    ([-1.0, 0.5], [1.0, 2.0]),
+], ids=["bounded-half-bounded-unbounded", "unbounded", "bounded"])
+def test_contains_is_the_row_wise_bound_check_on_any_box(low, high):
+    """A box with bounded, half-bounded and unbounded sides: contains gives
+    the row-wise (x >= low) & (x <= high), which counts NaN as outside."""
+    box = Distribution()
+    box.low, box.high = np.array(low), np.array(high)
+    box.dim = box.low.size
+    rng = np.random.default_rng(99)
+    arr = rng.normal(scale=2.0, size=(1001, box.dim))
+    specials = np.concatenate([[np.nan, np.inf, -np.inf, -0.0], low, high])
+    mask = rng.uniform(size=arr.shape) < 0.2
+    arr[mask] = rng.choice(specials, size=mask.sum())
+    arr[:3] = np.nan
+    arr[1, 0] = arr[2, -1] = 0.0                            # NaN in all but one side
+    expected = np.array([np.all((row >= low) & (row <= high)) for row in arr])
+    assert 0 < expected.sum() < arr.shape[0] and not expected[:3].any()
+    np.testing.assert_array_equal(box.contains(arr), expected)
+    np.testing.assert_array_equal(box.contains(np.hstack([arr, arr])[:, :box.dim]), expected)
+    for row, inside in zip(arr[:20], expected):
+        assert box.contains(row) is bool(inside)
+    # the bounds are read on every call
+    box.low, box.high = box.low + 0.5, box.high - 0.5
+    np.testing.assert_array_equal(
+        box.contains(arr), [np.all((row >= box.low) & (row <= box.high)) for row in arr])
+
+
+@pytest.mark.parametrize("dist", [
+    DiagGaussian(np.zeros(3), np.ones(3)),
+    MixtureDiagGaussian(np.zeros(2), np.zeros((2, 3)), np.ones((2, 3))),
+], ids=["gaussian", "mixture"])
+def test_gaussians_contain_every_point_but_nan(dist):
+    """The Gaussian families skip the bound check: their support is the whole
+    space, and their infinite bounds say the same."""
+    assert dist._whole_space and np.all(dist.low == -np.inf) and np.all(dist.high == np.inf)
+    arr = np.random.default_rng(5).normal(scale=1e300, size=(500, 3))
+    arr[:40] = np.random.default_rng(6).choice([np.nan, np.inf, -np.inf, -0.0, 1.0], (40, 3))
+    expected = ~np.isnan(arr).any(axis=1)
+    assert 0 < expected.sum() < arr.shape[0]
+    np.testing.assert_array_equal(dist.contains(arr), expected)
 
 
 def test_mixture_weights_normalized_and_log_prob_matches_brute_force():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import warnings
 
@@ -438,17 +439,18 @@ SHAPES = {"mdn": [(3, 2), (10, 2), (17, 9)], "flow": [(3, 2)],
 def test_evaluator_loss_and_log_prob_equal_the_taped_ones_exactly(kind):
     """Bit for bit for the flow, its ensemble and the classifier. The MDN and
     the mixed estimator agree to rounding (rtol 1e-12): their evaluator runs
-    the numpy mixture kernel, their Tape the loop of primitives."""
+    the numpy mixture kernel, their Tape the loop of primitives. From 256
+    rows, a two-column target is standardized in another layout."""
     exact = kind in ("flow", "classifier")
     check = np.testing.assert_array_equal if exact else functools.partial(
         np.testing.assert_allclose, rtol=1e-12)
     rng = np.random.default_rng(81)
-    for k, dim in SHAPES[kind]:
-        theta = rng.normal(size=(30, dim))
+    for (k, dim), n in itertools.product(SHAPES[kind], (30, 300)):
+        theta = rng.normal(size=(n, dim))
         if kind == "mixed":
-            x = np.column_stack([rng.integers(0, 2, size=30), rng.uniform(0.2, 2.0, size=30)])
+            x = np.column_stack([rng.integers(0, 2, size=n), rng.uniform(0.2, 2.0, size=n)])
         else:
-            x = rng.normal(size=(30, 2))
+            x = rng.normal(size=(n, 2))
         if kind == "classifier":
             model = ClassifierNet(dim, 2, hidden=(8,), seed=82)
             model.initialize_standardization(theta, x)
@@ -547,16 +549,35 @@ def test_estimator_draws_equal_the_two_array_gather(kind):
     np.testing.assert_array_equal(got, ref)
 
 
-def test_standardizer_inverse_is_the_broadcast_expression_in_c_order():
+def assert_same_bits(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype == np.float64
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                  np.ascontiguousarray(ref).view(np.uint64))
+
+
+@pytest.mark.parametrize("width", [3, 2, 1])
+def test_standardizer_inverse_is_the_broadcast_expression_in_c_order(width):
+    """Both directions, at any row count and memory layout, give the bits of
+    the broadcast expression z * std + mean and of the Tape's z-score; two
+    columns from 256 rows on run in another layout."""
     data = np.column_stack([np.linspace(-2.0, 5.0, 50), np.full(50, 3.0), np.arange(50.0)])
-    st = Standardizer.fit(data)
-    assert st.std[1] == 1.0                                 # the constant column
-    rng = np.random.default_rng(98)
-    for z in (rng.normal(size=(4000, 3)), rng.normal(size=(1, 3)), rng.normal(size=3)):
-        z[..., 0].flat[0] = np.nan
+    st = Standardizer.fit(data[:, :width])
+    assert width == 1 or st.std[1] == 1.0                   # the constant column
+    rng = np.random.default_rng(98 + width)
+    wide = rng.normal(size=(1001, 2 * width + 1))
+    wide[:2] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 7.0][:2 * width + 1]
+    cases = [rng.normal(size=(rows, width)) for rows in (4000, 1001, 257, 256, 3, 1)]
+    cases += [rng.normal(size=width)]
+    for z in cases:
+        k = min(4, z.size)
+        z.flat[:k] = [np.nan, np.inf, -np.inf, -0.0][:k]
+    # column slices of a wider array, at every row and at every third row
+    cases += [wide[:, 1:width + 1], wide[::3, width:2 * width]]
+    for z in cases:
         got = st.inverse(z)
-        np.testing.assert_array_equal(got, np.atleast_2d(z) * st.std + st.mean)
-        assert got.flags.c_contiguous and got.shape == np.atleast_2d(z).shape
+        assert_same_bits(got, np.atleast_2d(z) * st.std + st.mean)
+        assert got.flags.c_contiguous and not np.shares_memory(got, z)
+        assert_same_bits(st.transform(z), st.transform_ops(Tape(), np.atleast_2d(z)))
 
 
 def test_ensemble_of_mixed_estimators_keeps_their_rt_support():

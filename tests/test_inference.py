@@ -1,7 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -569,6 +573,80 @@ def test_direct_sample_rejects_fewer_than_one_draw(n):
             posterior.sample([0.0, 0.0], n, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [2.5, True, np.float64(3.0), "3"], ids=repr)
+def test_direct_sample_rejects_an_n_that_is_not_an_integer(n):
+    with pytest.raises(InferenceError, match=re.escape(f"integer n >= 1, got {n!r}")):
+        untrained_npe().sample([0.0, 0.0], n, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("method", ["log_prob", "log_prob_tape"])
+@pytest.mark.parametrize("theta", [np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(1), np.zeros(3),
+                                   np.zeros((2, 4, 2)), 0.5],
+                         ids=["width_3", "width_1", "one_row_of_1", "one_row_of_3", "3d", "scalar"])
+def test_direct_log_prob_rejects_theta_of_the_wrong_shape_before_the_estimator(method, theta):
+    posterior = untrained_npe()
+
+    def reached(*args):
+        raise AssertionError("the estimator saw the theta")
+
+    posterior.estimator.log_prob = posterior.estimator.log_prob_tape = reached
+    args = (np.zeros(2), theta) if method == "log_prob" else (EVALUATOR, np.zeros(2), theta)
+    with pytest.raises(InferenceError, match=re.escape(
+            f"theta of shape {np.shape(theta)} does not fit target_dim=2")):
+        getattr(posterior, method)(*args)
+
+
+class RoundStub:
+    """An estimator whose k-th round of draws is all k / 10, but for its first
+    round's first ``leaks`` rows, which lie outside ``OBS_PRIOR``."""
+
+    target_dim = context_dim = 2
+
+    def __init__(self, leaks):
+        self.leaks, self.rounds = leaks, []
+
+    def sample(self, context, n, rng):
+        draw = np.full((n, 2), (len(self.rounds) + 1) / 10)
+        if not self.rounds:
+            draw[:self.leaks] = 5.0
+        self.rounds.append(draw)
+        return draw
+
+
+@pytest.mark.parametrize("n", [32, 40])
+def test_direct_sample_returns_a_full_first_round_as_drawn_and_fills_the_rest_in_order(n):
+    full = RoundStub(leaks=0)
+    assert DirectPosterior(full, OBS_PRIOR).sample([0.0, 0.0], n, None) is full.rounds[0]
+    leaky = RoundStub(leaks=3)
+    draws = DirectPosterior(leaky, OBS_PRIOR).sample([0.0, 0.0], n, None)
+    # the second round holds n rows too, all inside, but fills only the 3 left
+    assert [r.shape[0] for r in leaky.rounds] == [n, 32]
+    np.testing.assert_array_equal(draws, np.repeat([[0.1, 0.1], [0.2, 0.2]], [n - 3, 3], axis=0))
+
+
+@pytest.mark.parametrize("prior", [DiagGaussian(np.zeros(2), np.zeros(2)), OBS_PRIOR],
+                         ids=["every_draw_inside", "leaky"])
+def test_direct_draws_are_a_new_c_ordered_array(prior):
+    """A first round all inside the support is the estimator's own array,
+    which shares no memory with the model; draws kept from leaky rounds are
+    copied into a new one."""
+    rng = np.random.default_rng(4)
+    est = untrained("mdn", 2, 2)
+    est.initialize_standardization(rng.normal(scale=3.0, size=(50, 2)), rng.normal(size=(50, 2)))
+    posterior = DirectPosterior(est, prior)
+    model = [est.store.flat, *(est.store[name].data for name in est.store.names())]
+    for st in (est.target_standardizer, est.context_net.standardizer):
+        model += [st.mean, st.std, st._scale, st._shift]
+    x = np.array([0.3, -0.2])
+    for n in (1, 31, 32, np.int64(4000)):                 # a numpy integer n is an integer
+        draws = posterior.sample(x, n, np.random.default_rng(n))
+        assert draws.shape == (n, 2) and draws.flags.c_contiguous
+        assert not any(np.shares_memory(draws, arr) for arr in model)
+        assert np.all(prior.contains(draws))
+        if prior is not OBS_PRIOR and n >= 32:
+            np.testing.assert_array_equal(draws, est.sample(x, n, np.random.default_rng(n)))
+
+
 def test_every_fit_route_rejects_an_empty_dataset_before_building_anything(monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("an estimator was built")
@@ -698,3 +776,43 @@ def test_tsnpe_acceptance_error_names_the_bound_in_use(tsnpe_run):
     with pytest.raises(InferenceError, match=r"below 0\.001; region and prior barely overlap"):
         tsnpe_round(run.post, run.x_o, wide, run.sim, 1000, SMALL_MDN, seed=4)
 
+
+# one NPE fit, query and log-densities and one NLE fit; each line is a route's digest
+BLAS_ROUTES = """
+import hashlib
+import numpy as np
+from sbikit.distributions import DiagGaussian
+from sbikit.estimators import EstimatorConfig
+from sbikit.inference import nle_fit, npe_fit
+from sbikit.simulators import DDMSimulator, LinearGaussianSimulator, generate_dataset
+from sbikit.trainer import TrainConfig
+print("blas", np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+prior = DiagGaussian(np.zeros(2), np.zeros(2))
+data = generate_dataset(prior, LinearGaussianSimulator(dim=2, noise_std=0.1), 1000, seed=31)
+post, report = npe_fit(data, EstimatorConfig(kind="mdn"), TrainConfig(max_epochs=3, seed=32), prior)
+draws = post.sample(data.x[0], 4000, np.random.default_rng(33))
+lp = post.log_prob(data.x[0], draws)
+print("npe", report.params_sha256, hashlib.sha256(draws.tobytes() + lp.tobytes()).hexdigest())
+ddm = DDMSimulator()
+data = generate_dataset(ddm.default_prior(), ddm, 1000, seed=34)
+_, report = nle_fit(data, EstimatorConfig(kind="mixed"), TrainConfig(max_epochs=2, seed=35))
+print("nle", report.params_sha256)
+"""
+
+
+def test_npe_and_nle_digests_are_the_same_at_one_and_two_blas_threads():
+    """OpenBLAS reads its thread count at import, so each count runs in its own
+    interpreter; every matrix product must give the same bits at either."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", BLAS_ROUTES], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(dict(line.split(" ", 1) for line in run.stdout.splitlines()))
+        if "openblas" not in digests[-1]["blas"].lower():
+            pytest.skip(f"numpy's BLAS is {digests[-1]['blas']}, which reads no OPENBLAS_NUM_THREADS")
+    assert sorted(digests[0]) == ["blas", "nle", "npe"]
+    assert digests[0] == digests[1]
