@@ -27,6 +27,12 @@ class DistributionError(ValueError):
     pass
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, not a bool: the test
+    every count argument of the package passes."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _normal_logpdf(z):
     return -0.5 * z * z - 0.5 * LOG_2PI
 

@@ -2,11 +2,12 @@
 
 Every estimator is conditional: it models the target given a context of at
 least one column, theta given x for NPE and x given theta for NLE. All keep
-one contract, ``target_dim``, ``context_dim``, ``sample(context, n, rng)``,
-``log_prob(target, context)`` and ``log_prob_tape(ops, target, context)``,
-so ``inference.DirectPosterior`` serves any of them: the density estimators
-on one scaffold (MDN, coupling flow, mixed choice/reaction-time) and
-``EnsembleEstimator``, their uniform mixture.
+one contract, ``target_dim``, ``context_dim``, ``sample(context, n, rng)``
+and ``log_prob(target, context)``, so ``inference.DirectPosterior`` serves
+any of them: the density estimators on one scaffold (MDN, coupling flow,
+mixed choice/reaction-time) and ``EnsembleEstimator``, their uniform
+mixture. The density estimators also give ``log_prob_tape(ops, target,
+context)``, the log-density that training records.
 
 The context of ``log_prob`` is one row, which is broadcast over the target
 rows, or one row per target row; ``sample`` takes exactly one row. A
@@ -65,6 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import is_integer
 from .ndiff import EVALUATOR, LOG_2PI, ParamStore, logsumexp, sigmoid, softplus
 
 # soft bound on emitted log-scales, preventing early-training divergence
@@ -185,6 +187,15 @@ class EstimatorConfig:
     n_layers: int = 5                 # coupling layers (flow only)
     embedding_dim: int | None = None
     embedding_hidden: tuple = (50, 50)
+
+    def __post_init__(self):
+        counts = {"n_components": [self.n_components], "n_layers": [self.n_layers],
+                  "hidden": self.hidden, "embedding_hidden": self.embedding_hidden,
+                  "embedding_dim": [] if self.embedding_dim is None else [self.embedding_dim]}
+        for name, values in counts.items():
+            if not all(is_integer(v) and v >= 1 for v in values):
+                raise EstimatorError(f"EstimatorConfig.{name} needs integers >= 1, "
+                                     f"got {getattr(self, name)!r}")
 
 
 class _ContextNet:
@@ -332,6 +343,8 @@ class _MixtureHead:
     Gaussian mixture over a standardized target."""
 
     def __init__(self, store, prefix, in_dim, target_dim, n_components, hidden, rng):
+        if not hidden:
+            raise EstimatorError(f"a mixture head needs a hidden layer, got hidden={hidden!r}")
         self.n_components = n_components
         self.target_dim = target_dim
         k, d = n_components, target_dim
@@ -654,8 +667,8 @@ class EnsembleEstimator:
 
     ``log_prob`` mixes the members' own ``log_prob``, so the ensemble's
     support is its members': a row outside every member's support (an
-    rt <= 0 for mixed estimators) gets -inf. ``log_prob_tape`` mixes their
-    taped densities, the training and MAP path."""
+    rt <= 0 for mixed estimators) gets -inf. The members train one at a
+    time, so the ensemble has no taped density."""
 
     def __init__(self, members):
         self.members = list(members)
@@ -670,11 +683,6 @@ class EnsembleEstimator:
     def log_prob(self, target, context) -> np.ndarray:
         cols = np.stack([m.log_prob(target, context) for m in self.members], axis=1)
         return logsumexp(cols, axis=1)[:, 0] - math.log(len(self.members))
-
-    def log_prob_tape(self, ops, target, context):
-        cols = [m.log_prob_tape(ops, target, context) for m in self.members]
-        lse = ops.logsumexp(ops.concat(cols, axis=1), axis=1)
-        return ops.add(lse, -math.log(len(self.members)))
 
     def sample(self, context, n: int, rng) -> np.ndarray:
         context = _context(context, self.context_dim)

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .distributions import Distribution, prior_from_config, prior_to_config
+from .distributions import Distribution, is_integer, prior_from_config, prior_to_config
 from .estimators import (ClassifierNet, EnsembleEstimator, EstimatorConfig, IidTrials, NllTask,
                          build_estimator, pairwise_iid_sum)
 from .samplers import SamplerConfig, slice_sample
@@ -65,14 +65,19 @@ def _observations(x, x_dim: int, single: bool = False) -> np.ndarray:
     return rows
 
 
+def _check_draws(n) -> None:
+    if not is_integer(n) or n < 1:
+        raise InferenceError(f"sample needs an integer n >= 1, got {n!r}")
+
+
 class DirectPosterior:
     """Amortized posterior: one trained estimator (or ensemble) serves any observation.
 
     Every call takes one observation row ``x``. ``sample`` and ``log_prob``
     hand the estimator that one row as the context, so the work that depends
     only on the observation runs once per call, whatever the number of
-    draws or theta rows. ``log_prob_tape`` repeats the row once per theta
-    row, because the Tape does not broadcast. Sampling rejects the
+    draws or theta rows. The estimator needs only ``target_dim``,
+    ``context_dim``, ``sample`` and ``log_prob``. Sampling rejects the
     estimator's leakage outside the prior support, so draws follow the
     density that log_prob reports: the estimator density inside the support
     and -inf outside (not renormalized for leakage, which cancels in
@@ -87,8 +92,7 @@ class DirectPosterior:
         return _observations(x, self.estimator.context_dim, single=True)
 
     def _thetas(self, theta) -> np.ndarray:
-        """``theta`` as (rows, target_dim) rows; a 1-D ``theta`` is one row. A
-        2-D float array is returned as it is: the Tape knows it by identity."""
+        """``theta`` as (rows, target_dim) rows; a 1-D ``theta`` is one row."""
         arr = np.asarray(theta, dtype=np.float64)
         d = self.estimator.target_dim
         if arr.ndim > 2 or arr.shape[-1:] != (d,):
@@ -101,8 +105,7 @@ class DirectPosterior:
         prior support. A first round of estimator draws that are all inside
         is returned as drawn; otherwise each round's draws inside the
         support fill a new array, until it holds n."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise InferenceError(f"sample needs an integer n >= 1, got {n!r}")
+        _check_draws(n)
         x = self._row(x)
         draw = self.estimator.sample(x, max(n, 32), rng)
         inside = self.prior.contains(draw)
@@ -130,12 +133,6 @@ class DirectPosterior:
         lp = self.estimator.log_prob(theta, self._row(x))
         inside = self.prior.contains(theta)
         return lp if inside.all() else np.where(inside, lp, -np.inf)
-
-    def log_prob_tape(self, ops, x, theta):
-        """(n,1) estimator log-density at every theta row, support not masked."""
-        theta = self._thetas(theta)
-        ctx = np.tile(self._row(x), (theta.shape[0], 1))
-        return self.estimator.log_prob_tape(ops, theta, ctx)
 
 
 class LikelihoodModel:
@@ -187,6 +184,7 @@ class McmcPosterior:
         self.last_diagnostics = None
 
     def sample(self, n, rng):
+        _check_draws(n)
         samples, diag = slice_sample(self.log_target, self.prior,
                                      self.sampler_config, rng, n)
         self.last_diagnostics = diag
@@ -306,8 +304,8 @@ def tsnpe_round(posterior: DirectPosterior, x_o, prior: Distribution,
     """
     if not isinstance(posterior, DirectPosterior):
         raise InferenceError("truncated sequential refinement needs a direct posterior")
-    if n_new < 1:
-        raise InferenceError(f"a refinement round needs n_new >= 1, got {n_new}")
+    if not is_integer(n_new) or n_new < 1:
+        raise InferenceError(f"a refinement round needs an integer n_new >= 1, got {n_new!r}")
     x_o = _observations(x_o, posterior.estimator.context_dim, single=True)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
     densities = posterior.log_prob(x_o, posterior.sample(x_o, _TSNPE_DENSITY_SAMPLES, rng))
@@ -347,8 +345,8 @@ def fit_ensemble(dataset: Dataset, n_members: int = 5,
     reports. Sampling rejects the mixture's leakage, not each member's, so
     draws weight members by their mass inside the support, as log_prob does.
     """
-    if n_members < 2:
-        raise InferenceError(f"an ensemble needs at least 2 members, got n_members={n_members}")
+    if not is_integer(n_members) or n_members < 2:
+        raise InferenceError(f"an ensemble needs an integer n_members >= 2, got {n_members!r}")
     prior = _resolve_prior(dataset, prior)
     train_config = train_config or TrainConfig()
     members, reports = [], []

@@ -1,4 +1,4 @@
-"""Axis-aligned slice-sampling MCMC, SIR initialization, MAP search.
+"""Axis-aligned slice-sampling MCMC and its SIR initialization.
 
 The slice sampler needs only log-target evaluations (no gradients) and runs
 all chains in lockstep: every step-out and shrinkage round evaluates the
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Distribution
-from .ndiff import Gradients, ParamStore, Tape
+from .distributions import Distribution, is_integer
 
 _MAX_STEPOUTS = 50
 _MAX_SHRINK = 200
@@ -35,8 +34,9 @@ class SamplerConfig:
 
     def __post_init__(self):
         for name in ("chains", "warmup", "thin", "sir_pool"):
-            if getattr(self, name) < 1:
-                raise SamplerError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not is_integer(value) or value < 1:
+                raise SamplerError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -225,39 +225,3 @@ def slice_sample(log_target, prior: Distribution, config: SamplerConfig,
         n_shrink_capped=state.shrink_capped,
     )
     return samples, diag
-
-
-def map_estimate(posterior, x, rng: np.random.Generator, restarts: int = 10,
-                 lr: float = 0.01, steps: int = 1000):
-    """Mode of a direct (amortized) posterior at observation ``x``: batched
-    Adam ascent on ``log_prob_tape(tape, x, theta)`` from ``sample(x, ...)``
-    starts. The best point ever visited wins, clamped to the prior support.
-    """
-    for name, value in (("restarts", restarts), ("steps", steps)):
-        if value < 1:
-            raise SamplerError(f"{name} must be >= 1, got {value}")
-    prior = posterior.prior
-    starts = posterior.sample(x, restarts, rng)
-    store = ParamStore()
-    theta = store.add("theta", np.clip(starts, prior.low, prior.high))
-    best_logp = np.full(restarts, -np.inf)
-    best_theta = theta.data.copy()
-    trace = []
-
-    for _ in range(steps):
-        tape = Tape()
-        lp = posterior.log_prob_tape(tape, x, theta.data)
-        lp_np = lp[:, 0]
-        better = lp_np > best_logp
-        best_logp[better] = lp_np[better]
-        best_theta[better] = theta.data[better]
-        trace.append(float(np.nanmax(lp_np)))
-        g = tape.backward(tape.negate(tape.sum(lp)))[theta.data]
-        g = np.where(np.isfinite(g), g, 0.0)
-        store.adam_step(Gradients({id(theta): g}), lr=lr)
-        store.load({"theta": np.clip(theta.data, prior.low, prior.high)})
-
-    if not np.any(np.isfinite(best_logp)):
-        raise SamplerError(f"MAP search diverged in all restarts; trace tail {trace[-5:]}")
-    winner = int(np.argmax(best_logp))
-    return best_theta[winner]

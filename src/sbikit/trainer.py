@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import is_integer
 from .ndiff import EVALUATOR, NonFiniteGradientError, Tape
 from .simulators import Dataset
 
@@ -40,8 +41,9 @@ class TrainConfig:
         if not (0.0 < self.val_fraction < 0.5):
             raise TrainingError(f"validation fraction must be in (0, 0.5), got {self.val_fraction}")
         for name in ("batch_size", "patience", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise TrainingError(f"{name} must be at least 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not is_integer(value) or value < 1:
+                raise TrainingError(f"{name} must be an integer >= 1, got {value!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise TrainingError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 

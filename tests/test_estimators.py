@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -222,6 +223,20 @@ def test_build_estimator_rejects_a_context_free_estimator(kind):
         build_estimator(EstimatorConfig(kind=kind), 2, 0)
 
 
+@pytest.mark.parametrize("kind,field,value", [
+    ("mdn", "n_components", 0), ("mdn", "n_components", 2.5), ("mixed", "n_components", True),
+    ("flow", "n_layers", 0), ("mixed", "hidden", (0,)), ("flow", "hidden", (8, 2.5)),
+    ("mdn", "hidden", ()), ("mixed", "hidden", ()), ("mdn", "embedding_dim", 0),
+    ("flow", "embedding_hidden", (8, -1)), ("mdn", "embedding_hidden", ("8",))])
+def test_estimator_config_rejects_a_layer_or_count_that_is_not_a_positive_integer(
+        kind, field, value):
+    """Named in an EstimatorError, before any network is built; the flow's
+    conditioner alone may have no hidden layer."""
+    with pytest.raises(EstimatorError, match=rf"{field}.*{re.escape(repr(value))}"):
+        build_estimator(EstimatorConfig(**{"kind": kind, "embedding_dim": 4, field: value}), 2, 2)
+    assert build_estimator(EstimatorConfig(kind="flow", hidden=()), 2, 2).target_dim == 2
+
+
 def test_conditional_2d_density_normalizes_by_grid_quadrature():
     m = small_mdn(target_dim=2, context_dim=1, k=3, seed=23)
     gx = np.linspace(-10, 10, 401)
@@ -437,10 +452,10 @@ SHAPES = {"mdn": [(3, 2), (10, 2), (17, 9)], "flow": [(3, 2)],
 
 @pytest.mark.parametrize("kind", ["mdn", "flow", "mixed", "classifier"])
 def test_evaluator_loss_and_log_prob_equal_the_taped_ones_exactly(kind):
-    """Bit for bit for the flow, its ensemble and the classifier. The MDN and
-    the mixed estimator agree to rounding (rtol 1e-12): their evaluator runs
-    the numpy mixture kernel, their Tape the loop of primitives. From 256
-    rows, a two-column target is standardized in another layout."""
+    """Bit for bit for the flow and the classifier. The MDN and the mixed
+    estimator agree to rounding (rtol 1e-12): their evaluator runs the
+    numpy mixture kernel, their Tape the loop of primitives. From 256 rows,
+    a two-column target is standardized in another layout."""
     exact = kind in ("flow", "classifier")
     check = np.testing.assert_array_equal if exact else functools.partial(
         np.testing.assert_allclose, rtol=1e-12)
@@ -455,19 +470,18 @@ def test_evaluator_loss_and_log_prob_equal_the_taped_ones_exactly(kind):
             model = ClassifierNet(dim, 2, hidden=(8,), seed=82)
             model.initialize_standardization(theta, x)
         else:
-            members = [trained_like(kind, x, theta, seed, k) for seed in (82, 83)]
             target, context = (x, theta) if kind == "mixed" else (theta, x)
-            model = NllTask(members[0], theta_is_target=kind != "mixed")
-            for est in (members[0], EnsembleEstimator(members)):
-                taped = est.log_prob_tape(Tape(), target, context)
-                check(est.log_prob(target, context), taped[:, 0])
-                # data wrapped in Tensors, as the benchmark's batch loss passes it
-                np.testing.assert_array_equal(
-                    est.log_prob_tape(Tape(), Tensor(target), Tensor(context)), taped)
+            est = trained_like(kind, x, theta, 82, k)
+            model = NllTask(est, theta_is_target=kind != "mixed")
+            taped = est.log_prob_tape(Tape(), target, context)
+            check(est.log_prob(target, context), taped[:, 0])
+            # data wrapped in Tensors, as the benchmark's batch loss passes it
+            np.testing.assert_array_equal(
+                est.log_prob_tape(Tape(), Tensor(target), Tensor(context)), taped)
             if kind != "flow":
                 # one context row: the evaluator broadcasts the head's one
                 # mixture, the Tape scores that row repeated per target
-                head, feats, y_z = one_row_head_input(members[0], target, context)
+                head, feats, y_z = one_row_head_input(est, target, context)
                 params = head.params(EVALUATOR, feats)
                 repeated = [np.repeat(p, y_z.shape[0], axis=0) for p in params]
                 check(head.log_prob(EVALUATOR, feats, y_z),

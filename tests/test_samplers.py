@@ -6,8 +6,8 @@ import pytest
 from sbikit.distributions import BoxUniform, DiagGaussian, MixtureDiagGaussian
 from sbikit.inference import LikelihoodModel, nle_posterior
 from sbikit.samplers import (_MAX_SHRINK, _MAX_STEPOUTS, ChainDiagnostics, SamplerConfig,
-                              SamplerError, _ess, _SliceState, _split_r_hat, map_estimate,
-                              sir_init, slice_sample)
+                              SamplerError, _ess, _SliceState, _split_r_hat, sir_init,
+                              slice_sample)
 
 from .oracles import reference_sweep
 from .test_inference import OBS_PRIOR, nle_task
@@ -141,43 +141,8 @@ def test_ess_matches_the_analytic_value_of_ar1_chains_and_of_iid_draws():
     assert np.all(np.abs(_ess(ar) / (8000 / 3) - 1.0) < 0.2)
 
 
-class GaussianBoxPosterior:
-    """Direct-posterior stand-in: an isotropic Gaussian log-density whose
-    mode is the observation, on a box prior, sampled from the prior."""
-
-    def __init__(self, scale=0.5):
-        self.prior = BoxUniform([-2.0, -1.0], [2.0, 3.0])
-        self.scale = scale
-
-    def sample(self, x, n, rng):
-        return self.prior.sample(rng, n)
-
-    def log_prob_tape(self, tape, x, theta):
-        diff = tape.add(theta, np.tile(-np.asarray(x, dtype=np.float64), (theta.shape[0], 1)))
-        quad = tape.multiply(tape.square(diff), -0.5 / self.scale ** 2)
-        return tape.sum(quad, axis=1)
-
-
-def test_map_estimate_finds_a_mode_inside_the_box():
-    theta = map_estimate(GaussianBoxPosterior(), [0.7, 1.4], np.random.default_rng(0), restarts=4)
-    np.testing.assert_allclose(theta, [0.7, 1.4], atol=1e-3)
-
-
-def test_map_estimate_clamps_a_mode_outside_the_box_to_the_corner():
-    theta = map_estimate(GaussianBoxPosterior(), [3.0, -2.0], np.random.default_rng(1),
-                         restarts=4, steps=300)
-    np.testing.assert_array_equal(theta, [2.0, -1.0])
-
-
-@pytest.mark.parametrize("name", ["restarts", "steps"])
-@pytest.mark.parametrize("value", [0, -2])
-def test_map_estimate_rejects_fewer_than_one_restart_or_step(name, value):
-    with pytest.raises(SamplerError, match=rf"{name} must be >= 1, got {value}"):
-        map_estimate(GaussianBoxPosterior(), [0.7, 1.4], np.random.default_rng(0),
-                     **{name: value})
-
-
+@pytest.mark.parametrize("value", [0, 2.5, True, float("nan"), "3"], ids=repr)
 @pytest.mark.parametrize("name", ["chains", "warmup", "thin", "sir_pool"])
-def test_sampler_config_names_the_value_it_rejects(name):
-    with pytest.raises(SamplerError, match=rf"^{name} must be >= 1, got 0$"):
-        SamplerConfig(**{name: 0})
+def test_sampler_config_names_the_value_it_rejects(name, value):
+    with pytest.raises(SamplerError, match=rf"^{name} must be an integer >= 1, got {value!r}$"):
+        SamplerConfig(**{name: value})

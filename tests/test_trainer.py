@@ -91,7 +91,8 @@ class TestConfig:
             TrainConfig(val_fraction=0.7)
         with pytest.raises(TrainingError):
             TrainConfig(patience=0)
-        for field, value in [("batch_size", 0), ("max_epochs", 0), ("learning_rate", -1.0),
+        for field, value in [("batch_size", 0), ("batch_size", 2.5), ("max_epochs", 0),
+                             ("max_epochs", True), ("patience", "3"), ("learning_rate", -1.0),
                              ("learning_rate", 0.0), ("learning_rate", float("nan")),
                              ("learning_rate", float("inf"))]:
             with pytest.raises(TrainingError, match=field):
